@@ -1,42 +1,63 @@
 //! Distributed HL-SVM training over a real [`Transport`] — the paper's
 //! Fig. 2 star topology with actual message passing instead of the
-//! simulated cluster of [`crate::jobs`].
+//! simulated cluster of [`crate::jobs`] — as ONE round engine: a
+//! coordinator driver and a learner driver that every
+//! secure-aggregation backend of [`crate::secagg`] runs under.
 //!
 //! # Roles
 //!
 //! * **Learners** (parties `0..m`) each hold one horizontal partition.
 //!   Per round they receive the consensus broadcast, run the local ADMM
-//!   step, mask their share with the §V pairwise scheme
-//!   ([`SeededMasker`]), and send the masked fixed-point vector to the
-//!   coordinator.
+//!   step, and hand the raw share to their backend's learner half, which
+//!   turns it into frames the coordinator can sum but not read (§V).
 //! * **Coordinator** (party `m`) plays the reducer: it broadcasts
-//!   `(z, s)`, collects one masked share per learner, wrapping-sums them
-//!   (the masks cancel), decodes the consensus update, and repeats until
-//!   `cfg.max_iter` or `cfg.tol`. A final `done` broadcast carries the
-//!   converged model to the learners so they can exit.
+//!   `(z, s)`, feeds every protocol frame to the backend's coordinator
+//!   half until that yields the round's sum, applies the consensus
+//!   update, and repeats until `cfg.max_iter` or `cfg.tol`. A final
+//!   `done` broadcast carries the converged model to the learners so
+//!   they can exit.
 //!
-//! The coordinator only ever sees masked shares and their cancelled sum,
-//! exactly as in the in-process protocol; moving to a real wire changes
-//! the failure model (frames can drop — the [`Courier`] ARQ recovers),
-//! not the privacy argument.
+//! # Who owns what
+//!
+//! A backend is its crypto and its frame shapes (see
+//! [`crate::secagg`] for the per-round contract). Everything else lives
+//! here, once: config and party validation, the roster
+//! (`alive`/`dropped`/pending joins), the single deadline-bounded
+//! collect loop (heartbeats, clock replies, telemetry deltas and `Join`
+//! probes are handled in exactly one place), dropout declaration,
+//! re-keying, rejoin admission, checkpoint/resume, clock sync, byte
+//! accounting, straggler scoring, every telemetry event, the consensus
+//! update and the `done` broadcast; on the learner side the patience
+//! clock, heartbeat nudges, clock probes, stale/ahead consensus
+//! handling, the QP step, scripted defection, the telemetry relay and
+//! the `Welcome`/`Rekey` roster updates.
+//!
+//! The coordinator only ever sees what the backend's frames reveal —
+//! masked shares and their cancelled sum, blinded share blocks, or
+//! ciphertexts; moving to a real wire changes the failure model (frames
+//! can drop — the [`Courier`] ARQ recovers), not the privacy argument.
 //!
 //! # Dropout and re-keying
 //!
 //! A learner process can die mid-run. The coordinator detects this in
-//! two places: a reliable broadcast to the learner exhausts its retry
-//! budget, or the round's collection deadline
-//! ([`DistributedTiming::round_deadline`] — one [`Instant`] per round,
+//! two places: a reliable send to the learner exhausts its retry
+//! budget, or a collection deadline
+//! ([`DistributedTiming::round_deadline`] — one [`Instant`] per collect,
 //! deliberately *not* refreshed by heartbeats) expires with the
-//! learner's share still missing. Either way the learner is declared
-//! dropped, the coordinator broadcasts [`Message::Rekey`] naming the
-//! survivor set, and the survivors re-mask their cached raw share over
-//! that set and re-send it for the same round. Because pair seeds derive
-//! from `(seed, lo, hi)` alone, re-keying is pure local recomputation —
-//! no new key agreement round. Shares carry a re-key `epoch` so in-flight
-//! pre-re-key shares (masked over the old set — their masks would not
-//! cancel) are recognized and discarded rather than summed. Training then
-//! continues over `m' < m` learners with the consensus average divided by
-//! `m'`; see `DESIGN.md` §8 for what the coordinator learns at the seam.
+//! learner's frame still missing. Either way the learner is declared
+//! dropped — on every backend through the same path, the final `done`
+//! broadcast included. Only a backend whose sent shares a membership
+//! change invalidates (pairwise: the masks would no longer cancel) then
+//! costs a re-key: the coordinator bumps the epoch and broadcasts
+//! [`Message::Rekey`] naming the survivor set, and the survivors
+//! re-contribute their cached raw share over that set for the same
+//! round. Because pair seeds derive from `(seed, lo, hi)` alone,
+//! re-keying is pure local recomputation — no new key agreement round.
+//! Shares carry the re-key `epoch` so in-flight pre-re-key shares are
+//! recognized and discarded rather than summed. Training then continues
+//! over `m' < m` learners with the consensus average divided by the
+//! contributor count; see `DESIGN.md` §8 for what the coordinator
+//! learns at the seam.
 //!
 //! Learners are symmetric: they wait at most
 //! [`DistributedTiming::learner_patience`] between coordinator protocol
@@ -48,27 +69,29 @@
 //! # Crash recovery: checkpoint, resume, rejoin
 //!
 //! [`RecoveryOptions`] turns the one-shot protocol into a recoverable
-//! one:
+//! one, under every backend:
 //!
 //! * with `checkpoint_to` set, the coordinator writes a crash-consistent
 //!   [`Checkpoint`] after every accepted round (write-temp → fsync →
 //!   rename, so a crash never leaves a torn file);
 //! * with `resume_from` set, a restarted coordinator re-enters the run
-//!   mid-flight: it restores the iterate and roster, bumps the re-key
-//!   epoch past anything a surviving learner can hold, and reliably
+//!   mid-flight: it restores the iterate and roster, bumps the epoch
+//!   past anything a surviving learner can hold, and reliably
 //!   re-introduces itself with [`Message::Welcome`] before
 //!   re-broadcasting the checkpointed round. A learner that already
-//!   computed that round re-sends its cached share re-masked under the
-//!   new epoch instead of recomputing, so the resumed run reproduces the
-//!   uninterrupted one bit for bit;
-//! * a killed-and-restarted *learner* calls [`rejoin_linear`]: it probes
-//!   with [`Message::Join`] until the coordinator re-admits it at a
-//!   round boundary — re-keying the §V masks over the enlarged survivor
-//!   set and streaming the current iterate in a Welcome. The rejoiner
-//!   warm-starts with zeroed duals; because pair seeds derive from
-//!   `(seed, lo, hi)` alone, enlarging the set is pure local
-//!   recomputation and the rejoiner learns nothing about the rounds it
-//!   missed (see `DESIGN.md` §8).
+//!   computed that round re-contributes its cached raw share instead of
+//!   recomputing — every backend's `contribute` is deterministic — so
+//!   the resumed run reproduces the uninterrupted one bit for bit.
+//!   Frames answering the dead incarnation are fenced by the epoch
+//!   where they carry one and otherwise by phase: a second-phase frame
+//!   of the current round that arrives before *this* incarnation asked
+//!   for it is stale, never an error;
+//! * a killed-and-restarted *learner* rejoins: it probes with
+//!   [`Message::Join`] until the coordinator re-admits it at a round
+//!   boundary — re-keying over the enlarged survivor set where the
+//!   backend needs it — and streams the current iterate in a Welcome.
+//!   The rejoiner warm-starts with zeroed duals and learns nothing about
+//!   the rounds it missed (see `DESIGN.md` §8).
 //!
 //! # Determinism
 //!
@@ -96,8 +119,8 @@ use crate::config::{AdmmConfig, DistributedTiming};
 use crate::error::TrainError;
 use crate::history::ConvergenceHistory;
 use crate::horizontal::linear::{validate_parts, HlLearner};
-use crate::masks::SeededMasker;
 use crate::observe::{self, TelemetryRelay};
+use crate::secagg::{Absorbed, CoordinatorHalf, LearnerHalf, SecAggConfig, Step};
 use crate::Result;
 
 /// Result of a coordinated distributed training run.
@@ -108,19 +131,19 @@ pub struct DistributedOutcome {
     /// Per-iteration `‖z_{t+1} − z_t‖²` (and accuracy when evaluating).
     pub history: ConvergenceHistory,
     /// Network cost: `bytes_broadcast` counts every coordinator frame put
-    /// on the wire (consensus and re-key broadcasts, retransmits
-    /// included), `bytes_shuffled` the encoded size of each accepted
-    /// learner share.
+    /// on the wire (consensus, re-key and second-phase frames,
+    /// retransmits included), `bytes_shuffled` the encoded size of each
+    /// accepted learner frame.
     pub metrics: JobMetrics,
     /// Learners declared dead during the run, in drop order. Empty on a
     /// clean run.
     pub dropped: Vec<PartyId>,
 }
 
-/// Crash-recovery knobs for [`coordinate_linear_with_recovery`]: where
-/// to write per-round checkpoints, and optionally a checkpoint to resume
-/// from instead of starting at round 0. The default (no checkpointing,
-/// no resume) reproduces [`coordinate_linear`] exactly.
+/// Crash-recovery knobs for the coordinator: where to write per-round
+/// checkpoints, and optionally a checkpoint to resume from instead of
+/// starting at round 0. The default (no checkpointing, no resume) is a
+/// plain one-shot run.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryOptions {
     /// Write a crash-consistent [`Checkpoint`] here after every accepted
@@ -163,7 +186,7 @@ pub(crate) fn protocol(reason: impl Into<String>) -> TrainError {
 /// refused) or `Io` (write to a reset socket). All three mean "this
 /// party is gone" and trigger dropout handling; `Closed`/`Frame` are
 /// local faults and stay fatal.
-pub(crate) fn peer_is_lost(e: &TransportError) -> bool {
+fn peer_is_lost(e: &TransportError) -> bool {
     matches!(
         e,
         TransportError::Timeout | TransportError::Unreachable(_) | TransportError::Io(_)
@@ -192,7 +215,7 @@ const CLOCK_PROBE_WAIT: Duration = Duration::from_millis(300);
 /// dropout verdicts stay the round loop's business. Runs strictly before
 /// the first broadcast, when no protocol frame can be in flight, so
 /// anything unexpected the probe loop swallows is liveness noise.
-pub(crate) fn clock_sync<T: Transport>(courier: &mut Courier<T>, alive: &[bool], run_id: u64) {
+fn clock_sync<T: Transport>(courier: &mut Courier<T>, alive: &[bool], run_id: u64) {
     for p in (0..alive.len()).filter(|&p| alive[p]) {
         let mut best: Option<(u64, i64)> = None; // (rtt_ns, offset_ns)
         for attempt in 0..CLOCK_PROBES {
@@ -242,270 +265,273 @@ pub(crate) fn clock_sync<T: Transport>(courier: &mut Courier<T>, alive: &[bool],
     }
 }
 
-/// Declares `lost` dropped and re-keys the round over the survivors:
-/// bumps the epoch and reliably sends [`Message::Rekey`] to every
-/// survivor. A survivor that cannot be reached is itself dropped and the
-/// re-key restarts over the smaller set. Returns the new epoch.
-fn rekey<T: Transport>(
-    courier: &mut Courier<T>,
-    alive: &mut [bool],
-    dropped: &mut Vec<PartyId>,
-    mut lost: Vec<PartyId>,
-    iteration: u64,
-    mut epoch: u64,
-    metrics: &mut JobMetrics,
-) -> Result<u64> {
-    loop {
-        for &p in &lost {
-            alive[p as usize] = false;
-            dropped.push(p);
+/// The coordinator driver's roster and wire state: who is alive, who
+/// was dropped (in order), who asked back in, the current epoch, and
+/// the byte counters every send and accepted frame is charged to.
+struct Coordinator<'a, T: Transport> {
+    courier: &'a mut Courier<T>,
+    alive: Vec<bool>,
+    dropped: Vec<PartyId>,
+    /// Restarted learners asking to be re-admitted: recorded whenever
+    /// their Join frames surface mid-collect, acted on at the next round
+    /// boundary when the iterate is consistent.
+    pending_joins: BTreeMap<PartyId, u64>,
+    epoch: u64,
+    metrics: JobMetrics,
+    /// [`CoordinatorHalf::rekeys`] of the run's backend.
+    rekeys: bool,
+}
+
+impl<T: Transport> Coordinator<'_, T> {
+    fn survivors(&self) -> Vec<PartyId> {
+        (0..self.alive.len())
+            .filter(|&p| self.alive[p])
+            .map(|p| p as PartyId)
+            .collect()
+    }
+
+    /// Reliably sends each frame, charging `bytes_broadcast`; returns
+    /// the recipients that could not be reached.
+    fn send_each<'m>(
+        &mut self,
+        frames: impl IntoIterator<Item = (PartyId, &'m Message)>,
+    ) -> Result<Vec<PartyId>> {
+        let mut lost = Vec::new();
+        for (p, msg) in frames {
+            match self.courier.send_reliable(p, msg) {
+                Ok(n) => self.metrics.bytes_broadcast += n,
+                Err(e) if peer_is_lost(&e) => lost.push(p),
+                Err(e) => return Err(e.into()),
+            }
+        }
+        Ok(lost)
+    }
+
+    fn send_all(&mut self, to: &[PartyId], msg: &Message) -> Result<Vec<PartyId>> {
+        self.send_each(to.iter().map(|&p| (p, msg)))
+    }
+
+    /// Marks `lost` parties dead: flips `alive`, records drop order,
+    /// emits [`EventKind::Dropout`].
+    fn declare_dropped(&mut self, lost: &[PartyId], iteration: u64) {
+        for &p in lost {
+            if self.alive[p as usize] {
+                self.alive[p as usize] = false;
+                self.dropped.push(p);
+                telemetry::emit(
+                    self.courier.party(),
+                    EventKind::Dropout {
+                        party: p,
+                        iteration,
+                    },
+                );
+            }
+        }
+    }
+
+    /// The one drop path: declares `lost` dropped and — for a backend
+    /// whose sent shares a membership change invalidates — re-keys the
+    /// round over the survivors: bumps the epoch and reliably sends
+    /// [`Message::Rekey`] to each. A survivor that cannot be reached is
+    /// itself dropped and the re-key restarts over the smaller set.
+    fn drop_parties(&mut self, mut lost: Vec<PartyId>, iteration: u64) -> Result<()> {
+        while !lost.is_empty() {
+            self.declare_dropped(&lost, iteration);
+            let survivors = self.survivors();
+            if survivors.is_empty() {
+                return Err(TrainError::Dropped {
+                    parties: self.dropped.clone(),
+                });
+            }
+            if !self.rekeys {
+                break;
+            }
+            self.epoch += 1;
+            let rekey = self.rekey_frame(iteration, &survivors);
+            lost = self.send_all(&survivors, &rekey)?;
+        }
+        Ok(())
+    }
+
+    /// Emits [`EventKind::RekeyEpoch`] for the current epoch and builds
+    /// the matching [`Message::Rekey`].
+    fn rekey_frame(&self, iteration: u64, survivors: &[PartyId]) -> Message {
+        telemetry::emit(
+            self.courier.party(),
+            EventKind::RekeyEpoch {
+                iteration,
+                epoch: self.epoch,
+                survivors: survivors.len() as u32,
+            },
+        );
+        Message::Rekey {
+            iteration,
+            epoch: self.epoch,
+            survivors: survivors.to_vec(),
+        }
+    }
+
+    fn welcome(&self, nonce: u64, iteration: u64, z: &[f64], s: f64) -> Message {
+        Message::Welcome {
+            nonce,
+            iteration,
+            epoch: self.epoch,
+            survivors: self.survivors(),
+            z: z.to_vec(),
+            s: vec![s],
+        }
+    }
+
+    /// Re-enters a run from a checkpoint: emits the resume event and
+    /// reliably streams a [`Message::Welcome`] — new epoch, survivor
+    /// set, current iterate — to every learner the checkpoint believed
+    /// alive (the restarted process's sequence numbers start over; the
+    /// Welcome is what re-syncs each learner's dedup watermark). A
+    /// learner that cannot be reached any more goes through the normal
+    /// drop path.
+    fn resume_handshake(&mut self, start_round: u64, z: &[f64], s: f64) -> Result<()> {
+        let survivors = self.survivors();
+        telemetry::emit(
+            self.courier.party(),
+            EventKind::ResumeFromCheckpoint {
+                iteration: start_round,
+                epoch: self.epoch,
+                survivors: survivors.len() as u32,
+            },
+        );
+        let welcome = self.welcome(0, start_round, z, s);
+        let lost = self.send_all(&survivors, &welcome)?;
+        self.drop_parties(lost, start_round)
+    }
+
+    /// Re-admits rejoining learners at a round boundary: marks each
+    /// pending joiner alive again and answers its [`Message::Join`] with
+    /// a [`Message::Welcome`] carrying its nonce and the current
+    /// iterate. A re-keying backend also bumps the epoch once over the
+    /// enlarged survivor set and tells the veterans via
+    /// [`Message::Rekey`] naming the *upcoming* round (nothing to
+    /// re-send — the consensus broadcast that follows carries the
+    /// work); elsewhere membership only matters to the coordinator's
+    /// bookkeeping. Joins from parties still alive (duplicates, or
+    /// frames from a live learner's earlier incarnation) are ignored.
+    /// Anyone unreachable during the fan-out goes through the normal
+    /// drop path.
+    fn admit_rejoiners(&mut self, iteration: u64, z: &[f64], s: f64) -> Result<()> {
+        let joiners: Vec<(PartyId, u64)> = std::mem::take(&mut self.pending_joins)
+            .into_iter()
+            .filter(|&(p, _)| !self.alive[p as usize])
+            .collect();
+        if joiners.is_empty() {
+            return Ok(());
+        }
+        let veterans = self.survivors();
+        for &(p, _) in &joiners {
+            self.alive[p as usize] = true;
+            self.dropped.retain(|&d| d != p);
             telemetry::emit(
-                courier.party(),
-                EventKind::Dropout {
+                self.courier.party(),
+                EventKind::Rejoin {
                     party: p,
                     iteration,
                 },
             );
         }
-        let survivors: Vec<PartyId> = (0..alive.len())
-            .filter(|&p| alive[p])
-            .map(|p| p as PartyId)
-            .collect();
-        if survivors.is_empty() {
-            return Err(TrainError::Dropped {
-                parties: dropped.clone(),
-            });
+        let rekey = self.rekeys.then(|| {
+            self.epoch += 1;
+            self.rekey_frame(iteration, &self.survivors())
+        });
+        let mut lost = Vec::new();
+        for &(p, nonce) in &joiners {
+            // The joiner is a fresh process: its sequence numbers
+            // restart, so the dead incarnation's dedup watermark would
+            // swallow everything it sends. Clear it before talking to
+            // the new one.
+            self.courier.reset_peer(p);
+            let welcome = self.welcome(nonce, iteration, z, s);
+            lost.extend(self.send_all(&[p], &welcome)?);
         }
-        epoch += 1;
-        telemetry::emit(
-            courier.party(),
-            EventKind::RekeyEpoch {
-                iteration,
-                epoch,
-                survivors: survivors.len() as u32,
-            },
-        );
-        let msg = Message::Rekey {
-            iteration,
-            epoch,
-            survivors: survivors.clone(),
-        };
-        lost = Vec::new();
-        for &p in &survivors {
-            match courier.send_reliable(p, &msg) {
-                Ok(n) => metrics.bytes_broadcast += n,
-                Err(e) if peer_is_lost(&e) => lost.push(p),
+        if let Some(rekey) = rekey {
+            lost.extend(self.send_all(&veterans, &rekey)?);
+        }
+        self.drop_parties(lost, iteration)
+    }
+
+    /// The single collect loop: feeds protocol frames to `backend` until
+    /// it waits for nothing more or one `round_deadline` has passed.
+    /// The whole attempt shares that one deadline: heartbeats and
+    /// discarded frames never extend it, so a learner that stays silent
+    /// (or only ever heartbeats) is declared dropped after exactly one
+    /// `round_deadline`.
+    fn collect(
+        &mut self,
+        backend: &mut dyn CoordinatorHalf,
+        iteration: u64,
+        round_start: Instant,
+        round_deadline: Duration,
+    ) -> Result<()> {
+        let deadline = Instant::now() + round_deadline;
+        while backend.pending(&self.alive) > 0 {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                break;
+            }
+            let env = match self.courier.recv(remaining) {
+                Ok(env) => env,
+                Err(TransportError::Timeout) => break,
                 Err(e) => return Err(e.into()),
+            };
+            match env.msg {
+                // Learners announce themselves with a heartbeat to open
+                // the connection (TCP dials lazily on first send);
+                // liveness frames — and clock-probe replies straggling
+                // in after the handshake window — are not part of the
+                // round.
+                Message::Heartbeat { .. } | Message::TimeReply { .. } => {}
+                // In-band telemetry deltas ride the round like the clock
+                // probes do: fold and move on, never charging them to
+                // the protocol's byte accounting.
+                Message::Telemetry { .. } => {
+                    observe::fold_telemetry(self.courier.party(), &env.msg);
+                }
+                // A restarted learner asking back in: remember the
+                // request, act at the next round boundary.
+                Message::Join { party, nonce } => {
+                    if (party as usize) < self.alive.len() {
+                        self.pending_joins.insert(party, nonce);
+                    }
+                }
+                msg => {
+                    let frame_len = Frame::encoded_len_of(&msg);
+                    if let Absorbed::Accepted { scored } =
+                        backend.absorb(env.from, msg, &self.alive)?
+                    {
+                        self.metrics.bytes_shuffled += frame_len;
+                        if let Some(party) = scored {
+                            let lag = round_start.elapsed().as_nanos() as u64;
+                            observe::observe_share_lag(party, iteration, lag);
+                        }
+                    }
+                }
             }
         }
-        if lost.is_empty() {
-            return Ok(epoch);
-        }
+        Ok(())
     }
 }
 
-/// Re-enters a run from a checkpoint: emits the resume event, clears
-/// per-peer transport state (the restarted process's sequence numbers
-/// start over — without the reset every learner would treat them as
-/// replays), and reliably streams a [`Message::Welcome`] — new epoch,
-/// survivor set, current iterate — to every learner the checkpoint
-/// believed alive. A learner that cannot be reached any more is dropped
-/// and the survivor set re-keyed, exactly as in a live round. Returns
-/// the (possibly further bumped) epoch.
+/// The coordinator driver: the one round loop every backend runs under
+/// (see the module docs for what it owns). `courier` must be the
+/// endpoint for party `learners` (the coordinator sits one past the
+/// last learner); `features` is the shared feature count `k` (shares
+/// are `k + 1` long: weights plus intercept).
 #[allow(clippy::too_many_arguments)]
-fn resume_handshake<T: Transport>(
-    courier: &mut Courier<T>,
-    alive: &mut [bool],
-    dropped: &mut Vec<PartyId>,
-    start_round: u64,
-    epoch: u64,
-    z: &[f64],
-    s: f64,
-    metrics: &mut JobMetrics,
-) -> Result<u64> {
-    let survivors: Vec<PartyId> = (0..alive.len())
-        .filter(|&p| alive[p])
-        .map(|p| p as PartyId)
-        .collect();
-    telemetry::emit(
-        courier.party(),
-        EventKind::ResumeFromCheckpoint {
-            iteration: start_round,
-            epoch,
-            survivors: survivors.len() as u32,
-        },
-    );
-    let welcome = Message::Welcome {
-        nonce: 0,
-        iteration: start_round,
-        epoch,
-        survivors: survivors.clone(),
-        z: z.to_vec(),
-        s: vec![s],
-    };
-    let mut lost: Vec<PartyId> = Vec::new();
-    for &p in &survivors {
-        match courier.send_reliable(p, &welcome) {
-            Ok(n) => metrics.bytes_broadcast += n,
-            Err(e) if peer_is_lost(&e) => lost.push(p),
-            Err(e) => return Err(e.into()),
-        }
-    }
-    if lost.is_empty() {
-        Ok(epoch)
-    } else {
-        rekey(courier, alive, dropped, lost, start_round, epoch, metrics)
-    }
-}
-
-/// Re-admits rejoining learners at a round boundary: marks each pending
-/// joiner alive again, bumps the §V re-key epoch once over the enlarged
-/// survivor set, answers every joiner's [`Message::Join`] with a
-/// [`Message::Welcome`] carrying its nonce and the current iterate, and
-/// tells the veterans via [`Message::Rekey`] naming the *upcoming*
-/// round (nothing to re-send — the consensus broadcast that follows
-/// carries the work). Joins from parties still alive (duplicates, or
-/// frames from a live learner's earlier incarnation) are ignored.
-/// Anyone unreachable during the fan-out is dropped through the normal
-/// [`rekey`] path. Returns the new epoch.
-#[allow(clippy::too_many_arguments)]
-fn admit_rejoiners<T: Transport>(
-    courier: &mut Courier<T>,
-    alive: &mut [bool],
-    dropped: &mut Vec<PartyId>,
-    joins: BTreeMap<PartyId, u64>,
-    iteration: u64,
-    mut epoch: u64,
-    z: &[f64],
-    s: f64,
-    metrics: &mut JobMetrics,
-) -> Result<u64> {
-    let joiners: Vec<(PartyId, u64)> = joins
-        .into_iter()
-        .filter(|&(p, _)| !alive[p as usize])
-        .collect();
-    if joiners.is_empty() {
-        return Ok(epoch);
-    }
-    let veterans: Vec<PartyId> = (0..alive.len())
-        .filter(|&p| alive[p])
-        .map(|p| p as PartyId)
-        .collect();
-    for &(p, _) in &joiners {
-        alive[p as usize] = true;
-        dropped.retain(|&d| d != p);
-        telemetry::emit(
-            courier.party(),
-            EventKind::Rejoin {
-                party: p,
-                iteration,
-            },
-        );
-    }
-    epoch += 1;
-    let survivors: Vec<PartyId> = (0..alive.len())
-        .filter(|&p| alive[p])
-        .map(|p| p as PartyId)
-        .collect();
-    telemetry::emit(
-        courier.party(),
-        EventKind::RekeyEpoch {
-            iteration,
-            epoch,
-            survivors: survivors.len() as u32,
-        },
-    );
-    let mut lost: Vec<PartyId> = Vec::new();
-    for &(p, nonce) in &joiners {
-        // The joiner is a fresh process: its sequence numbers restart,
-        // so the dead incarnation's dedup watermark would swallow
-        // everything it sends. Clear it before talking to the new one.
-        courier.reset_peer(p);
-        let welcome = Message::Welcome {
-            nonce,
-            iteration,
-            epoch,
-            survivors: survivors.clone(),
-            z: z.to_vec(),
-            s: vec![s],
-        };
-        match courier.send_reliable(p, &welcome) {
-            Ok(n) => metrics.bytes_broadcast += n,
-            Err(e) if peer_is_lost(&e) => lost.push(p),
-            Err(e) => return Err(e.into()),
-        }
-    }
-    let rekey_msg = Message::Rekey {
-        iteration,
-        epoch,
-        survivors,
-    };
-    for &p in &veterans {
-        match courier.send_reliable(p, &rekey_msg) {
-            Ok(n) => metrics.bytes_broadcast += n,
-            Err(e) if peer_is_lost(&e) => lost.push(p),
-            Err(e) => return Err(e.into()),
-        }
-    }
-    if lost.is_empty() {
-        Ok(epoch)
-    } else {
-        rekey(courier, alive, dropped, lost, iteration, epoch, metrics)
-    }
-}
-
-/// Drives the coordinator side of distributed HL-SVM training.
-///
-/// `courier` must be the endpoint for party `learners` (the coordinator
-/// sits one past the last learner); `features` is the shared feature
-/// count `k` (shares are `k + 1` long: weights plus intercept).
-///
-/// # Errors
-///
-/// [`TrainError::Dropped`] when every learner dies before the run
-/// finishes, [`TrainError::Transport`] on non-timeout fabric failures,
-/// [`TrainError::Protocol`] on malformed or out-of-round frames, plus
-/// the usual configuration errors. A learner that merely times out is
-/// not an error: it is dropped, the round is re-keyed, and training
-/// continues on the survivors (reported in
-/// [`DistributedOutcome::dropped`]).
-pub fn coordinate_linear<T: Transport>(
+pub(crate) fn coordinate<T: Transport>(
     courier: &mut Courier<T>,
     learners: usize,
     features: usize,
     cfg: &AdmmConfig,
     eval: Option<&Dataset>,
     timing: DistributedTiming,
-) -> Result<DistributedOutcome> {
-    coordinate_linear_with_recovery(
-        courier,
-        learners,
-        features,
-        cfg,
-        eval,
-        timing,
-        RecoveryOptions::default(),
-    )
-}
-
-/// [`coordinate_linear`] with crash recovery: optional per-round
-/// checkpoint writes and optional resume from a checkpoint (see
-/// [`RecoveryOptions`] and the module docs). Mid-run [`Message::Join`]
-/// probes from restarted learners are honored either way — re-admission
-/// happens at the next round boundary.
-///
-/// # Errors
-///
-/// As [`coordinate_linear`], plus [`TrainError::Checkpoint`] when a
-/// checkpoint cannot be written or the resume checkpoint does not match
-/// this run's `learners`/`features`/`seed`.
-pub fn coordinate_linear_with_recovery<T: Transport>(
-    courier: &mut Courier<T>,
-    learners: usize,
-    features: usize,
-    cfg: &AdmmConfig,
-    eval: Option<&Dataset>,
-    timing: DistributedTiming,
+    secagg: SecAggConfig,
     recovery: RecoveryOptions,
 ) -> Result<DistributedOutcome> {
     cfg.validate()?;
@@ -524,17 +550,21 @@ pub fn coordinate_linear_with_recovery<T: Transport>(
         });
     }
     let m = learners;
-    let share_len = features + 1;
-    let codec = ppml_crypto::FixedPointCodec::default();
+    let mut backend = secagg.coordinator_half(m, features, cfg)?;
     let mut z = vec![0.0; features];
     let mut s = 0.0;
     let mut history = ConvergenceHistory::default();
-    let mut metrics = JobMetrics::default();
-    let mut alive = vec![true; m];
-    let mut dropped: Vec<PartyId> = Vec::new();
-    let mut epoch: u64 = 0;
     let mut start_round: u64 = 0;
     let mut run_id: u64 = 0;
+    let mut c = Coordinator {
+        courier,
+        alive: vec![true; m],
+        dropped: Vec::new(),
+        pending_joins: BTreeMap::new(),
+        epoch: 0,
+        metrics: JobMetrics::default(),
+        rekeys: backend.rekeys(),
+    };
 
     if let Some(ckpt) = &recovery.resume_from {
         ckpt.check_compatible(m, features, cfg.seed)?;
@@ -542,18 +572,18 @@ pub fn coordinate_linear_with_recovery<T: Transport>(
         s = ckpt.s;
         history.z_delta = ckpt.z_delta.clone();
         history.accuracy = ckpt.accuracy.clone();
-        metrics.bytes_broadcast = ckpt.bytes_broadcast as usize;
-        metrics.bytes_shuffled = ckpt.bytes_shuffled as usize;
-        alive = vec![false; m];
+        c.metrics.bytes_broadcast = ckpt.bytes_broadcast as usize;
+        c.metrics.bytes_shuffled = ckpt.bytes_shuffled as usize;
+        c.alive = vec![false; m];
         for &p in &ckpt.alive {
-            alive[p as usize] = true;
+            c.alive[p as usize] = true;
         }
-        dropped = ckpt.dropped.clone();
+        c.dropped = ckpt.dropped.clone();
         // Strictly exceed any epoch a surviving learner can hold: after
         // the snapshot the dead incarnation bumped at most once per
         // party it could still drop (≤ m) plus one rejoin batch, so
         // `+ m + 2` wins every learner-side "newer epoch" comparison.
-        epoch = ckpt.epoch + m as u64 + 2;
+        c.epoch = ckpt.epoch + m as u64 + 2;
         start_round = ckpt.next_round;
         run_id = ckpt.run_id;
     }
@@ -568,241 +598,91 @@ pub fn coordinate_linear_with_recovery<T: Transport>(
         if run_id == 0 {
             run_id = telemetry::fresh_run_id();
         }
-        telemetry::emit(courier.party(), EventKind::RunInfo { run_id });
-        clock_sync(courier, &alive, run_id);
+        telemetry::emit(c.courier.party(), EventKind::RunInfo { run_id });
+        clock_sync(c.courier, &c.alive, run_id);
     }
 
     if recovery.resume_from.is_some() {
-        epoch = resume_handshake(
-            courier,
-            &mut alive,
-            &mut dropped,
-            start_round,
-            epoch,
-            &z,
-            s,
-            &mut metrics,
-        )?;
+        c.resume_handshake(start_round, &z, s)?;
     }
 
-    // Restarted learners asking to be re-admitted: recorded whenever
-    // their Join frames surface mid-collect, acted on at the next round
-    // boundary when the iterate is consistent.
-    let mut pending_joins: BTreeMap<PartyId, u64> = BTreeMap::new();
-
     for iteration in start_round..cfg.max_iter as u64 {
-        if !pending_joins.is_empty() {
-            epoch = admit_rejoiners(
-                courier,
-                &mut alive,
-                &mut dropped,
-                std::mem::take(&mut pending_joins),
-                iteration,
-                epoch,
-                &z,
-                s,
-                &mut metrics,
-            )?;
-        }
+        c.admit_rejoiners(iteration, &z, s)?;
         let round_start = Instant::now();
-        let round_bytes_before = metrics.bytes_broadcast + metrics.bytes_shuffled;
-        telemetry::emit(courier.party(), EventKind::RoundOpen { iteration, epoch });
+        let round_bytes_before = c.metrics.bytes_broadcast + c.metrics.bytes_shuffled;
+        let epoch = c.epoch;
+        telemetry::emit(c.courier.party(), EventKind::RoundOpen { iteration, epoch });
         let broadcast = Message::Consensus {
             iteration,
             z: z.clone(),
             s: vec![s],
             done: false,
         };
-        let mut lost: Vec<PartyId> = Vec::new();
-        for p in (0..m).filter(|&p| alive[p]) {
-            match courier.send_reliable(p as PartyId, &broadcast) {
-                Ok(n) => metrics.bytes_broadcast += n,
-                Err(e) if peer_is_lost(&e) => lost.push(p as PartyId),
-                Err(e) => return Err(e.into()),
-            }
-        }
-        if !lost.is_empty() {
-            epoch = rekey(
-                courier,
-                &mut alive,
-                &mut dropped,
-                lost,
-                iteration,
-                epoch,
-                &mut metrics,
-            )?;
-        }
+        let lost = c.send_all(&c.survivors(), &broadcast)?;
+        c.drop_parties(lost, iteration)?;
 
-        // Collect one share per survivor. The whole attempt shares a
-        // single deadline: heartbeats and discarded frames never extend
-        // it, so a learner that stays silent (or only ever heartbeats)
-        // is declared dropped after exactly one round_deadline.
-        let shares = 'collect: loop {
-            let active = alive.iter().filter(|&&a| a).count();
-            let mut shares: Vec<Option<Vec<u64>>> = vec![None; m];
-            let mut have = 0usize;
-            let deadline = Instant::now() + timing.round_deadline;
-            while have < active {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    break;
+        backend.open(iteration, c.epoch);
+        let (values, divisor) = loop {
+            c.collect(&mut *backend, iteration, round_start, timing.round_deadline)?;
+            let lost = match backend.advance(&c.alive)? {
+                Step::Sum { values, divisor } => break (values, divisor),
+                Step::Abort => {
+                    return Err(TrainError::Dropped { parties: c.dropped });
                 }
-                let env = match courier.recv(remaining) {
-                    Ok(env) => env,
-                    Err(TransportError::Timeout) => break,
-                    Err(e) => return Err(e.into()),
-                };
-                // Learners announce themselves with a heartbeat to open
-                // the connection (TCP dials lazily on first send);
-                // liveness frames — and clock-probe replies straggling
-                // in after the handshake window — are not part of the
-                // round.
-                if matches!(
-                    env.msg,
-                    Message::Heartbeat { .. } | Message::TimeReply { .. }
-                ) {
-                    continue;
+                // A second-phase recipient that became unreachable is
+                // dropped for *future* rounds; what it already sent
+                // stays inside this round's sum.
+                Step::Send(frames) => c.send_each(frames.iter().map(|(p, msg)| (*p, msg)))?,
+                Step::Lost(lost) => {
+                    telemetry::emit(
+                        c.courier.party(),
+                        EventKind::DeadlineMiss {
+                            iteration,
+                            epoch: c.epoch,
+                            missing: lost.len() as u32,
+                        },
+                    );
+                    lost
                 }
-                // In-band telemetry deltas ride the round like the clock
-                // probes do: fold and move on, never charging them to
-                // the protocol's byte accounting.
-                if matches!(env.msg, Message::Telemetry { .. }) {
-                    observe::fold_telemetry(courier.party(), &env.msg);
-                    continue;
-                }
-                if let Message::Join { party, nonce } = env.msg {
-                    // A restarted learner asking back in: remember the
-                    // request, act at the next round boundary. Joins
-                    // from parties still alive are filtered there.
-                    if (party as usize) < m {
-                        pending_joins.insert(party, nonce);
-                    }
-                    continue;
-                }
-                let frame_len = Frame::encoded_len_of(&env.msg);
-                let Message::MaskedShare {
-                    iteration: it,
-                    epoch: ep,
-                    party,
-                    payload,
-                } = env.msg
-                else {
-                    return Err(protocol(format!(
-                        "coordinator expected a masked share, got {:?} from party {}",
-                        env.msg, env.from
-                    )));
-                };
-                if !alive.get(party as usize).copied().unwrap_or(false) {
-                    // A share from a party already declared dropped —
-                    // either in flight when the verdict fell or from an
-                    // unknown id; it is not part of any survivor sum.
-                    continue;
-                }
-                if ep < epoch || it < iteration {
-                    // In-flight share from before a re-key (masked over
-                    // the old survivor set — its masks would not cancel)
-                    // or a stale re-send; the re-keyed copy follows.
-                    continue;
-                }
-                if ep > epoch || it > iteration {
-                    return Err(protocol(format!(
-                        "share from the future: round {it} epoch {ep} while collecting \
-                         round {iteration} epoch {epoch}"
-                    )));
-                }
-                if payload.len() != share_len {
-                    return Err(protocol(format!(
-                        "share length mismatch: expected {share_len}, got {}",
-                        payload.len()
-                    )));
-                }
-                let slot = &mut shares[party as usize];
-                if let Some(existing) = slot {
-                    // Masking is deterministic in (raw, iteration,
-                    // survivor set), so a legitimate re-send — e.g. a
-                    // learner answering both a resumed coordinator's
-                    // rebroadcast and a re-key — is byte-identical to
-                    // the accepted copy and safely ignored. Anything
-                    // else is two *different* claims for one slot.
-                    if *existing == payload {
-                        continue;
-                    }
-                    return Err(protocol(format!(
-                        "conflicting duplicate share from party {party}"
-                    )));
-                }
-                *slot = Some(payload);
-                metrics.bytes_shuffled += frame_len;
-                have += 1;
-                observe::observe_share_lag(
-                    party,
-                    iteration,
-                    round_start.elapsed().as_nanos() as u64,
-                );
+            };
+            // After a re-key every share already collected is masked
+            // over the wrong set: the survivors re-send for this same
+            // round, so collection starts over.
+            let epoch_before = c.epoch;
+            c.drop_parties(lost, iteration)?;
+            if c.epoch != epoch_before {
+                backend.open(iteration, c.epoch);
             }
-            if have == active {
-                break 'collect shares;
-            }
-            // Deadline expired: every survivor still missing is dropped,
-            // the rest re-key and re-send for this same round.
-            let lost: Vec<PartyId> = (0..m)
-                .filter(|&p| alive[p] && shares[p].is_none())
-                .map(|p| p as PartyId)
-                .collect();
-            telemetry::emit(
-                courier.party(),
-                EventKind::DeadlineMiss {
-                    iteration,
-                    epoch,
-                    missing: lost.len() as u32,
-                },
-            );
-            epoch = rekey(
-                courier,
-                &mut alive,
-                &mut dropped,
-                lost,
-                iteration,
-                epoch,
-                &mut metrics,
-            )?;
         };
 
-        let active = alive.iter().filter(|&&a| a).count();
+        let elapsed_ns = round_start.elapsed().as_nanos() as u64;
         telemetry::emit(
-            courier.party(),
+            c.courier.party(),
             EventKind::RoundClose {
                 iteration,
-                epoch,
-                shares: active as u32,
-                elapsed_ns: round_start.elapsed().as_nanos() as u64,
+                epoch: c.epoch,
+                shares: divisor as u32,
+                elapsed_ns,
             },
         );
-        observe::score_round(courier.party(), iteration);
+        observe::score_round(c.courier.party(), iteration);
         telemetry::emit(
-            courier.party(),
+            c.courier.party(),
             EventKind::SecAggRound {
-                backend: "pairwise",
+                backend: secagg.kind.as_str(),
                 iteration,
-                bytes: (metrics.bytes_broadcast + metrics.bytes_shuffled - round_bytes_before)
+                bytes: (c.metrics.bytes_broadcast + c.metrics.bytes_shuffled - round_bytes_before)
                     as u64,
-                elapsed_ns: round_start.elapsed().as_nanos() as u64,
+                elapsed_ns,
             },
         );
-        let mut summed = vec![0u64; share_len];
-        for share in shares.iter().flatten() {
-            for (acc, &v) in summed.iter_mut().zip(share) {
-                *acc = acc.wrapping_add(v);
-            }
-        }
-        let z_new: Vec<f64> = summed[..features]
+        let z_new: Vec<f64> = values[..features]
             .iter()
-            .map(|&v| codec.decode_u64(v) / active as f64)
+            .map(|&v| v / divisor as f64)
             .collect();
-        let s_new = codec.decode_u64(summed[features]) / active as f64;
+        s = values[features] / divisor as f64;
         let delta = ppml_linalg::vecops::dist_sq(&z_new, &z);
         z = z_new;
-        s = s_new;
         history.z_delta.push(delta);
         if let Some(ds) = eval {
             history
@@ -816,136 +696,51 @@ pub fn coordinate_linear_with_recovery<T: Transport>(
                 features: features as u32,
                 seed: cfg.seed,
                 next_round: iteration + 1,
-                epoch,
+                epoch: c.epoch,
                 z: z.clone(),
                 s,
-                alive: (0..m).filter(|&p| alive[p]).map(|p| p as u32).collect(),
-                dropped: dropped.clone(),
+                alive: c.survivors(),
+                dropped: c.dropped.clone(),
                 z_delta: history.z_delta.clone(),
                 accuracy: history.accuracy.clone(),
-                bytes_broadcast: metrics.bytes_broadcast as u64,
-                bytes_shuffled: metrics.bytes_shuffled as u64,
+                bytes_broadcast: c.metrics.bytes_broadcast as u64,
+                bytes_shuffled: c.metrics.bytes_shuffled as u64,
             };
             let bytes = ckpt.save(path)?;
             telemetry::emit(
-                courier.party(),
+                c.courier.party(),
                 EventKind::CheckpointWrite {
                     iteration,
-                    epoch,
+                    epoch: c.epoch,
                     bytes: bytes as u64,
                 },
             );
         }
-        if let Some(tol) = cfg.tol {
-            if delta < tol {
-                break;
-            }
+        if cfg.tol.is_some_and(|tol| delta < tol) {
+            break;
         }
     }
-    metrics.iterations = history.z_delta.len();
+    c.metrics.iterations = history.z_delta.len();
 
     // Final broadcast: carries the converged consensus and releases the
     // learners from their receive loop. A survivor that dies this late
-    // cannot hurt the model; it is only recorded as dropped.
+    // cannot hurt the model; it is only recorded as dropped — with no
+    // re-key, the run is over.
+    let rounds = history.z_delta.len() as u64;
     let done = Message::Consensus {
-        iteration: history.z_delta.len() as u64,
+        iteration: rounds,
         z: z.clone(),
         s: vec![s],
         done: true,
     };
-    for p in (0..m).filter(|&p| alive[p]) {
-        match courier.send_reliable(p as PartyId, &done) {
-            Ok(n) => metrics.bytes_broadcast += n,
-            Err(e) if peer_is_lost(&e) => dropped.push(p as PartyId),
-            Err(e) => return Err(e.into()),
-        }
-    }
+    let lost = c.send_all(&c.survivors(), &done)?;
+    c.declare_dropped(&lost, rounds);
     Ok(DistributedOutcome {
         model: LinearSvm::from_parts(z, s),
         history,
-        metrics,
-        dropped,
+        metrics: c.metrics,
+        dropped: c.dropped,
     })
-}
-
-/// Drives one learner of distributed HL-SVM training.
-///
-/// `courier` must be the endpoint for a party in `0..learners`; `data`
-/// is this learner's horizontal partition. Blocks until the coordinator
-/// (party `learners`) sends the `done` broadcast, then returns the
-/// consensus model it carried.
-///
-/// # Errors
-///
-/// [`TrainError::Transport`] when the coordinator goes quiet past
-/// [`DistributedTiming::learner_patience`] (heartbeats do not count as
-/// liveness) or a send exhausts its retries, [`TrainError::Protocol`]
-/// on unexpected frames, plus the partition/config errors of the
-/// in-process trainer.
-pub fn learn_linear<T: Transport>(
-    courier: &mut Courier<T>,
-    learners: usize,
-    data: &Dataset,
-    cfg: &AdmmConfig,
-    timing: DistributedTiming,
-) -> Result<LinearSvm> {
-    learn_linear_inner(courier, learners, data, cfg, timing, None, false)
-}
-
-/// Re-admission variant of [`learn_linear`] for a restarted learner
-/// process: probes the coordinator with [`Message::Join`] until it
-/// answers with a [`Message::Welcome`], then participates from the
-/// granted round onward. The rejoiner warm-starts with zeroed duals
-/// (see `DESIGN.md` §8 for the convergence impact); the §V re-key on
-/// admission makes its masks valid for the enlarged survivor set and
-/// teaches it nothing about the rounds it missed.
-///
-/// # Errors
-///
-/// [`TrainError::Transport`] with a timeout when no Welcome arrives
-/// within [`DistributedTiming::learner_patience`]; otherwise as
-/// [`learn_linear`].
-pub fn rejoin_linear<T: Transport>(
-    courier: &mut Courier<T>,
-    learners: usize,
-    data: &Dataset,
-    cfg: &AdmmConfig,
-    timing: DistributedTiming,
-) -> Result<LinearSvm> {
-    learn_linear_inner(courier, learners, data, cfg, timing, None, true)
-}
-
-/// Fault-injection variant of [`learn_linear`]: behaves correctly for
-/// rounds `0..defect_after`, then goes *silent* — it keeps receiving
-/// (and therefore ACKing) every frame, so the coordinator's broadcasts
-/// still succeed and the dropout can only be detected by the round
-/// deadline in the collect phase, producing the canonical
-/// DeadlineMiss → Dropout → RekeyEpoch sequence on the coordinator's
-/// stream. The tests and the `--defect-after` flag of `ppml-learner`
-/// use this to script that scenario deterministically.
-///
-/// # Errors
-///
-/// The expected exit is [`TrainError::Transport`] with a timeout once
-/// the coordinator has dropped this learner and stopped talking to it;
-/// other errors as [`learn_linear`].
-pub fn learn_linear_with_defect<T: Transport>(
-    courier: &mut Courier<T>,
-    learners: usize,
-    data: &Dataset,
-    cfg: &AdmmConfig,
-    timing: DistributedTiming,
-    defect_after: u64,
-) -> Result<LinearSvm> {
-    learn_linear_inner(
-        courier,
-        learners,
-        data,
-        cfg,
-        timing,
-        Some(defect_after),
-        false,
-    )
 }
 
 /// How long a learner blocks on one receive before checking its patience
@@ -954,34 +749,148 @@ pub fn learn_linear_with_defect<T: Transport>(
 /// dial) well within any realistic patience budget.
 const LEARNER_POLL: Duration = Duration::from_millis(500);
 
-/// Sends a share to the coordinator, riding out a coordinator that is
-/// mid-restart: failures that merely mean "peer unreachable right now"
-/// are retried until `patience` is spent — the same budget after which
-/// the learner would give up waiting for protocol frames anyway.
-pub(crate) fn send_share_patiently<T: Transport>(
+/// Re-admission handshake of a restarted learner: probes with
+/// [`Message::Join`] until the coordinator's [`Message::Welcome`] names
+/// us a survivor (it acts on joins at round boundaries only), then
+/// returns the granted `(round, epoch, survivors)`.
+fn join_handshake<T: Transport>(
     courier: &mut Courier<T>,
     coordinator: PartyId,
-    msg: &Message,
     patience: Duration,
-) -> Result<()> {
-    let give_up = Instant::now() + patience;
+) -> Result<(u64, u64, Vec<PartyId>)> {
+    let party = courier.party();
+    let deadline = Instant::now() + patience;
+    let nonce = telemetry::now_ns() | 1;
     loop {
-        match courier.send_reliable(coordinator, msg) {
-            Ok(_) => return Ok(()),
-            Err(e) if peer_is_lost(&e) && Instant::now() < give_up => {
-                std::thread::sleep(Duration::from_millis(25));
-            }
+        if Instant::now() >= deadline {
+            return Err(TrainError::Transport(TransportError::Timeout));
+        }
+        let _ = courier.send_unreliable(coordinator, &Message::Join { party, nonce });
+        match courier.recv(LEARNER_POLL) {
+            Ok(env) => match env.msg {
+                // Absorbing the Welcome already re-synced the dedup
+                // watermark to the (possibly restarted) coordinator's
+                // fresh sequence space; a full reset_peer here would
+                // throw away frames that arrived right behind it.
+                Message::Welcome {
+                    iteration,
+                    epoch,
+                    survivors,
+                    ..
+                } if survivors.contains(&party) => {
+                    telemetry::emit(party, EventKind::Rejoin { party, iteration });
+                    return Ok((iteration, epoch, survivors));
+                }
+                // Everything else predates re-admission — broadcasts of
+                // rounds we are not part of, stale re-keys. Drain (and
+                // thereby ack) them so the run keeps moving.
+                _ => continue,
+            },
+            Err(TransportError::Timeout) => continue,
             Err(e) => return Err(e.into()),
         }
     }
 }
 
-pub(crate) fn learn_linear_inner<T: Transport>(
+/// The learner driver's contribution state: the backend half, the
+/// roster and epoch it contributes under, and the last raw share.
+struct Contributor<'a, T: Transport> {
+    courier: &'a mut Courier<T>,
+    backend: Box<dyn LearnerHalf>,
+    coordinator: PartyId,
+    patience: Duration,
+    present: Vec<usize>,
+    epoch: u64,
+    /// Raw (unmasked) share of the last computed round, kept so a re-key
+    /// (or a resumed coordinator re-collecting that round) can be
+    /// answered by re-contributing it — `contribute` is deterministic —
+    /// without recomputing the QP.
+    last_raw: Option<(u64, Vec<f64>)>,
+    relay: TelemetryRelay,
+}
+
+impl<T: Transport> Contributor<'_, T> {
+    /// Sends frames to the coordinator, riding out one that is
+    /// mid-restart: failures that merely mean "peer unreachable right
+    /// now" are retried until `patience` is spent — the same budget
+    /// after which the learner would give up waiting for protocol
+    /// frames anyway.
+    fn send(&mut self, frames: &[Message]) -> Result<()> {
+        let give_up = Instant::now() + self.patience;
+        for msg in frames {
+            loop {
+                match self.courier.send_reliable(self.coordinator, msg) {
+                    Ok(_) => break,
+                    Err(e) if peer_is_lost(&e) && Instant::now() < give_up => {
+                        std::thread::sleep(Duration::from_millis(25));
+                    }
+                    Err(e) => return Err(e.into()),
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The one (re-)send path: contributes the cached raw share if it
+    /// is round `iteration`'s, under the current roster and epoch.
+    /// Returns whether anything was sent.
+    fn contribute_cached(&mut self, iteration: u64) -> Result<bool> {
+        let Some((_, raw)) = self.last_raw.as_ref().filter(|(it, _)| *it == iteration) else {
+            return Ok(false);
+        };
+        let frames = self
+            .backend
+            .contribute(iteration, self.epoch, &self.present, raw)?;
+        self.send(&frames)?;
+        Ok(true)
+    }
+
+    /// Closes a round: the [`EventKind::RoundClose`] event, then this
+    /// round's telemetry delta piggy-backed behind the contribution (a
+    /// no-op, zero frames, with telemetry off).
+    fn close_round(&mut self, iteration: u64, round_start: Instant) {
+        let elapsed_ns = round_start.elapsed().as_nanos() as u64;
+        telemetry::emit(
+            self.courier.party(),
+            EventKind::RoundClose {
+                iteration,
+                epoch: self.epoch,
+                shares: 1,
+                elapsed_ns,
+            },
+        );
+        let (coordinator, epoch) = (self.coordinator, self.epoch);
+        self.relay
+            .report(self.courier, coordinator, iteration, epoch, elapsed_ns);
+    }
+
+    /// Applies a `Rekey`/`Welcome` roster: new epoch, new survivor set.
+    fn adopt(&mut self, iteration: u64, epoch: u64, survivors: &[PartyId]) {
+        self.epoch = epoch;
+        self.present = survivors.iter().map(|&p| p as usize).collect();
+        telemetry::emit(
+            self.courier.party(),
+            EventKind::RekeyEpoch {
+                iteration,
+                epoch,
+                survivors: survivors.len() as u32,
+            },
+        );
+    }
+}
+
+/// The learner driver: the one learner loop every backend runs under
+/// (see the module docs for what it owns). `defect_after` scripts a
+/// dropout at the backend's characteristic loss point; `rejoin`
+/// re-enters a run as a restarted process.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn learn<T: Transport>(
     courier: &mut Courier<T>,
     learners: usize,
     data: &Dataset,
     cfg: &AdmmConfig,
     timing: DistributedTiming,
+    secagg: SecAggConfig,
     defect_after: Option<u64>,
     rejoin: bool,
 ) -> Result<LinearSvm> {
@@ -994,81 +903,57 @@ pub(crate) fn learn_linear_inner<T: Transport>(
         });
     }
     let coordinator = learners as PartyId;
+    let patience = timing.learner_patience;
     let mut learner = HlLearner::new(data, learners, cfg)?;
-    let masker = SeededMasker::new(cfg.seed, party as usize, learners);
-    let mut present: Vec<usize> = (0..learners).collect();
-    let mut epoch: u64 = 0;
+    let mut c = Contributor {
+        backend: secagg.learner_half(party as usize, learners, cfg)?,
+        courier,
+        coordinator,
+        patience,
+        present: (0..learners).collect(),
+        epoch: 0,
+        last_raw: None,
+        relay: TelemetryRelay::new(),
+    };
     let mut expected_iter: u64 = 0;
-    // Raw (unmasked) share of the last computed round, kept so a re-key
-    // (or a resumed coordinator re-collecting that round) can re-mask it
-    // over the survivor set without recomputing the QP.
-    let mut last_raw: Option<(u64, Vec<f64>)> = None;
     // Duals lag one *computed* round, so the first round this learner
     // takes part in — round 0, or the re-admission round of a rejoiner
     // warm-starting with zeroed duals — skips the dual update.
     let mut dual_ready = false;
-    let mut deadline = Instant::now() + timing.learner_patience;
     let mut run_id_seen = false;
-    let mut relay = TelemetryRelay::new();
+    // A round whose contribution completes with an `on_frame` reply:
+    // when it opened, so it can be closed (event + telemetry delta)
+    // once that reply is out.
+    let mut closing: Option<(u64, Instant)> = None;
+    // Scripted mid-collect death: the contribution is out — this
+    // round's input survives us — but second-phase frames are only
+    // drained from here on, never answered.
+    let mut muted = false;
 
     if rejoin {
-        // Re-admission handshake: probe with Join until the coordinator
-        // welcomes us back (it acts on joins at round boundaries only).
-        let nonce = telemetry::now_ns() | 1;
-        loop {
-            if Instant::now() >= deadline {
-                return Err(TrainError::Transport(TransportError::Timeout));
-            }
-            let _ = courier.send_unreliable(coordinator, &Message::Join { party, nonce });
-            match courier.recv(LEARNER_POLL) {
-                Ok(env) => match env.msg {
-                    Message::Welcome {
-                        iteration,
-                        epoch: new_epoch,
-                        survivors,
-                        ..
-                    } if survivors.contains(&party) => {
-                        // Absorbing the Welcome already re-synced the
-                        // dedup watermark to the (possibly restarted)
-                        // coordinator's fresh sequence space; a full
-                        // reset_peer here would throw away frames that
-                        // arrived right behind it.
-                        epoch = new_epoch;
-                        present = survivors.iter().map(|&p| p as usize).collect();
-                        expected_iter = iteration;
-                        telemetry::emit(party, EventKind::Rejoin { party, iteration });
-                        deadline = Instant::now() + timing.learner_patience;
-                        break;
-                    }
-                    // Everything else predates re-admission — broadcasts
-                    // of rounds we are not part of, stale re-keys. Drain
-                    // (and thereby ack) them so the run keeps moving.
-                    _ => continue,
-                },
-                Err(TransportError::Timeout) => continue,
-                Err(e) => return Err(e.into()),
-            }
-        }
+        let (iteration, epoch, survivors) = join_handshake(c.courier, coordinator, patience)?;
+        c.epoch = epoch;
+        c.present = survivors.iter().map(|&p| p as usize).collect();
+        expected_iter = iteration;
     }
+    let mut deadline = Instant::now() + patience;
 
     loop {
         let remaining = deadline.saturating_duration_since(Instant::now());
         if remaining.is_zero() {
             return Err(TrainError::Transport(TransportError::Timeout));
         }
-        let env = match courier.recv(remaining.min(LEARNER_POLL)) {
+        let env = match c.courier.recv(remaining.min(LEARNER_POLL)) {
             Ok(env) => env,
             Err(TransportError::Timeout) => {
                 // Only this poll slice expired, not the patience budget.
                 // Nudge the coordinator: over TCP this (re-)dials a
                 // restarted coordinator so its Welcome can reach us;
                 // elsewhere it is liveness noise the coordinator drops.
-                let _ = courier.send_unreliable(
-                    coordinator,
-                    &Message::Heartbeat {
-                        nonce: u64::from(party),
-                    },
-                );
+                let nonce = u64::from(party);
+                let _ = c
+                    .courier
+                    .send_unreliable(coordinator, &Message::Heartbeat { nonce });
                 continue;
             }
             Err(e) => return Err(e.into()),
@@ -1087,14 +972,11 @@ pub(crate) fn learn_linear_inner<T: Transport>(
                     run_id_seen = true;
                     telemetry::emit(party, EventKind::RunInfo { run_id });
                 }
-                relay.set_run_id(run_id);
-                let _ = courier.send_unreliable(
-                    coordinator,
-                    &Message::TimeReply {
-                        nonce,
-                        t_ns: telemetry::now_ns(),
-                    },
-                );
+                c.relay.set_run_id(run_id);
+                let t_ns = telemetry::now_ns();
+                let _ = c
+                    .courier
+                    .send_unreliable(coordinator, &Message::TimeReply { nonce, t_ns });
                 continue;
             }
             Message::Consensus {
@@ -1112,27 +994,12 @@ pub(crate) fn learn_linear_inner<T: Transport>(
                     // processed round: recomputing would desynchronize
                     // the duals and double-send a share. One exception —
                     // a resumed coordinator re-collecting exactly the
-                    // round we last computed lost our share with its
-                    // state, so re-mask the cached raw share over the
-                    // current survivor set and send it again (masking is
-                    // deterministic, so a copy the coordinator did keep
-                    // is byte-identical and merely ignored).
-                    if let Some((it, raw)) = last_raw.as_ref() {
-                        if *it == iteration {
-                            let payload = masker.mask_share_among(raw, iteration, &present)?;
-                            send_share_patiently(
-                                courier,
-                                coordinator,
-                                &Message::MaskedShare {
-                                    iteration,
-                                    epoch,
-                                    party,
-                                    payload,
-                                },
-                                timing.learner_patience,
-                            )?;
-                            deadline = Instant::now() + timing.learner_patience;
-                        }
+                    // round we last computed lost our contribution with
+                    // its state, so contribute the cached raw share
+                    // again (a copy the coordinator did keep is
+                    // byte-identical and merely ignored).
+                    if c.contribute_cached(iteration)? {
+                        deadline = Instant::now() + patience;
                     }
                     continue;
                 }
@@ -1142,16 +1009,18 @@ pub(crate) fn learn_linear_inner<T: Transport>(
                          {expected_iter}"
                     )));
                 }
-                if defect_after.is_some_and(|d| iteration >= d) {
+                expected_iter = iteration + 1;
+                let defecting = defect_after.is_some_and(|d| iteration >= d);
+                if defecting && !c.backend.awaits_collect() {
                     // Scripted defection: the round is received (and was
-                    // ACKed by the transport) but no share goes back.
+                    // ACKed by the transport) but nothing goes back.
                     // Keep draining so the link stays warm until the
                     // coordinator drops us and the patience clock runs
                     // out.
-                    expected_iter = iteration + 1;
-                    deadline = Instant::now() + timing.learner_patience;
+                    deadline = Instant::now() + patience;
                     continue;
                 }
+                let epoch = c.epoch;
                 telemetry::emit(party, EventKind::RoundOpen { iteration, epoch });
                 let round_start = Instant::now();
                 observe::injected_lag_sleep();
@@ -1162,42 +1031,23 @@ pub(crate) fn learn_linear_inner<T: Transport>(
                 }
                 learner.local_step(&z, s_val, &cfg.qp)?;
                 dual_ready = true;
-                let raw = learner.share();
-                let payload = masker.mask_share_among(&raw, iteration, &present)?;
-                send_share_patiently(
-                    courier,
-                    coordinator,
-                    &Message::MaskedShare {
-                        iteration,
-                        epoch,
-                        party,
-                        payload,
-                    },
-                    timing.learner_patience,
-                )?;
-                let elapsed_ns = round_start.elapsed().as_nanos() as u64;
-                telemetry::emit(
-                    party,
-                    EventKind::RoundClose {
-                        iteration,
-                        epoch,
-                        shares: 1,
-                        elapsed_ns,
-                    },
-                );
-                // Piggy-back this round's telemetry delta behind the
-                // share (a no-op, zero frames, with telemetry off).
-                relay.report(courier, coordinator, iteration, epoch, elapsed_ns);
-                last_raw = Some((iteration, raw));
-                expected_iter = iteration + 1;
-                deadline = Instant::now() + timing.learner_patience;
+                c.last_raw = Some((iteration, learner.share()));
+                c.contribute_cached(iteration)?;
+                deadline = Instant::now() + patience;
+                if defecting {
+                    muted = true;
+                } else if c.backend.awaits_collect() {
+                    closing = Some((iteration, round_start));
+                } else {
+                    c.close_round(iteration, round_start);
+                }
             }
             Message::Rekey {
                 iteration,
-                epoch: new_epoch,
+                epoch,
                 survivors,
             } => {
-                if new_epoch <= epoch {
+                if epoch <= c.epoch {
                     // Out-of-order or duplicated re-key; a newer one has
                     // already been applied.
                     continue;
@@ -1207,42 +1057,18 @@ pub(crate) fn learn_linear_inner<T: Transport>(
                         "re-key for round {iteration} excludes this learner"
                     )));
                 }
-                epoch = new_epoch;
-                present = survivors.iter().map(|&p| p as usize).collect();
-                telemetry::emit(
-                    party,
-                    EventKind::RekeyEpoch {
-                        iteration,
-                        epoch,
-                        survivors: survivors.len() as u32,
-                    },
-                );
+                c.adopt(iteration, epoch, &survivors);
                 // A mid-collect re-key names the round we just sent for:
-                // re-mask the cached share over the survivors and send
-                // again. A boundary re-key (rejoin admission) names the
+                // contribute the cached share again over the survivors.
+                // A boundary re-key (rejoin admission) names the
                 // *upcoming* round instead — nothing to re-send, the
                 // consensus broadcast that follows carries the work.
-                if let Some((it, raw)) = last_raw.as_ref() {
-                    if *it == iteration {
-                        let payload = masker.mask_share_among(raw, iteration, &present)?;
-                        send_share_patiently(
-                            courier,
-                            coordinator,
-                            &Message::MaskedShare {
-                                iteration,
-                                epoch,
-                                party,
-                                payload,
-                            },
-                            timing.learner_patience,
-                        )?;
-                    }
-                }
-                deadline = Instant::now() + timing.learner_patience;
+                c.contribute_cached(iteration)?;
+                deadline = Instant::now() + patience;
             }
             Message::Welcome {
                 iteration,
-                epoch: new_epoch,
+                epoch,
                 survivors,
                 ..
             } => {
@@ -1251,16 +1077,16 @@ pub(crate) fn learn_linear_inner<T: Transport>(
                 // anything else is a stale or duplicated rendezvous
                 // frame (equal-epoch duplicates still refresh patience:
                 // the coordinator is demonstrably alive).
-                if new_epoch < epoch {
+                if epoch < c.epoch {
                     continue;
                 }
-                if new_epoch == epoch {
-                    deadline = Instant::now() + timing.learner_patience;
+                deadline = Instant::now() + patience;
+                if epoch == c.epoch {
                     continue;
                 }
                 if !survivors.contains(&party) {
                     return Err(protocol(format!(
-                        "welcome for epoch {new_epoch} excludes this learner"
+                        "welcome for epoch {epoch} excludes this learner"
                     )));
                 }
                 // The restarted coordinator's sequence numbers start
@@ -1268,31 +1094,120 @@ pub(crate) fn learn_linear_inner<T: Transport>(
                 // dedup watermark — and frames sent right behind the
                 // Welcome may already sit in the inbox, so a reset_peer
                 // here would destroy them.
-                epoch = new_epoch;
-                present = survivors.iter().map(|&p| p as usize).collect();
+                c.adopt(iteration, epoch, &survivors);
                 // Never move backwards: a Welcome for a round we already
-                // computed means the coordinator lost our share, and the
-                // rebroadcast of that round is handled by the stale-
-                // consensus re-send path above.
+                // computed means the coordinator lost our contribution,
+                // and the rebroadcast of that round is handled by the
+                // stale-consensus path above.
                 expected_iter = expected_iter.max(iteration);
-                telemetry::emit(
-                    party,
-                    EventKind::RekeyEpoch {
-                        iteration,
-                        epoch,
-                        survivors: survivors.len() as u32,
-                    },
-                );
-                deadline = Instant::now() + timing.learner_patience;
             }
-            other => {
-                return Err(protocol(format!(
-                    "learner expected consensus, re-key or welcome, got {other:?} from party {}",
-                    env.from
-                )))
+            _ if muted => continue,
+            msg => {
+                let frames = c.backend.on_frame(msg)?;
+                if frames.is_empty() {
+                    continue;
+                }
+                c.send(&frames)?;
+                if let Some((iteration, round_start)) = closing.take() {
+                    c.close_round(iteration, round_start);
+                }
+                deadline = Instant::now() + patience;
             }
         }
     }
+}
+
+/// Pairwise-named convenience: [`crate::secagg::coordinate_linear_secagg`]
+/// with [`SecAggConfig::pairwise`].
+///
+/// # Errors
+///
+/// As [`crate::secagg::coordinate_linear_secagg`].
+pub fn coordinate_linear<T: Transport>(
+    courier: &mut Courier<T>,
+    learners: usize,
+    features: usize,
+    cfg: &AdmmConfig,
+    eval: Option<&Dataset>,
+    timing: DistributedTiming,
+) -> Result<DistributedOutcome> {
+    let recovery = RecoveryOptions::default();
+    coordinate_linear_with_recovery(courier, learners, features, cfg, eval, timing, recovery)
+}
+
+/// Pairwise-named convenience:
+/// [`crate::secagg::coordinate_linear_secagg_with_recovery`] with
+/// [`SecAggConfig::pairwise`].
+///
+/// # Errors
+///
+/// As [`crate::secagg::coordinate_linear_secagg_with_recovery`].
+pub fn coordinate_linear_with_recovery<T: Transport>(
+    courier: &mut Courier<T>,
+    learners: usize,
+    features: usize,
+    cfg: &AdmmConfig,
+    eval: Option<&Dataset>,
+    timing: DistributedTiming,
+    recovery: RecoveryOptions,
+) -> Result<DistributedOutcome> {
+    let secagg = SecAggConfig::pairwise();
+    coordinate(
+        courier, learners, features, cfg, eval, timing, secagg, recovery,
+    )
+}
+
+/// Pairwise-named convenience: [`crate::secagg::learn_linear_secagg`]
+/// with [`SecAggConfig::pairwise`].
+///
+/// # Errors
+///
+/// As [`crate::secagg::learn_linear_secagg`].
+pub fn learn_linear<T: Transport>(
+    courier: &mut Courier<T>,
+    learners: usize,
+    data: &Dataset,
+    cfg: &AdmmConfig,
+    timing: DistributedTiming,
+) -> Result<LinearSvm> {
+    let secagg = SecAggConfig::pairwise();
+    learn(courier, learners, data, cfg, timing, secagg, None, false)
+}
+
+/// Pairwise-named convenience: [`crate::secagg::rejoin_linear_secagg`]
+/// with [`SecAggConfig::pairwise`].
+///
+/// # Errors
+///
+/// As [`crate::secagg::rejoin_linear_secagg`].
+pub fn rejoin_linear<T: Transport>(
+    courier: &mut Courier<T>,
+    learners: usize,
+    data: &Dataset,
+    cfg: &AdmmConfig,
+    timing: DistributedTiming,
+) -> Result<LinearSvm> {
+    let secagg = SecAggConfig::pairwise();
+    learn(courier, learners, data, cfg, timing, secagg, None, true)
+}
+
+/// Pairwise-named convenience:
+/// [`crate::secagg::learn_linear_secagg_with_defect`] with
+/// [`SecAggConfig::pairwise`].
+///
+/// # Errors
+///
+/// As [`crate::secagg::learn_linear_secagg_with_defect`].
+pub fn learn_linear_with_defect<T: Transport>(
+    courier: &mut Courier<T>,
+    learners: usize,
+    data: &Dataset,
+    cfg: &AdmmConfig,
+    timing: DistributedTiming,
+    defect_after: u64,
+) -> Result<LinearSvm> {
+    let (secagg, defect) = (SecAggConfig::pairwise(), Some(defect_after));
+    learn(courier, learners, data, cfg, timing, secagg, defect, false)
 }
 
 /// Validates a set of horizontal partitions and returns the feature
@@ -1767,6 +1682,14 @@ mod tests {
         assert_eq!(model, LinearSvm::from_parts(vec![0.2; features], 0.1));
     }
 
+    /// Checkpoint → kill → resume under every backend, each held to the
+    /// same bit-identical uninterrupted reference. `kill_after` counts
+    /// the coordinator's protocol frames: every case lets rounds 0 and 1
+    /// be accepted and checkpointed, then kills the coordinator either
+    /// right behind its round-2 broadcasts (the first-phase frames never
+    /// reach it) or one frame into its round-2 second phase — so a
+    /// learner answers a `ShamirCollect`/`CipherAgg` the dead incarnation
+    /// sent, and the resumed one must fence that reply as stale.
     #[test]
     fn coordinator_crash_resume_reproduces_the_uninterrupted_run() {
         let ds = synth::blobs(96, 3);
@@ -1780,79 +1703,92 @@ mod tests {
 
         let (clean, _) = run_distributed(&parts, &cfg, NetFaultPlan::none());
 
-        let ckpt_path =
-            std::env::temp_dir().join(format!("ppml-resume-test-{}.ckpt", std::process::id()));
-        let _ = std::fs::remove_file(&ckpt_path);
+        // Coordinator frames per round: 3 broadcasts, plus 3 relays
+        // (shamir) or 1 aggregate (paillier).
+        let cases = [
+            (SecAggConfig::pairwise(), 9),
+            (SecAggConfig::shamir(), 15),
+            (SecAggConfig::shamir(), 16),
+            (SecAggConfig::paillier(), 11),
+            (SecAggConfig::paillier(), 12),
+        ];
+        for (secagg, kill_after) in cases {
+            let case = format!("{}/kill after {kill_after}", secagg.kind);
+            let ckpt_path = std::env::temp_dir().join(format!(
+                "ppml-resume-test-{}-{}-{kill_after}.ckpt",
+                std::process::id(),
+                secagg.kind
+            ));
+            let _ = std::fs::remove_file(&ckpt_path);
 
-        // The coordinator goes dead after its ninth countable frame —
-        // the rounds 0–2 broadcasts — so the round-2 shares never reach
-        // it: rounds 0 and 1 are accepted and checkpointed, round 2 dies
-        // at the collection deadline, and every re-key attempt fails.
-        let faults = NetFaultPlan::none().kill_party_after(m as PartyId, 9);
-        let hub = LoopbackHub::with_faults(m + 1, faults);
-        let mut handles = Vec::new();
-        for (p, part) in parts.iter().enumerate() {
-            let mut courier = Courier::new(hub.endpoint(p as PartyId), RetryPolicy::fast_local());
-            let part = part.clone();
-            let cfg_l = cfg;
-            handles.push(thread::spawn(move || {
-                learn_linear(&mut courier, m, &part, &cfg_l, timing)
-            }));
-        }
-        let mut courier = Courier::new(hub.endpoint(m as PartyId), RetryPolicy::fast_local());
-        let crashed = coordinate_linear_with_recovery(
-            &mut courier,
-            m,
-            features,
-            &cfg,
-            None,
-            timing,
-            RecoveryOptions::default().with_checkpoint(&ckpt_path),
-        );
-        assert!(
-            matches!(crashed, Err(TrainError::Dropped { .. })),
-            "the dying incarnation must fail, got {:?}",
-            crashed.map(|_| ())
-        );
+            let faults = NetFaultPlan::none().kill_party_after(m as PartyId, kill_after);
+            let hub = LoopbackHub::with_faults(m + 1, faults);
+            let mut handles = Vec::new();
+            for (p, part) in parts.iter().enumerate() {
+                let mut courier =
+                    Courier::new(hub.endpoint(p as PartyId), RetryPolicy::fast_local());
+                let part = part.clone();
+                handles.push(thread::spawn(move || {
+                    learn(&mut courier, m, &part, &cfg, timing, secagg, None, false)
+                }));
+            }
+            let mut courier = Courier::new(hub.endpoint(m as PartyId), RetryPolicy::fast_local());
+            let crashed = coordinate(
+                &mut courier,
+                m,
+                features,
+                &cfg,
+                None,
+                timing,
+                secagg,
+                RecoveryOptions::default().with_checkpoint(&ckpt_path),
+            );
+            assert!(
+                matches!(crashed, Err(TrainError::Dropped { .. })),
+                "{case}: the dying incarnation must fail, got {:?}",
+                crashed.map(|_| ())
+            );
 
-        // "Restart": heal the network, load the checkpoint, resume on a
-        // fresh endpoint — fresh sequence numbers and empty dedup state,
-        // exactly what a new OS process would have.
-        hub.set_faults(NetFaultPlan::none());
-        let ckpt = Checkpoint::load(&ckpt_path).expect("crash left a complete checkpoint");
-        assert_eq!(
-            ckpt.next_round, 2,
-            "rounds 0 and 1 were accepted before the crash"
-        );
-        assert_eq!(ckpt.alive, vec![0, 1, 2]);
-        let mut courier = Courier::new(hub.endpoint(m as PartyId), RetryPolicy::fast_local());
-        let outcome = coordinate_linear_with_recovery(
-            &mut courier,
-            m,
-            features,
-            &cfg,
-            None,
-            timing,
-            RecoveryOptions::default()
-                .with_checkpoint(&ckpt_path)
-                .with_resume(ckpt),
-        )
-        .expect("resumed run");
-        let _ = std::fs::remove_file(&ckpt_path);
+            // "Restart": heal the network, load the checkpoint, resume on
+            // a fresh endpoint — fresh sequence numbers and empty dedup
+            // state, exactly what a new OS process would have.
+            hub.set_faults(NetFaultPlan::none());
+            let ckpt = Checkpoint::load(&ckpt_path).expect("crash left a complete checkpoint");
+            assert_eq!(
+                ckpt.next_round, 2,
+                "{case}: rounds 0 and 1 were accepted before the crash"
+            );
+            assert_eq!(ckpt.alive, vec![0, 1, 2], "{case}");
+            let mut courier = Courier::new(hub.endpoint(m as PartyId), RetryPolicy::fast_local());
+            let outcome = coordinate(
+                &mut courier,
+                m,
+                features,
+                &cfg,
+                None,
+                timing,
+                secagg,
+                RecoveryOptions::default()
+                    .with_checkpoint(&ckpt_path)
+                    .with_resume(ckpt),
+            )
+            .unwrap_or_else(|e| panic!("{case}: resumed run failed: {e}"));
+            let _ = std::fs::remove_file(&ckpt_path);
 
-        // Bit-identical to the run that never crashed: learners that had
-        // already computed the re-collected round re-send their cached
-        // raw share re-masked under the bumped epoch, so every round sum
-        // — and hence every iterate — is reproduced exactly.
-        assert_eq!(outcome.history.z_delta, clean.history.z_delta);
-        assert_eq!(outcome.model, clean.model);
-        assert!(outcome.dropped.is_empty(), "got {:?}", outcome.dropped);
-        for h in handles {
-            let f = h
-                .join()
-                .expect("learner thread")
-                .expect("learner survives the coordinator restart");
-            assert_eq!(f, outcome.model);
+            // Bit-identical to the run that never crashed: learners that
+            // had already computed the re-collected round re-contribute
+            // their cached raw share, so every round sum — and hence
+            // every iterate — is reproduced exactly.
+            assert_eq!(outcome.history.z_delta, clean.history.z_delta, "{case}");
+            assert_eq!(outcome.model, clean.model, "{case}");
+            assert!(outcome.dropped.is_empty(), "{case}: {:?}", outcome.dropped);
+            for h in handles {
+                let f = h
+                    .join()
+                    .expect("learner thread")
+                    .unwrap_or_else(|e| panic!("{case}: learner lost the restart: {e}"));
+                assert_eq!(f, outcome.model, "{case}");
+            }
         }
     }
 

@@ -78,8 +78,7 @@ pub use masks::SeededMasker;
 pub use observe::{observe_task_attempt, score_task_round, set_injected_lag};
 pub use secagg::{
     coordinate_linear_secagg, coordinate_linear_secagg_with_recovery, learn_linear_secagg,
-    learn_linear_secagg_with_defect, rejoin_linear_secagg, PaillierBackend, PairwiseBackend,
-    SecAggConfig, SecAggKind, SecureAggregator, ShamirBackend,
+    learn_linear_secagg_with_defect, rejoin_linear_secagg, SecAggConfig, SecAggKind,
 };
 pub use vertical::kernel::{VerticalKernelModel, VerticalKernelOutcome, VerticalKernelSvm};
 pub use vertical::linear::{VerticalLinearModel, VerticalLinearSvm, VerticalOutcome};

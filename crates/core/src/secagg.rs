@@ -1,28 +1,43 @@
 //! Pluggable secure-aggregation backends for distributed training
-//! (ISSUE 8 tentpole).
+//! (ISSUE 8), behind a **per-round** contract (ISSUE 13).
 //!
-//! [`crate::distributed`] hard-wires the §V pairwise-masking scheme into
-//! its round loop. This module lifts the aggregation step behind the
-//! [`SecureAggregator`] trait and adds two more wire-backed protocols, so
-//! a run can pick its dropout/threat trade-off per deployment:
+//! In the paper the §V secure summation is a *step inside* every
+//! iterative-MapReduce round: mappers contribute, the reducer sees only
+//! the sum, the consensus update follows. This module is exactly that
+//! step. A backend is its crypto and its frame shapes, split in two
+//! halves:
 //!
-//! * **`pairwise`** ([`PairwiseBackend`]) — the §V default, delegating to
-//!   the untouched [`crate::distributed`] machinery. Dropout costs one
-//!   re-key round ([`ppml_transport::Message::Rekey`]); byte- and
-//!   bit-identical to calling [`crate::distributed::coordinate_linear`]
-//!   directly.
-//! * **`shamir`** ([`ShamirBackend`]) — `t`-of-`m` Shamir threshold
-//!   sharing over GF(2⁶¹−1). Each learner splits its share across the
-//!   *original* roster and the coordinator relays blinded share blocks,
-//!   so a learner that dies mid-collect (after distributing, before
-//!   submitting) costs **no re-key round** and its input still lands in
-//!   the round sum — reconstruction needs any `t` survivors.
-//! * **`paillier`** ([`PaillierBackend`]) — additively homomorphic
-//!   encryption. The coordinator folds ciphertexts with only the public
-//!   key; learner 0 acts as the key authority and decrypts the aggregate
-//!   alone. The expensive baseline the paper's masking protocol is
-//!   designed to avoid, here as a live wire protocol for comparison
-//!   (`secagg_bench` quantifies the gap).
+//! * a **coordinator half** ([`CoordinatorHalf`]) with three verbs —
+//!   `open(round, epoch)`, `absorb(from, frame) → Accepted | Stale`
+//!   (or a [`TrainError::Protocol`]), and
+//!   `advance(roster) → Send(frames) | Sum{values, divisor} |
+//!   Lost(parties) | Abort`;
+//! * a **learner half** ([`LearnerHalf`]) — `contribute(round, epoch,
+//!   roster, raw) → frames`, a pure function of its inputs and the run
+//!   seed, and `on_frame(frame) → frames` for the coordinator's
+//!   second-phase frames.
+//!
+//! Everything else — roster, deadlines, dropout, re-key, rejoin,
+//! checkpoint/resume, telemetry, byte accounting, the consensus update —
+//! is owned by the ONE coordinator driver and ONE learner driver in
+//! [`crate::distributed`], so it exists once and covers every backend.
+//!
+//! * **`pairwise`** — the §V default. Masks cancel only over the exact
+//!   survivor set, so a membership change invalidates sent shares: the
+//!   one backend that asks the driver to re-key
+//!   ([`ppml_transport::Message::Rekey`], one extra round trip).
+//! * **`shamir`** — `t`-of-`m` Shamir threshold sharing over GF(2⁶¹−1).
+//!   Each learner splits its share across the *original* roster and the
+//!   coordinator relays blinded share blocks, so a learner that dies
+//!   mid-collect (after distributing, before submitting) costs **no
+//!   re-key round** and its input still lands in the round sum —
+//!   reconstruction needs any `t` survivors.
+//! * **`paillier`** — additively homomorphic encryption. The
+//!   coordinator folds ciphertexts with only the public key; learner 0
+//!   acts as the key authority and decrypts the aggregate alone. The
+//!   expensive baseline the paper's masking protocol is designed to
+//!   avoid, here as a live wire protocol for comparison (`secagg_bench`
+//!   quantifies the gap).
 //!
 //! # Wire shapes per round
 //!
@@ -31,6 +46,18 @@
 //! | pairwise | `MaskedShare` | `Consensus` (+ `Rekey` on dropout) |
 //! | shamir | `ShamirDist`, then `Shares` | `Consensus`, `ShamirCollect` |
 //! | paillier | `CipherShare` (authority also `CipherSum`) | `Consensus` (authority also `CipherAgg`) |
+//!
+//! # The fence rule
+//!
+//! Pairwise shares carry the re-key epoch, so anything sent for an
+//! earlier survivor set — or to a crashed coordinator incarnation — is
+//! recognizably stale. The other backends' frames carry no epoch; their
+//! second-phase frames are fenced by *phase* instead: a `Shares` or
+//! `CipherSum` of the current round that arrives before this
+//! coordinator incarnation has sent that round's `ShamirCollect` /
+//! `CipherAgg` answers a dead predecessor's request and is dropped as
+//! stale, never an error. First-phase frames need no fence: `contribute`
+//! is deterministic, so a re-sent copy is byte-identical.
 //!
 //! # Shamir round anatomy
 //!
@@ -64,7 +91,8 @@
 //! the ciphertexts coordinate-wise and sends the aggregate to learner 0
 //! ([`CipherAgg`]), which decrypts the *sum* only and replies with the
 //! decoded totals ([`CipherSum`]). Absent contributors are dropped with
-//! no re-key; losing the authority ends the run with
+//! no re-key; losing the authority — including a `CipherSum` that never
+//! arrives within the round deadline — ends the run with
 //! [`TrainError::Dropped`].
 //!
 //! [`ShamirDist`]: ppml_transport::Message::ShamirDist
@@ -74,29 +102,17 @@
 //! [`CipherAgg`]: ppml_transport::Message::CipherAgg
 //! [`CipherSum`]: ppml_transport::Message::CipherSum
 
-use std::collections::BTreeMap;
-use std::time::Instant;
-
 use ppml_crypto::shamir::{self, MODULUS};
 use ppml_crypto::{FixedPointCodec, Paillier, PaillierPublicKey, ThresholdSharing};
 use ppml_data::rng::Rng64;
 use ppml_data::Dataset;
-use ppml_mapreduce::JobMetrics;
 use ppml_svm::LinearSvm;
-use ppml_telemetry as telemetry;
-use ppml_transport::{Courier, Frame, Message, PartyId, Transport, TransportError};
-use telemetry::EventKind;
+use ppml_transport::{Courier, Message, PartyId, Transport};
 
 use crate::config::{AdmmConfig, DistributedTiming};
-use crate::distributed::{
-    clock_sync, coordinate_linear_with_recovery, learn_linear_inner, peer_is_lost, protocol,
-    send_share_patiently, DistributedOutcome, RecoveryOptions,
-};
+use crate::distributed::{coordinate, learn, protocol, DistributedOutcome, RecoveryOptions};
 use crate::error::TrainError;
-use crate::history::ConvergenceHistory;
-use crate::horizontal::linear::HlLearner;
-use crate::masks::mix64;
-use crate::observe::{self, TelemetryRelay};
+use crate::masks::{mix64, SeededMasker};
 use crate::Result;
 
 /// Which secure-aggregation protocol a distributed run speaks.
@@ -224,202 +240,95 @@ impl SecAggConfig {
         }
         Ok(())
     }
-}
 
-/// One secure-aggregation protocol, wire side included: drives either
-/// end of a distributed linear-SVM run. [`coordinate_linear_secagg`] and
-/// [`learn_linear_secagg`] dispatch to the backend named by a
-/// [`SecAggConfig`]; the trait is public so embedders can drive a
-/// backend directly or supply their own.
-pub trait SecureAggregator<T: Transport> {
-    /// Stable backend label (also used for telemetry).
-    fn name(&self) -> &'static str;
-
-    /// Drives the coordinator (party `learners`) end to end.
-    ///
-    /// # Errors
-    ///
-    /// As [`crate::distributed::coordinate_linear`]; backends without
-    /// re-keying return [`TrainError::Dropped`] as soon as the survivor
-    /// set can no longer complete a round.
-    fn coordinate(
+    /// This config's coordinator half for a run over `learners` parties
+    /// with `features`-wide weight vectors.
+    pub(crate) fn coordinator_half(
         &self,
-        courier: &mut Courier<T>,
         learners: usize,
         features: usize,
         cfg: &AdmmConfig,
-        eval: Option<&Dataset>,
-        timing: DistributedTiming,
-    ) -> Result<DistributedOutcome>;
-
-    /// Drives one learner end to end. `defect_after` scripts a dropout
-    /// at the backend's characteristic loss point (see
-    /// [`learn_linear_secagg_with_defect`]); `rejoin` re-enters a run as
-    /// a restarted process.
-    ///
-    /// # Errors
-    ///
-    /// As [`crate::distributed::learn_linear`].
-    #[allow(clippy::too_many_arguments)]
-    fn learn(
-        &self,
-        courier: &mut Courier<T>,
-        learners: usize,
-        data: &Dataset,
-        cfg: &AdmmConfig,
-        timing: DistributedTiming,
-        defect_after: Option<u64>,
-        rejoin: bool,
-    ) -> Result<LinearSvm>;
-}
-
-/// The §V pairwise-masking backend: thin delegation to the untouched
-/// [`crate::distributed`] implementation, so selecting `pairwise`
-/// through this module is bit- and byte-identical to calling it
-/// directly.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PairwiseBackend;
-
-impl<T: Transport> SecureAggregator<T> for PairwiseBackend {
-    fn name(&self) -> &'static str {
-        SecAggKind::Pairwise.as_str()
+    ) -> Result<Box<dyn CoordinatorHalf>> {
+        self.validate(learners)?;
+        let share_len = features + 1;
+        Ok(match self.kind {
+            SecAggKind::Pairwise => Box::new(PairwiseCoordinator {
+                share_len,
+                round: 0,
+                epoch: 0,
+                shares: vec![None; learners],
+            }),
+            SecAggKind::Shamir => Box::new(ShamirCoordinator {
+                share_len,
+                scheme: ThresholdSharing::new(self.effective_threshold(learners), cfg.seed),
+                round: 0,
+                dists: vec![None; learners],
+                contributors: None,
+                subs: vec![None; learners],
+            }),
+            // The run keypair is derived only to clone its public half:
+            // from here on the coordinator *cannot* decrypt, by
+            // construction — folding needs nothing but `pk`.
+            SecAggKind::Paillier => Box::new(PaillierCoordinator {
+                share_len,
+                pk: Paillier::keygen(PAILLIER_BITS, &mut keygen_rng(cfg.seed))?
+                    .public_key()
+                    .clone(),
+                round: 0,
+                cts: vec![None; learners],
+                contributors: None,
+                authority_defected: false,
+                sums: None,
+            }),
+        })
     }
 
-    fn coordinate(
+    /// This config's learner half for `party` of `learners`.
+    pub(crate) fn learner_half(
         &self,
-        courier: &mut Courier<T>,
+        party: usize,
         learners: usize,
-        features: usize,
         cfg: &AdmmConfig,
-        eval: Option<&Dataset>,
-        timing: DistributedTiming,
-    ) -> Result<DistributedOutcome> {
-        coordinate_linear_with_recovery(
-            courier,
-            learners,
-            features,
-            cfg,
-            eval,
-            timing,
-            RecoveryOptions::default(),
-        )
-    }
-
-    fn learn(
-        &self,
-        courier: &mut Courier<T>,
-        learners: usize,
-        data: &Dataset,
-        cfg: &AdmmConfig,
-        timing: DistributedTiming,
-        defect_after: Option<u64>,
-        rejoin: bool,
-    ) -> Result<LinearSvm> {
-        learn_linear_inner(courier, learners, data, cfg, timing, defect_after, rejoin)
+    ) -> Result<Box<dyn LearnerHalf>> {
+        self.validate(learners)?;
+        Ok(match self.kind {
+            SecAggKind::Pairwise => Box::new(PairwiseLearner {
+                party: party as PartyId,
+                masker: SeededMasker::new(cfg.seed, party, learners),
+            }),
+            SecAggKind::Shamir => Box::new(ShamirLearner {
+                seed: cfg.seed,
+                me: party,
+                m: learners,
+                scheme: ThresholdSharing::new(self.effective_threshold(learners), cfg.seed),
+                held: None,
+            }),
+            // Every learner derives the full keypair from the run seed;
+            // only party 0 ever *uses* the private half (`on_frame`).
+            SecAggKind::Paillier => Box::new(PaillierLearner {
+                seed: cfg.seed,
+                me: party,
+                keypair: Paillier::keygen(PAILLIER_BITS, &mut keygen_rng(cfg.seed))?,
+                codec: FixedPointCodec::default(),
+            }),
+        })
     }
 }
 
-/// The `t`-of-`m` Shamir threshold backend (see the module docs for the
-/// round anatomy). Dropout costs no re-key round; any `t` survivors
-/// reconstruct.
-#[derive(Debug, Clone, Copy)]
-pub struct ShamirBackend {
-    /// Reconstruction threshold `t` (1 ≤ `t` ≤ `m`).
-    pub threshold: usize,
-}
-
-impl<T: Transport> SecureAggregator<T> for ShamirBackend {
-    fn name(&self) -> &'static str {
-        SecAggKind::Shamir.as_str()
-    }
-
-    fn coordinate(
-        &self,
-        courier: &mut Courier<T>,
-        learners: usize,
-        features: usize,
-        cfg: &AdmmConfig,
-        eval: Option<&Dataset>,
-        timing: DistributedTiming,
-    ) -> Result<DistributedOutcome> {
-        shamir_coordinate(
-            courier,
-            learners,
-            features,
-            cfg,
-            eval,
-            timing,
-            self.threshold,
-        )
-    }
-
-    fn learn(
-        &self,
-        courier: &mut Courier<T>,
-        learners: usize,
-        data: &Dataset,
-        cfg: &AdmmConfig,
-        timing: DistributedTiming,
-        defect_after: Option<u64>,
-        rejoin: bool,
-    ) -> Result<LinearSvm> {
-        shamir_learn(
-            courier,
-            learners,
-            data,
-            cfg,
-            timing,
-            self.threshold,
-            defect_after,
-            rejoin,
-        )
-    }
-}
-
-/// The Paillier homomorphic backend with learner 0 as key authority
-/// (see the module docs for the round anatomy).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PaillierBackend;
-
-impl<T: Transport> SecureAggregator<T> for PaillierBackend {
-    fn name(&self) -> &'static str {
-        SecAggKind::Paillier.as_str()
-    }
-
-    fn coordinate(
-        &self,
-        courier: &mut Courier<T>,
-        learners: usize,
-        features: usize,
-        cfg: &AdmmConfig,
-        eval: Option<&Dataset>,
-        timing: DistributedTiming,
-    ) -> Result<DistributedOutcome> {
-        paillier_coordinate(courier, learners, features, cfg, eval, timing)
-    }
-
-    fn learn(
-        &self,
-        courier: &mut Courier<T>,
-        learners: usize,
-        data: &Dataset,
-        cfg: &AdmmConfig,
-        timing: DistributedTiming,
-        defect_after: Option<u64>,
-        rejoin: bool,
-    ) -> Result<LinearSvm> {
-        paillier_learn(courier, learners, data, cfg, timing, defect_after, rejoin)
-    }
-}
-
-/// Coordinator entry point with backend selection: the
-/// [`SecAggConfig::pairwise`] default is exactly
-/// [`crate::distributed::coordinate_linear`].
+/// Coordinator entry point with backend selection: drives party
+/// `learners` of a distributed HL-SVM run end to end. `features` is the
+/// shared feature count `k` (shares are `k + 1` long).
 ///
 /// # Errors
 ///
-/// Config errors from [`SecAggConfig::validate`], plus the backend's
-/// own (see [`SecureAggregator::coordinate`]).
+/// [`TrainError::Dropped`] when every learner dies — or, on a backend
+/// without re-keying, as soon as the survivor set can no longer complete
+/// a round (fewer than `t` Shamir contributors, the Paillier authority
+/// lost); [`TrainError::Transport`] on non-timeout fabric failures;
+/// [`TrainError::Protocol`] on malformed or out-of-round frames; plus
+/// the usual configuration errors. A learner that merely times out is
+/// not an error: it is dropped and training continues on the survivors
+/// (reported in [`DistributedOutcome::dropped`]).
 pub fn coordinate_linear_secagg<T: Transport>(
     courier: &mut Courier<T>,
     learners: usize,
@@ -429,27 +338,24 @@ pub fn coordinate_linear_secagg<T: Transport>(
     timing: DistributedTiming,
     secagg: SecAggConfig,
 ) -> Result<DistributedOutcome> {
-    coordinate_linear_secagg_with_recovery(
-        courier,
-        learners,
-        features,
-        cfg,
-        eval,
-        timing,
-        secagg,
-        RecoveryOptions::default(),
+    let recovery = RecoveryOptions::default();
+    coordinate(
+        courier, learners, features, cfg, eval, timing, secagg, recovery,
     )
 }
 
-/// [`coordinate_linear_secagg`] plus crash recovery. Checkpoint/resume
-/// is a pairwise-only feature for now: the shamir and paillier loops
-/// have no re-key epochs to fence resumed rounds with, so requesting
-/// recovery under them is rejected rather than silently ignored.
+/// [`coordinate_linear_secagg`] with crash recovery: optional per-round
+/// checkpoint writes and optional resume from a checkpoint (see
+/// [`RecoveryOptions`]). Recovery lives in the driver, so it works under
+/// every backend. Mid-run [`Message::Join`] probes from restarted
+/// learners are honored either way — re-admission happens at the next
+/// round boundary.
 ///
 /// # Errors
 ///
-/// [`TrainError::BadConfig`] when recovery options are combined with a
-/// non-pairwise backend; otherwise as [`coordinate_linear_secagg`].
+/// As [`coordinate_linear_secagg`], plus [`TrainError::Checkpoint`] when
+/// a checkpoint cannot be written or the resume checkpoint does not
+/// match this run's `learners`/`features`/`seed`.
 #[allow(clippy::too_many_arguments)]
 pub fn coordinate_linear_secagg_with_recovery<T: Transport>(
     courier: &mut Courier<T>,
@@ -461,65 +367,23 @@ pub fn coordinate_linear_secagg_with_recovery<T: Transport>(
     secagg: SecAggConfig,
     recovery: RecoveryOptions,
 ) -> Result<DistributedOutcome> {
-    secagg.validate(learners)?;
-    if secagg.kind == SecAggKind::Pairwise {
-        return coordinate_linear_with_recovery(
-            courier, learners, features, cfg, eval, timing, recovery,
-        );
-    }
-    if recovery.checkpoint_to.is_some() || recovery.resume_from.is_some() {
-        return Err(TrainError::BadConfig {
-            reason: format!(
-                "checkpoint/resume is only supported by the pairwise backend, not {}",
-                secagg.kind
-            ),
-        });
-    }
-    match secagg.kind {
-        SecAggKind::Pairwise => unreachable!("handled above"),
-        SecAggKind::Shamir => ShamirBackend {
-            threshold: secagg.effective_threshold(learners),
-        }
-        .coordinate(courier, learners, features, cfg, eval, timing),
-        SecAggKind::Paillier => {
-            PaillierBackend.coordinate(courier, learners, features, cfg, eval, timing)
-        }
-    }
+    coordinate(
+        courier, learners, features, cfg, eval, timing, secagg, recovery,
+    )
 }
 
-#[allow(clippy::too_many_arguments)]
-fn learn_dispatch<T: Transport>(
-    courier: &mut Courier<T>,
-    learners: usize,
-    data: &Dataset,
-    cfg: &AdmmConfig,
-    timing: DistributedTiming,
-    secagg: SecAggConfig,
-    defect_after: Option<u64>,
-    rejoin: bool,
-) -> Result<LinearSvm> {
-    secagg.validate(learners)?;
-    match secagg.kind {
-        SecAggKind::Pairwise => {
-            PairwiseBackend.learn(courier, learners, data, cfg, timing, defect_after, rejoin)
-        }
-        SecAggKind::Shamir => ShamirBackend {
-            threshold: secagg.effective_threshold(learners),
-        }
-        .learn(courier, learners, data, cfg, timing, defect_after, rejoin),
-        SecAggKind::Paillier => {
-            PaillierBackend.learn(courier, learners, data, cfg, timing, defect_after, rejoin)
-        }
-    }
-}
-
-/// Learner entry point with backend selection; the pairwise default is
-/// exactly [`crate::distributed::learn_linear`].
+/// Learner entry point with backend selection: drives one party in
+/// `0..learners` over its horizontal partition `data`. Blocks until the
+/// coordinator (party `learners`) sends the `done` broadcast, then
+/// returns the consensus model it carried.
 ///
 /// # Errors
 ///
-/// As [`crate::distributed::learn_linear`], plus config errors from
-/// [`SecAggConfig::validate`].
+/// [`TrainError::Transport`] when the coordinator goes quiet past
+/// [`DistributedTiming::learner_patience`] (heartbeats do not count as
+/// liveness) or a send exhausts its retries, [`TrainError::Protocol`]
+/// on unexpected frames, plus the partition/config errors of the
+/// in-process trainer.
 pub fn learn_linear_secagg<T: Transport>(
     courier: &mut Courier<T>,
     learners: usize,
@@ -528,17 +392,23 @@ pub fn learn_linear_secagg<T: Transport>(
     timing: DistributedTiming,
     secagg: SecAggConfig,
 ) -> Result<LinearSvm> {
-    learn_dispatch(courier, learners, data, cfg, timing, secagg, None, false)
+    learn(courier, learners, data, cfg, timing, secagg, None, false)
 }
 
 /// Re-admission variant of [`learn_linear_secagg`] for a restarted
-/// learner process (see [`crate::distributed::rejoin_linear`]). Under
-/// shamir and paillier, re-admission needs no re-key at all — the
-/// coordinator simply welcomes the party back at a round boundary.
+/// learner process: probes the coordinator with [`Message::Join`] until
+/// it answers with a [`Message::Welcome`], then participates from the
+/// granted round onward. The rejoiner warm-starts with zeroed duals (see
+/// `DESIGN.md` §8 for the convergence impact). Under pairwise the §V
+/// re-key on admission makes its masks valid for the enlarged survivor
+/// set; under shamir and paillier re-admission needs no re-key at all.
+/// Either way it learns nothing about the rounds it missed.
 ///
 /// # Errors
 ///
-/// As [`crate::distributed::rejoin_linear`].
+/// [`TrainError::Transport`] with a timeout when no Welcome arrives
+/// within [`DistributedTiming::learner_patience`]; otherwise as
+/// [`learn_linear_secagg`].
 pub fn rejoin_linear_secagg<T: Transport>(
     courier: &mut Courier<T>,
     learners: usize,
@@ -547,13 +417,16 @@ pub fn rejoin_linear_secagg<T: Transport>(
     timing: DistributedTiming,
     secagg: SecAggConfig,
 ) -> Result<LinearSvm> {
-    learn_dispatch(courier, learners, data, cfg, timing, secagg, None, true)
+    learn(courier, learners, data, cfg, timing, secagg, None, true)
 }
 
 /// Fault-injection variant of [`learn_linear_secagg`]: behaves
 /// correctly for rounds `0..defect_after`, then drops out at the
 /// backend's characteristic loss point while still draining (and
-/// thereby ACKing) frames:
+/// thereby ACKing) every frame — so the coordinator's broadcasts still
+/// succeed and the dropout can only be detected by the round deadline,
+/// producing the canonical DeadlineMiss → Dropout sequence on the
+/// coordinator's stream:
 ///
 /// * **pairwise** — stops sending [`MaskedShare`] from round
 ///   `defect_after` on (the round excludes the defector after a re-key);
@@ -573,7 +446,6 @@ pub fn rejoin_linear_secagg<T: Transport>(
 /// [`MaskedShare`]: ppml_transport::Message::MaskedShare
 /// [`CipherShare`]: ppml_transport::Message::CipherShare
 /// [`CipherAgg`]: ppml_transport::Message::CipherAgg
-#[allow(clippy::too_many_arguments)]
 pub fn learn_linear_secagg_with_defect<T: Transport>(
     courier: &mut Courier<T>,
     learners: usize,
@@ -583,16 +455,168 @@ pub fn learn_linear_secagg_with_defect<T: Transport>(
     secagg: SecAggConfig,
     defect_after: u64,
 ) -> Result<LinearSvm> {
-    learn_dispatch(
-        courier,
-        learners,
-        data,
-        cfg,
-        timing,
-        secagg,
-        Some(defect_after),
-        false,
-    )
+    let defect = Some(defect_after);
+    learn(courier, learners, data, cfg, timing, secagg, defect, false)
+}
+
+// ---------------------------------------------------------------------
+// The per-round contract. A backend is its crypto and its frame shapes;
+// the drivers in `crate::distributed` own everything else (see the
+// module docs for the split).
+
+/// Verdict on one frame handed to [`CoordinatorHalf::absorb`].
+#[derive(Debug, PartialEq)]
+pub(crate) enum Absorbed {
+    /// Part of the round: the driver charges its bytes, and — when the
+    /// frame completes `scored`'s contribution — records that party's
+    /// collect lag for the straggler scorer.
+    Accepted { scored: Option<PartyId> },
+    /// Harmless leftover (an earlier round or epoch, a byte-identical
+    /// re-send, a dropped or unknown party, a second-phase frame this
+    /// incarnation never asked for): discarded, never an error.
+    Stale,
+}
+
+/// What [`CoordinatorHalf::advance`] wants from the driver next.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Step {
+    /// Deliver these second-phase frames reliably, then collect again
+    /// under a fresh deadline.
+    Send(Vec<(PartyId, Message)>),
+    /// The round is summed: the consensus update is `values / divisor`.
+    Sum { values: Vec<f64>, divisor: usize },
+    /// The deadline passed with these parties still owing a frame:
+    /// declare them dropped, then ask again.
+    Lost(Vec<PartyId>),
+    /// Too few contributions are left to ever finish the round.
+    Abort,
+}
+
+/// Coordinator half of one backend: sums one round's contributions.
+/// Per round the driver calls `open`, then alternates a deadline-bounded
+/// collect (feeding `absorb` while `pending > 0`) with `advance` until
+/// the latter yields [`Step::Sum`].
+pub(crate) trait CoordinatorHalf {
+    /// Whether a membership change invalidates shares already sent, so
+    /// the driver must bump the epoch, broadcast `Rekey` and re-`open`
+    /// the round. Only pairwise masks have that property.
+    fn rekeys(&self) -> bool {
+        false
+    }
+    /// Starts (or, after a re-key, restarts) collecting `round`.
+    fn open(&mut self, round: u64, epoch: u64);
+    /// How many frames the current phase still waits for.
+    fn pending(&self, alive: &[bool]) -> usize;
+    /// Judges one protocol frame from `from`.
+    ///
+    /// # Errors
+    ///
+    /// [`TrainError::Protocol`] on a frame no honest party could have
+    /// sent: wrong kind, wrong length, a round or epoch from the future,
+    /// two different claims for one slot.
+    fn absorb(&mut self, from: PartyId, msg: Message, alive: &[bool]) -> Result<Absorbed>;
+    /// Called when the collect ended — complete or out of time.
+    fn advance(&mut self, alive: &[bool]) -> Result<Step>;
+}
+
+/// Learner half of one backend: turns a raw share into frames.
+pub(crate) trait LearnerHalf {
+    /// Whether the contribution only completes with an `on_frame` reply
+    /// (Shamir's summed share). The driver closes such a round on that
+    /// reply, and a scripted defector withholds it — not `contribute`.
+    fn awaits_collect(&self) -> bool {
+        false
+    }
+    /// Frames carrying `raw` for `round`: a pure function of
+    /// `(seed, party, round, epoch, roster, raw)`, so the driver may
+    /// call it again for the same round after a re-key or a coordinator
+    /// resume and get byte-identical (or correctly re-keyed) frames.
+    fn contribute(
+        &mut self,
+        round: u64,
+        epoch: u64,
+        roster: &[usize],
+        raw: &[f64],
+    ) -> Result<Vec<Message>>;
+    /// Answers a second-phase coordinator frame; empty = stale, drained.
+    ///
+    /// # Errors
+    ///
+    /// [`TrainError::Protocol`] on a frame this backend never expects.
+    fn on_frame(&mut self, msg: Message) -> Result<Vec<Message>> {
+        Err(protocol(format!(
+            "learner expected consensus, re-key or welcome, got {msg:?}"
+        )))
+    }
+}
+
+fn unexpected(wanted: &str, msg: &Message, from: PartyId) -> TrainError {
+    protocol(format!(
+        "coordinator expected {wanted}, got {msg:?} from party {from}"
+    ))
+}
+
+/// Round fence shared by every frame kind: `false` for a leftover of an
+/// earlier round, an error for one from the future.
+fn is_current(what: &str, it: u64, round: u64) -> Result<bool> {
+    if it > round {
+        return Err(protocol(format!(
+            "{what} from the future: round {it} while in round {round}"
+        )));
+    }
+    Ok(it == round)
+}
+
+fn check_len(what: &str, got: usize, want: usize) -> Result<()> {
+    if got != want {
+        return Err(protocol(format!(
+            "{what} length mismatch: expected {want}, got {got}"
+        )));
+    }
+    Ok(())
+}
+
+fn is_alive(alive: &[bool], party: PartyId) -> bool {
+    alive.get(party as usize).copied().unwrap_or(false)
+}
+
+/// Stores `party`'s one `value` for the round. Every backend's frames
+/// are deterministic in their inputs, so a legitimate re-send — e.g. a
+/// learner answering both a resumed coordinator's rebroadcast and a
+/// re-key — is byte-identical to the accepted copy and safely ignored;
+/// anything else is two *different* claims for one slot.
+fn fill<V: PartialEq>(
+    slot: &mut Option<V>,
+    value: V,
+    what: &str,
+    party: PartyId,
+    scored: Option<PartyId>,
+) -> Result<Absorbed> {
+    match slot {
+        Some(existing) if *existing == value => Ok(Absorbed::Stale),
+        Some(_) => Err(protocol(format!(
+            "conflicting duplicate {what} from party {party}"
+        ))),
+        None => {
+            *slot = Some(value);
+            Ok(Absorbed::Accepted { scored })
+        }
+    }
+}
+
+/// Live parties whose slot is still empty.
+fn missing<'a, V>(slots: &'a [Option<V>], alive: &'a [bool]) -> impl Iterator<Item = PartyId> + 'a {
+    (0..slots.len())
+        .filter(|&p| alive[p] && slots[p].is_none())
+        .map(|p| p as PartyId)
+}
+
+/// Parties whose slot is filled, ascending.
+fn filled<V>(slots: &[Option<V>]) -> Vec<PartyId> {
+    (0..slots.len())
+        .filter(|&p| slots[p].is_some())
+        .map(|p| p as PartyId)
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -615,37 +639,130 @@ const DOMAIN_ENC: u64 = 0x504C_4C52_454E_4352;
 /// for [`FixedPointCodec::max_parties`] summands.
 const PAILLIER_BITS: usize = 128;
 
+/// The Paillier key authority: the one learner that decrypts aggregates.
+const AUTHORITY: PartyId = 0;
+
+/// A stream seeded by absorbing `words` into `seed ^ domain` in order.
+fn derived_rng(seed: u64, domain: u64, words: &[u64]) -> Rng64 {
+    Rng64::new(
+        words
+            .iter()
+            .fold(mix64(seed ^ domain), |s, &w| mix64(s ^ w)),
+    )
+}
+
 /// Coefficient stream for `party`'s Shamir split at `iteration`.
 fn split_rng(seed: u64, party: usize, iteration: u64) -> Rng64 {
-    let mut s = mix64(seed ^ DOMAIN_SPLIT);
-    s = mix64(s ^ party as u64);
-    s = mix64(s ^ iteration);
-    Rng64::new(s)
+    derived_rng(seed, DOMAIN_SPLIT, &[party as u64, iteration])
 }
 
 /// Ordered-pair pad stream blinding the share block `from → to` at
 /// `iteration` against the relaying coordinator. Both endpoints derive
 /// it locally; the pair order matters (`from → to` ≠ `to → from`).
 fn pad_rng(seed: u64, from: usize, to: usize, iteration: u64) -> Rng64 {
-    let mut s = mix64(seed ^ DOMAIN_PAD);
-    s = mix64(s ^ from as u64);
-    s = mix64(s ^ to as u64);
-    s = mix64(s ^ iteration);
-    Rng64::new(s)
+    derived_rng(seed, DOMAIN_PAD, &[from as u64, to as u64, iteration])
 }
 
 /// Prime stream for the run's deterministic Paillier keypair.
 fn keygen_rng(seed: u64) -> Rng64 {
-    Rng64::new(mix64(seed ^ DOMAIN_KEY))
+    derived_rng(seed, DOMAIN_KEY, &[])
 }
 
 /// Encryption randomness for `party` at `iteration`.
 fn encrypt_rng(seed: u64, party: usize, iteration: u64) -> Rng64 {
-    let mut s = mix64(seed ^ DOMAIN_ENC);
-    s = mix64(s ^ party as u64);
-    s = mix64(s ^ iteration);
-    Rng64::new(s)
+    derived_rng(seed, DOMAIN_ENC, &[party as u64, iteration])
 }
+
+// ---------------------------------------------------------------------
+// Pairwise backend (§V): masks cancel in the wrapping sum, so a
+// membership change invalidates every share already sent — the one
+// backend that re-keys.
+
+struct PairwiseCoordinator {
+    share_len: usize,
+    round: u64,
+    epoch: u64,
+    shares: Vec<Option<Vec<u64>>>,
+}
+
+impl CoordinatorHalf for PairwiseCoordinator {
+    fn rekeys(&self) -> bool {
+        true
+    }
+
+    fn open(&mut self, round: u64, epoch: u64) {
+        (self.round, self.epoch) = (round, epoch);
+        self.shares.fill(None);
+    }
+
+    fn pending(&self, alive: &[bool]) -> usize {
+        missing(&self.shares, alive).count()
+    }
+
+    fn absorb(&mut self, from: PartyId, msg: Message, alive: &[bool]) -> Result<Absorbed> {
+        let Message::MaskedShare {
+            iteration,
+            epoch,
+            party,
+            payload,
+        } = msg
+        else {
+            return Err(unexpected("a masked share", &msg, from));
+        };
+        // From a party already declared dropped (or an unknown id), or
+        // in flight from before a re-key — masked over the old survivor
+        // set, its masks would not cancel; the re-keyed copy follows.
+        if !is_alive(alive, party) || epoch < self.epoch || iteration < self.round {
+            return Ok(Absorbed::Stale);
+        }
+        if epoch > self.epoch {
+            return Err(protocol(format!(
+                "share from the future: epoch {epoch} while collecting epoch {}",
+                self.epoch
+            )));
+        }
+        is_current("share", iteration, self.round)?;
+        check_len("share", payload.len(), self.share_len)?;
+        let slot = &mut self.shares[party as usize];
+        fill(slot, payload, "share", party, Some(party))
+    }
+
+    fn advance(&mut self, alive: &[bool]) -> Result<Step> {
+        let lost: Vec<PartyId> = missing(&self.shares, alive).collect();
+        if !lost.is_empty() {
+            return Ok(Step::Lost(lost));
+        }
+        let shares: Vec<Vec<u64>> = self.shares.iter_mut().filter_map(Option::take).collect();
+        let divisor = shares.len();
+        let values = SeededMasker::combine(&shares, divisor, FixedPointCodec::default())?;
+        Ok(Step::Sum { values, divisor })
+    }
+}
+
+struct PairwiseLearner {
+    party: PartyId,
+    masker: SeededMasker,
+}
+
+impl LearnerHalf for PairwiseLearner {
+    fn contribute(
+        &mut self,
+        round: u64,
+        epoch: u64,
+        roster: &[usize],
+        raw: &[f64],
+    ) -> Result<Vec<Message>> {
+        Ok(vec![Message::MaskedShare {
+            iteration: round,
+            epoch,
+            party: self.party,
+            payload: self.masker.mask_share_among(raw, round, roster)?,
+        }])
+    }
+}
+
+// ---------------------------------------------------------------------
+// Shamir backend.
 
 /// Index of destination `dest`'s block inside sender `from`'s flat
 /// [`ppml_transport::Message::ShamirDist`] vector: blocks are laid out
@@ -660,862 +777,242 @@ fn block_index(from: usize, dest: usize) -> usize {
     }
 }
 
-/// Marks `lost` parties dead: flips `alive`, records drop order, emits
-/// [`EventKind::Dropout`]. Unlike the pairwise path this sends **no**
-/// re-key — the remaining shares stay valid by construction.
-fn declare_dropped<T: Transport>(
-    courier: &Courier<T>,
-    alive: &mut [bool],
-    dropped: &mut Vec<PartyId>,
-    lost: &[PartyId],
-    iteration: u64,
-) {
-    for &p in lost {
-        if alive[p as usize] {
-            alive[p as usize] = false;
-            dropped.push(p);
-            telemetry::emit(
-                courier.party(),
-                EventKind::Dropout {
-                    party: p,
-                    iteration,
-                },
-            );
-        }
-    }
+struct ShamirCoordinator {
+    share_len: usize,
+    scheme: ThresholdSharing,
+    round: u64,
+    /// Phase 1: one blinded distribution per live learner.
+    dists: Vec<Option<Vec<u64>>>,
+    /// The round's contributor set, fixed when the relay goes out.
+    contributors: Option<Vec<PartyId>>,
+    /// Phase 2: one summed share per contributor; any `threshold` do.
+    subs: Vec<Option<Vec<u64>>>,
 }
 
-/// Re-admits rejoining learners at a round boundary for the stateless
-/// backends: marks the joiner alive, resets its transport watermark and
-/// answers its [`Message::Join`] with a [`Message::Welcome`]. Veterans
-/// are not told — with no masks to re-key, membership changes only
-/// matter to the coordinator's bookkeeping.
-#[allow(clippy::too_many_arguments)]
-fn admit_stateless<T: Transport>(
-    courier: &mut Courier<T>,
-    alive: &mut [bool],
-    dropped: &mut Vec<PartyId>,
-    joins: BTreeMap<PartyId, u64>,
-    iteration: u64,
-    z: &[f64],
-    s: f64,
-    metrics: &mut JobMetrics,
-) -> Result<()> {
-    for (p, nonce) in joins {
-        if alive[p as usize] {
-            continue;
+impl CoordinatorHalf for ShamirCoordinator {
+    fn open(&mut self, round: u64, _epoch: u64) {
+        self.round = round;
+        self.dists.fill(None);
+        self.contributors = None;
+        self.subs.fill(None);
+    }
+
+    fn pending(&self, alive: &[bool]) -> usize {
+        match &self.contributors {
+            None => missing(&self.dists, alive).count(),
+            Some(c) => missing(&self.subs, alive)
+                .filter(|p| c.binary_search(p).is_ok())
+                .count(),
         }
-        alive[p as usize] = true;
-        dropped.retain(|&d| d != p);
-        telemetry::emit(
-            courier.party(),
-            EventKind::Rejoin {
-                party: p,
+    }
+
+    fn absorb(&mut self, from: PartyId, msg: Message, alive: &[bool]) -> Result<Absorbed> {
+        match msg {
+            Message::ShamirDist {
                 iteration,
-            },
-        );
-        // The joiner is a fresh process: clear the dead incarnation's
-        // dedup watermark before talking to it.
-        courier.reset_peer(p);
-        let survivors: Vec<PartyId> = (0..alive.len())
-            .filter(|&q| alive[q])
-            .map(|q| q as PartyId)
-            .collect();
-        let welcome = Message::Welcome {
-            nonce,
-            iteration,
-            epoch: 0,
-            survivors,
-            z: z.to_vec(),
-            s: vec![s],
-        };
-        match courier.send_reliable(p, &welcome) {
-            Ok(n) => metrics.bytes_broadcast += n,
-            Err(e) if peer_is_lost(&e) => {
-                declare_dropped(courier, alive, dropped, &[p], iteration);
-            }
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Ok(())
-}
-
-/// Shared coordinator-side validation for the non-pairwise loops.
-fn validate_coordinator<T: Transport>(
-    courier: &Courier<T>,
-    learners: usize,
-    cfg: &AdmmConfig,
-    timing: DistributedTiming,
-) -> Result<()> {
-    cfg.validate()?;
-    timing.validate()?;
-    if learners == 0 {
-        return Err(TrainError::BadConfig {
-            reason: "need at least one learner".to_string(),
-        });
-    }
-    if (courier.party() as usize) != learners {
-        return Err(TrainError::BadConfig {
-            reason: format!(
-                "coordinator must be party {learners}, got {}",
-                courier.party()
-            ),
-        });
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// Shamir backend.
-
-#[allow(clippy::too_many_lines)]
-fn shamir_coordinate<T: Transport>(
-    courier: &mut Courier<T>,
-    learners: usize,
-    features: usize,
-    cfg: &AdmmConfig,
-    eval: Option<&Dataset>,
-    timing: DistributedTiming,
-    threshold: usize,
-) -> Result<DistributedOutcome> {
-    validate_coordinator(courier, learners, cfg, timing)?;
-    let m = learners;
-    if threshold < 1 || threshold > m {
-        return Err(TrainError::BadConfig {
-            reason: format!("shamir threshold {threshold} out of range 1..={m}"),
-        });
-    }
-    let share_len = features + 1;
-    let scheme = ThresholdSharing::new(threshold, cfg.seed);
-    let mut z = vec![0.0; features];
-    let mut s = 0.0;
-    let mut history = ConvergenceHistory::default();
-    let mut metrics = JobMetrics::default();
-    let mut alive = vec![true; m];
-    let mut dropped: Vec<PartyId> = Vec::new();
-    let mut pending_joins: BTreeMap<PartyId, u64> = BTreeMap::new();
-
-    if telemetry::enabled() {
-        let run_id = telemetry::fresh_run_id();
-        telemetry::emit(courier.party(), EventKind::RunInfo { run_id });
-        clock_sync(courier, &alive, run_id);
-    }
-
-    for iteration in 0..cfg.max_iter as u64 {
-        if !pending_joins.is_empty() {
-            admit_stateless(
-                courier,
-                &mut alive,
-                &mut dropped,
-                std::mem::take(&mut pending_joins),
-                iteration,
-                &z,
-                s,
-                &mut metrics,
-            )?;
-        }
-        let round_start = Instant::now();
-        let round_bytes_before = metrics.bytes_broadcast + metrics.bytes_shuffled;
-        telemetry::emit(
-            courier.party(),
-            EventKind::RoundOpen {
-                iteration,
-                epoch: 0,
-            },
-        );
-        let broadcast = Message::Consensus {
-            iteration,
-            z: z.clone(),
-            s: vec![s],
-            done: false,
-        };
-        let mut lost: Vec<PartyId> = Vec::new();
-        for p in (0..m).filter(|&p| alive[p]) {
-            match courier.send_reliable(p as PartyId, &broadcast) {
-                Ok(n) => metrics.bytes_broadcast += n,
-                Err(e) if peer_is_lost(&e) => lost.push(p as PartyId),
-                Err(e) => return Err(e.into()),
-            }
-        }
-        declare_dropped(courier, &mut alive, &mut dropped, &lost, iteration);
-
-        // Phase 1: one ShamirDist per survivor, single deadline.
-        let mut dists: Vec<Option<Vec<u64>>> = vec![None; m];
-        let active = alive.iter().filter(|&&a| a).count();
-        let mut have = 0usize;
-        let deadline = Instant::now() + timing.round_deadline;
-        while have < active {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                break;
-            }
-            let env = match courier.recv(remaining) {
-                Ok(env) => env,
-                Err(TransportError::Timeout) => break,
-                Err(e) => return Err(e.into()),
-            };
-            if matches!(
-                env.msg,
-                Message::Heartbeat { .. } | Message::TimeReply { .. }
-            ) {
-                continue;
-            }
-            if matches!(env.msg, Message::Telemetry { .. }) {
-                observe::fold_telemetry(courier.party(), &env.msg);
-                continue;
-            }
-            if let Message::Join { party, nonce } = env.msg {
-                if (party as usize) < m {
-                    pending_joins.insert(party, nonce);
-                }
-                continue;
-            }
-            // Straggler submissions of an earlier round that arrived
-            // after reconstruction had enough shares.
-            if matches!(env.msg, Message::Shares { iteration: it, .. } if it < iteration) {
-                continue;
-            }
-            let frame_len = Frame::encoded_len_of(&env.msg);
-            let Message::ShamirDist {
-                iteration: it,
                 party,
                 flat,
-            } = env.msg
-            else {
-                return Err(protocol(format!(
-                    "coordinator expected a shamir distribution, got {:?} from party {}",
-                    env.msg, env.from
-                )));
-            };
-            if it < iteration {
-                continue;
-            }
-            if it > iteration {
-                return Err(protocol(format!(
-                    "shamir distribution from the future: round {it} while collecting \
-                     round {iteration}"
-                )));
-            }
-            if !alive.get(party as usize).copied().unwrap_or(false) {
-                continue;
-            }
-            if flat.len() != (m - 1) * share_len {
-                return Err(protocol(format!(
-                    "shamir distribution length mismatch: expected {}, got {}",
-                    (m - 1) * share_len,
-                    flat.len()
-                )));
-            }
-            let slot = &mut dists[party as usize];
-            if let Some(existing) = slot {
-                if *existing == flat {
-                    continue;
+            } => {
+                // Past the relay the contributor set is final: a late or
+                // re-sent distribution can no longer join the round.
+                if !is_current("shamir distribution", iteration, self.round)?
+                    || self.contributors.is_some()
+                    || !is_alive(alive, party)
+                {
+                    return Ok(Absorbed::Stale);
                 }
-                return Err(protocol(format!(
-                    "conflicting duplicate shamir distribution from party {party}"
-                )));
+                let want = (self.dists.len() - 1) * self.share_len;
+                check_len("shamir distribution", flat.len(), want)?;
+                let slot = &mut self.dists[party as usize];
+                fill(slot, flat, "shamir distribution", party, None)
             }
-            *slot = Some(flat);
-            metrics.bytes_shuffled += frame_len;
-            have += 1;
+            Message::Shares { iteration, values } => {
+                let current = is_current("summed share", iteration, self.round)?;
+                // Fence: a summed share for a relay this incarnation has
+                // not sent answers a crashed predecessor's — stale.
+                let Some(contributors) = &self.contributors else {
+                    return Ok(Absorbed::Stale);
+                };
+                if !current || contributors.binary_search(&from).is_err() {
+                    return Ok(Absorbed::Stale);
+                }
+                check_len("summed share", values.len(), self.share_len)?;
+                let slot = &mut self.subs[from as usize];
+                fill(slot, values, "summed share", from, Some(from))
+            }
+            other => Err(unexpected(
+                "a shamir distribution or summed share",
+                &other,
+                from,
+            )),
         }
-        if have < active {
-            let lost: Vec<PartyId> = (0..m)
-                .filter(|&p| alive[p] && dists[p].is_none())
-                .map(|p| p as PartyId)
-                .collect();
-            telemetry::emit(
-                courier.party(),
-                EventKind::DeadlineMiss {
-                    iteration,
-                    epoch: 0,
-                    missing: lost.len() as u32,
-                },
-            );
-            declare_dropped(courier, &mut alive, &mut dropped, &lost, iteration);
-        }
-        let contributors: Vec<PartyId> = (0..m)
-            .filter(|&p| dists[p].is_some())
-            .map(|p| p as PartyId)
-            .collect();
-        if contributors.len() < threshold {
-            return Err(TrainError::Dropped {
-                parties: dropped.clone(),
-            });
-        }
+    }
 
-        // Phase 2: relay each contributor its blinded blocks. A
-        // contributor that became unreachable is dropped for *future*
-        // rounds; its input is already inside this round's sum.
-        for &p in &contributors {
-            let mut flat = Vec::with_capacity((contributors.len() - 1) * share_len);
-            for &q in &contributors {
-                if q == p {
-                    continue;
-                }
-                let dist = dists[q as usize].as_ref().expect("contributor has a dist");
-                let base = block_index(q as usize, p as usize) * share_len;
-                flat.extend_from_slice(&dist[base..base + share_len]);
+    fn advance(&mut self, alive: &[bool]) -> Result<Step> {
+        let Some(contributors) = &self.contributors else {
+            let lost: Vec<PartyId> = missing(&self.dists, alive).collect();
+            if !lost.is_empty() {
+                return Ok(Step::Lost(lost));
             }
-            let msg = Message::ShamirCollect {
-                iteration,
-                contributors: contributors.clone(),
-                flat,
-            };
-            match courier.send_reliable(p, &msg) {
-                Ok(n) => metrics.bytes_broadcast += n,
-                Err(e) if peer_is_lost(&e) => {
-                    declare_dropped(courier, &mut alive, &mut dropped, &[p], iteration);
-                }
-                Err(e) => return Err(e.into()),
+            // Absentees are dropped with no re-key frame — the remaining
+            // shares stay valid. Relay each contributor the blinded
+            // blocks destined for it.
+            let contributors = filled(&self.dists);
+            if contributors.len() < self.scheme.threshold() {
+                return Ok(Step::Abort);
             }
-        }
-
-        // Phase 3: summed-share submissions; any `threshold` of them
-        // reconstruct, so submitters lost mid-collect cost nothing but
-        // their future membership.
-        let mut subs: Vec<Option<Vec<u64>>> = vec![None; m];
-        let mut have = 0usize;
-        let want = contributors.iter().filter(|&&p| alive[p as usize]).count();
-        let deadline = Instant::now() + timing.round_deadline;
-        while have < want {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                break;
-            }
-            let env = match courier.recv(remaining) {
-                Ok(env) => env,
-                Err(TransportError::Timeout) => break,
-                Err(e) => return Err(e.into()),
-            };
-            if matches!(
-                env.msg,
-                Message::Heartbeat { .. } | Message::TimeReply { .. }
-            ) {
-                continue;
-            }
-            if matches!(env.msg, Message::Telemetry { .. }) {
-                observe::fold_telemetry(courier.party(), &env.msg);
-                continue;
-            }
-            if let Message::Join { party, nonce } = env.msg {
-                if (party as usize) < m {
-                    pending_joins.insert(party, nonce);
-                }
-                continue;
-            }
-            if matches!(env.msg, Message::ShamirDist { iteration: it, .. } if it <= iteration) {
-                continue;
-            }
-            let frame_len = Frame::encoded_len_of(&env.msg);
-            let Message::Shares {
-                iteration: it,
-                values,
-            } = env.msg
-            else {
-                return Err(protocol(format!(
-                    "coordinator expected a summed share, got {:?} from party {}",
-                    env.msg, env.from
-                )));
-            };
-            if it < iteration {
-                continue;
-            }
-            if it > iteration {
-                return Err(protocol(format!(
-                    "summed share from the future: round {it} while collecting round {iteration}"
-                )));
-            }
-            let party = env.from;
-            if !contributors.contains(&party) {
-                continue;
-            }
-            if values.len() != share_len {
-                return Err(protocol(format!(
-                    "summed share length mismatch: expected {share_len}, got {}",
-                    values.len()
-                )));
-            }
-            let slot = &mut subs[party as usize];
-            if let Some(existing) = slot {
-                if *existing == values {
-                    continue;
-                }
-                return Err(protocol(format!(
-                    "conflicting duplicate summed share from party {party}"
-                )));
-            }
-            *slot = Some(values);
-            metrics.bytes_shuffled += frame_len;
-            have += 1;
-            observe::observe_share_lag(party, iteration, round_start.elapsed().as_nanos() as u64);
-        }
-        let got = subs.iter().filter(|s| s.is_some()).count();
-        if got < want {
-            let lost: Vec<PartyId> = contributors
+            let len = self.share_len;
+            let frames = contributors
                 .iter()
-                .copied()
-                .filter(|&p| alive[p as usize] && subs[p as usize].is_none())
+                .map(|&p| {
+                    let mut flat = Vec::with_capacity((contributors.len() - 1) * len);
+                    for &q in contributors.iter().filter(|&&q| q != p) {
+                        let dist = self.dists[q as usize].as_ref().expect("contributor");
+                        let base = block_index(q as usize, p as usize) * len;
+                        flat.extend_from_slice(&dist[base..base + len]);
+                    }
+                    let msg = Message::ShamirCollect {
+                        iteration: self.round,
+                        contributors: contributors.clone(),
+                        flat,
+                    };
+                    (p, msg)
+                })
                 .collect();
-            telemetry::emit(
-                courier.party(),
-                EventKind::DeadlineMiss {
-                    iteration,
-                    epoch: 0,
-                    missing: lost.len() as u32,
-                },
-            );
-            declare_dropped(courier, &mut alive, &mut dropped, &lost, iteration);
+            self.contributors = Some(contributors);
+            return Ok(Step::Send(frames));
+        };
+        // A contributor lost mid-collect costs nothing but its future
+        // membership: its input is already inside the round's shares.
+        let lost: Vec<PartyId> = missing(&self.subs, alive)
+            .filter(|p| contributors.binary_search(p).is_ok())
+            .collect();
+        if !lost.is_empty() {
+            return Ok(Step::Lost(lost));
         }
-        if got < threshold {
-            return Err(TrainError::Dropped {
-                parties: dropped.clone(),
-            });
-        }
-
         // Reconstruct from the `threshold` lowest-indexed submissions —
         // any `t` shares give the same exact field element, so the
-        // choice cannot change the result; fixing it keeps the loop
-        // deterministic to read.
-        let chosen: Vec<usize> = (0..m)
-            .filter(|&p| subs[p].is_some())
-            .take(threshold)
-            .collect();
-        let mut sums = vec![0.0; share_len];
-        for (i, sum) in sums.iter_mut().enumerate() {
+        // choice cannot change the result.
+        let mut chosen = filled(&self.subs);
+        if chosen.len() < self.scheme.threshold() {
+            return Ok(Step::Abort);
+        }
+        chosen.truncate(self.scheme.threshold());
+        let mut values = vec![0.0; self.share_len];
+        for (i, sum) in values.iter_mut().enumerate() {
             let column: Vec<shamir::Share> = chosen
                 .iter()
                 .map(|&p| shamir::Share {
-                    x: p as u64 + 1,
-                    y: subs[p].as_ref().expect("chosen submissions exist")[i],
+                    x: u64::from(p) + 1,
+                    y: self.subs[p as usize].as_ref().expect("chosen")[i],
                 })
                 .collect();
-            *sum = scheme.decode(shamir::reconstruct(&column)?);
+            *sum = self.scheme.decode(shamir::reconstruct(&column)?);
         }
-        let divisor = contributors.len() as f64;
-        telemetry::emit(
-            courier.party(),
-            EventKind::RoundClose {
-                iteration,
-                epoch: 0,
-                shares: contributors.len() as u32,
-                elapsed_ns: round_start.elapsed().as_nanos() as u64,
-            },
-        );
-        observe::score_round(courier.party(), iteration);
-        telemetry::emit(
-            courier.party(),
-            EventKind::SecAggRound {
-                backend: "shamir",
-                iteration,
-                bytes: (metrics.bytes_broadcast + metrics.bytes_shuffled - round_bytes_before)
-                    as u64,
-                elapsed_ns: round_start.elapsed().as_nanos() as u64,
-            },
-        );
-        let z_new: Vec<f64> = sums[..features].iter().map(|&v| v / divisor).collect();
-        let s_new = sums[features] / divisor;
-        let delta = ppml_linalg::vecops::dist_sq(&z_new, &z);
-        z = z_new;
-        s = s_new;
-        history.z_delta.push(delta);
-        if let Some(ds) = eval {
-            history
-                .accuracy
-                .push(LinearSvm::from_parts(z.clone(), s).accuracy(ds));
-        }
-        if let Some(tol) = cfg.tol {
-            if delta < tol {
-                break;
-            }
-        }
-    }
-    metrics.iterations = history.z_delta.len();
-
-    let done = Message::Consensus {
-        iteration: history.z_delta.len() as u64,
-        z: z.clone(),
-        s: vec![s],
-        done: true,
-    };
-    let mut lost: Vec<PartyId> = Vec::new();
-    for p in (0..m).filter(|&p| alive[p]) {
-        match courier.send_reliable(p as PartyId, &done) {
-            Ok(n) => metrics.bytes_broadcast += n,
-            Err(e) if peer_is_lost(&e) => lost.push(p as PartyId),
-            Err(e) => return Err(e.into()),
-        }
-    }
-    declare_dropped(
-        courier,
-        &mut alive,
-        &mut dropped,
-        &lost,
-        history.z_delta.len() as u64,
-    );
-    Ok(DistributedOutcome {
-        model: LinearSvm::from_parts(z, s),
-        history,
-        metrics,
-        dropped,
-    })
-}
-
-/// How long a learner blocks on one receive before heartbeating, same
-/// as the pairwise loop.
-const LEARNER_POLL: std::time::Duration = std::time::Duration::from_millis(500);
-
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-fn shamir_learn<T: Transport>(
-    courier: &mut Courier<T>,
-    learners: usize,
-    data: &Dataset,
-    cfg: &AdmmConfig,
-    timing: DistributedTiming,
-    threshold: usize,
-    defect_after: Option<u64>,
-    rejoin: bool,
-) -> Result<LinearSvm> {
-    cfg.validate()?;
-    timing.validate()?;
-    let party = courier.party();
-    let me = party as usize;
-    let m = learners;
-    if me >= m {
-        return Err(TrainError::BadConfig {
-            reason: format!("learner party {party} out of range 0..{m}"),
-        });
-    }
-    if threshold < 1 || threshold > m {
-        return Err(TrainError::BadConfig {
-            reason: format!("shamir threshold {threshold} out of range 1..={m}"),
-        });
-    }
-    let coordinator = m as PartyId;
-    let mut learner = HlLearner::new(data, m, cfg)?;
-    let scheme = ThresholdSharing::new(threshold, cfg.seed);
-    let mut expected_iter: u64 = 0;
-    let mut dual_ready = false;
-    let mut deadline = Instant::now() + timing.learner_patience;
-    let mut run_id_seen = false;
-    let mut relay = TelemetryRelay::new();
-
-    if rejoin {
-        expected_iter = join_handshake(courier, party, coordinator, timing)?;
-        deadline = Instant::now() + timing.learner_patience;
-    }
-
-    loop {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return Err(TrainError::Transport(TransportError::Timeout));
-        }
-        let env = match courier.recv(remaining.min(LEARNER_POLL)) {
-            Ok(env) => env,
-            Err(TransportError::Timeout) => {
-                let _ = courier.send_unreliable(
-                    coordinator,
-                    &Message::Heartbeat {
-                        nonce: u64::from(party),
-                    },
-                );
-                continue;
-            }
-            Err(e) => return Err(e.into()),
-        };
-        match env.msg {
-            Message::Heartbeat { .. } => continue,
-            Message::TimeProbe { nonce, run_id } => {
-                if telemetry::enabled() && !run_id_seen {
-                    run_id_seen = true;
-                    telemetry::emit(party, EventKind::RunInfo { run_id });
-                }
-                relay.set_run_id(run_id);
-                let _ = courier.send_unreliable(
-                    coordinator,
-                    &Message::TimeReply {
-                        nonce,
-                        t_ns: telemetry::now_ns(),
-                    },
-                );
-                continue;
-            }
-            Message::Consensus {
-                iteration,
-                z,
-                s,
-                done,
-            } => {
-                let s_val = s.first().copied().unwrap_or(0.0);
-                if done {
-                    return Ok(LinearSvm::from_parts(z, s_val));
-                }
-                if iteration < expected_iter {
-                    continue;
-                }
-                if iteration > expected_iter {
-                    return Err(protocol(format!(
-                        "consensus skipped ahead to round {iteration} while expecting \
-                         {expected_iter}"
-                    )));
-                }
-                telemetry::emit(
-                    party,
-                    EventKind::RoundOpen {
-                        iteration,
-                        epoch: 0,
-                    },
-                );
-                let round_start = Instant::now();
-                observe::injected_lag_sleep();
-                if dual_ready {
-                    learner.dual_update(&z, s_val);
-                }
-                learner.local_step(&z, s_val, &cfg.qp)?;
-                dual_ready = true;
-                let raw = learner.share();
-                let share_len = raw.len();
-
-                // Split every coordinate t-of-m over the *original*
-                // roster (dead parties' shares are simply never
-                // delivered), keep our own block, blind each peer block
-                // with the ordered-pair pad and ship everything in one
-                // frame.
-                let mut rng = split_rng(cfg.seed, me, iteration);
-                let mut dest = vec![vec![0u64; share_len]; m];
-                for (i, &v) in raw.iter().enumerate() {
-                    let shares = shamir::split(scheme.encode(v)?, threshold, m, &mut rng)?;
-                    for (j, sh) in shares.into_iter().enumerate() {
-                        dest[j][i] = sh.y;
-                    }
-                }
-                let held_self = std::mem::take(&mut dest[me]);
-                let mut flat = Vec::with_capacity((m - 1) * share_len);
-                for (j, block) in dest.into_iter().enumerate() {
-                    if j == me {
-                        continue;
-                    }
-                    let mut pad = pad_rng(cfg.seed, me, j, iteration);
-                    flat.extend(
-                        block
-                            .into_iter()
-                            .map(|y| shamir::field_add(y, pad.below(MODULUS))),
-                    );
-                }
-                send_share_patiently(
-                    courier,
-                    coordinator,
-                    &Message::ShamirDist {
-                        iteration,
-                        party,
-                        flat,
-                    },
-                    timing.learner_patience,
-                )?;
-                expected_iter = iteration + 1;
-                deadline = Instant::now() + timing.learner_patience;
-                if defect_after.is_some_and(|d| iteration >= d) {
-                    // Scripted mid-collect death: the shares are out —
-                    // this round's input survives us — but the summed
-                    // share never will be. Keep draining so the link
-                    // stays warm until the coordinator drops us.
-                    continue;
-                }
-                let held = await_collect(
-                    courier,
-                    coordinator,
-                    party,
-                    m,
-                    cfg.seed,
-                    iteration,
-                    share_len,
-                    held_self,
-                    timing,
-                )?;
-                send_share_patiently(
-                    courier,
-                    coordinator,
-                    &Message::Shares {
-                        iteration,
-                        values: held,
-                    },
-                    timing.learner_patience,
-                )?;
-                let elapsed_ns = round_start.elapsed().as_nanos() as u64;
-                telemetry::emit(
-                    party,
-                    EventKind::RoundClose {
-                        iteration,
-                        epoch: 0,
-                        shares: 1,
-                        elapsed_ns,
-                    },
-                );
-                relay.report(courier, coordinator, iteration, 0, elapsed_ns);
-                deadline = Instant::now() + timing.learner_patience;
-            }
-            // A duplicate of our own rejoin Welcome: the coordinator is
-            // demonstrably alive, nothing else to apply.
-            Message::Welcome {
-                iteration,
-                survivors,
-                ..
-            } => {
-                if !survivors.contains(&party) {
-                    return Err(protocol(format!(
-                        "welcome for round {iteration} excludes this learner"
-                    )));
-                }
-                expected_iter = expected_iter.max(iteration);
-                deadline = Instant::now() + timing.learner_patience;
-            }
-            // Collect frames for rounds we already finished (or, while
-            // defecting, deliberately walked away from): drain them so
-            // the transport stays acked.
-            Message::ShamirCollect { iteration: it, .. } if it < expected_iter => continue,
-            other => {
-                return Err(protocol(format!(
-                    "shamir learner expected consensus or collect, got {other:?} from party {}",
-                    env.from
-                )))
-            }
-        }
+        Ok(Step::Sum {
+            values,
+            divisor: contributors.len(),
+        })
     }
 }
 
-/// Waits for this round's [`Message::ShamirCollect`], unblinds each
-/// contributor block with the sender-pair pad and field-sums everything
-/// (self block included) into this party's share of the round total.
-#[allow(clippy::too_many_arguments)]
-fn await_collect<T: Transport>(
-    courier: &mut Courier<T>,
-    coordinator: PartyId,
-    party: PartyId,
-    m: usize,
+struct ShamirLearner {
     seed: u64,
-    iteration: u64,
-    share_len: usize,
-    held_self: Vec<u64>,
-    timing: DistributedTiming,
-) -> Result<Vec<u64>> {
-    let me = party as usize;
-    let deadline = Instant::now() + timing.learner_patience;
-    loop {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return Err(TrainError::Transport(TransportError::Timeout));
-        }
-        let env = match courier.recv(remaining.min(LEARNER_POLL)) {
-            Ok(env) => env,
-            Err(TransportError::Timeout) => {
-                let _ = courier.send_unreliable(
-                    coordinator,
-                    &Message::Heartbeat {
-                        nonce: u64::from(party),
-                    },
-                );
-                continue;
-            }
-            Err(e) => return Err(e.into()),
-        };
-        match env.msg {
-            Message::Heartbeat { .. } => continue,
-            Message::TimeProbe { nonce, .. } => {
-                let _ = courier.send_unreliable(
-                    coordinator,
-                    &Message::TimeReply {
-                        nonce,
-                        t_ns: telemetry::now_ns(),
-                    },
-                );
-                continue;
-            }
-            Message::ShamirCollect {
-                iteration: it,
-                contributors,
-                flat,
-            } => {
-                if it < iteration {
-                    continue;
-                }
-                if it > iteration {
-                    return Err(protocol(format!(
-                        "collect skipped ahead to round {it} while expecting {iteration}"
-                    )));
-                }
-                if !contributors.windows(2).all(|w| w[0] < w[1]) {
-                    return Err(protocol("collect contributor set is not ascending"));
-                }
-                if contributors.iter().any(|&q| (q as usize) >= m) {
-                    return Err(protocol("collect names a party outside the roster"));
-                }
-                if !contributors.contains(&party) {
-                    return Err(protocol(format!(
-                        "collect for round {it} excludes this learner"
-                    )));
-                }
-                if flat.len() != (contributors.len() - 1) * share_len {
-                    return Err(protocol(format!(
-                        "collect length mismatch: expected {}, got {}",
-                        (contributors.len() - 1) * share_len,
-                        flat.len()
-                    )));
-                }
-                let mut held = held_self;
-                for (slot, &q) in contributors.iter().filter(|&&q| q != party).enumerate() {
-                    let block = &flat[slot * share_len..(slot + 1) * share_len];
-                    let mut pad = pad_rng(seed, q as usize, me, iteration);
-                    for (h, &v) in held.iter_mut().zip(block) {
-                        *h = shamir::field_add(*h, shamir::field_sub(v, pad.below(MODULUS)));
-                    }
-                }
-                return Ok(held);
-            }
-            other => {
-                return Err(protocol(format!(
-                    "shamir learner expected a collect, got {other:?} from party {}",
-                    env.from
-                )))
-            }
-        }
-    }
+    me: usize,
+    m: usize,
+    scheme: ThresholdSharing,
+    /// The round last contributed to and this party's own share block
+    /// of it — what a `ShamirCollect` for that round is summed onto.
+    held: Option<(u64, Vec<u64>)>,
 }
 
-/// Probe-with-[`Message::Join`] handshake for a rejoining learner under
-/// a stateless backend: loops until the coordinator's
-/// [`Message::Welcome`] names us a survivor, then returns the next
-/// round it will broadcast. Mirrors the pairwise handshake minus all
-/// epoch bookkeeping — there is none to restore.
-fn join_handshake<T: Transport>(
-    courier: &mut Courier<T>,
-    party: PartyId,
-    coordinator: PartyId,
-    timing: DistributedTiming,
-) -> Result<u64> {
-    let deadline = Instant::now() + timing.learner_patience;
-    let nonce = telemetry::now_ns() | 1;
-    loop {
-        if Instant::now() >= deadline {
-            return Err(TrainError::Transport(TransportError::Timeout));
+impl LearnerHalf for ShamirLearner {
+    fn awaits_collect(&self) -> bool {
+        true
+    }
+
+    /// Splits every coordinate t-of-m over the *original* roster (dead
+    /// parties' shares are simply never delivered), keeps this party's
+    /// own block, blinds each peer block with the ordered-pair pad and
+    /// ships everything in one frame.
+    fn contribute(
+        &mut self,
+        round: u64,
+        _epoch: u64,
+        _roster: &[usize],
+        raw: &[f64],
+    ) -> Result<Vec<Message>> {
+        let (me, m) = (self.me, self.m);
+        let mut rng = split_rng(self.seed, me, round);
+        let mut dest = vec![vec![0u64; raw.len()]; m];
+        for (i, &v) in raw.iter().enumerate() {
+            let shares =
+                shamir::split(self.scheme.encode(v)?, self.scheme.threshold(), m, &mut rng)?;
+            for (j, sh) in shares.into_iter().enumerate() {
+                dest[j][i] = sh.y;
+            }
         }
-        let _ = courier.send_unreliable(coordinator, &Message::Join { party, nonce });
-        match courier.recv(LEARNER_POLL) {
-            Ok(env) => match env.msg {
-                Message::Welcome {
-                    iteration,
-                    survivors,
-                    ..
-                } if survivors.contains(&party) => {
-                    telemetry::emit(party, EventKind::Rejoin { party, iteration });
-                    return Ok(iteration);
-                }
-                // Frames predating re-admission: rounds we are not part
-                // of yet. Drain (and thereby ack) them.
-                _ => continue,
-            },
-            Err(TransportError::Timeout) => continue,
-            Err(e) => return Err(e.into()),
+        let mut flat = Vec::with_capacity((m - 1) * raw.len());
+        for (j, block) in dest.iter().enumerate().filter(|&(j, _)| j != me) {
+            let mut pad = pad_rng(self.seed, me, j, round);
+            flat.extend(
+                block
+                    .iter()
+                    .map(|&y| shamir::field_add(y, pad.below(MODULUS))),
+            );
         }
+        self.held = Some((round, dest.swap_remove(me)));
+        Ok(vec![Message::ShamirDist {
+            iteration: round,
+            party: me as PartyId,
+            flat,
+        }])
+    }
+
+    /// Unblinds each contributor block of this round's relay with the
+    /// sender-pair pad and field-sums everything (own block included)
+    /// into this party's share of the round total.
+    fn on_frame(&mut self, msg: Message) -> Result<Vec<Message>> {
+        let Message::ShamirCollect {
+            iteration,
+            contributors,
+            flat,
+        } = msg
+        else {
+            return Err(protocol(format!(
+                "shamir learner expected consensus or collect, got {msg:?}"
+            )));
+        };
+        // Relays for rounds already finished, or from before this
+        // incarnation contributed anything: drained.
+        let Some((round, own)) = &self.held else {
+            return Ok(Vec::new());
+        };
+        if !is_current("collect", iteration, *round)? {
+            return Ok(Vec::new());
+        }
+        let me = self.me as PartyId;
+        if !contributors.windows(2).all(|w| w[0] < w[1]) {
+            return Err(protocol("collect contributor set is not ascending"));
+        }
+        if contributors.iter().any(|&q| (q as usize) >= self.m) {
+            return Err(protocol("collect names a party outside the roster"));
+        }
+        if !contributors.contains(&me) {
+            return Err(protocol(format!(
+                "collect for round {iteration} excludes this learner"
+            )));
+        }
+        check_len("collect", flat.len(), (contributors.len() - 1) * own.len())?;
+        let mut values = own.clone();
+        let peers = contributors.iter().filter(|&&q| q != me);
+        for (block, &q) in flat.chunks(own.len()).zip(peers) {
+            let mut pad = pad_rng(self.seed, q as usize, self.me, iteration);
+            for (h, &v) in values.iter_mut().zip(block) {
+                *h = shamir::field_add(*h, shamir::field_sub(v, pad.below(MODULUS)));
+            }
+        }
+        Ok(vec![Message::Shares { iteration, values }])
     }
 }
 
@@ -1531,568 +1028,193 @@ fn push_fixed_width(out: &mut Vec<u8>, v: &ppml_crypto::BigUint, width: usize) {
     out.extend_from_slice(&be);
 }
 
-#[allow(clippy::too_many_lines)]
-fn paillier_coordinate<T: Transport>(
-    courier: &mut Courier<T>,
-    learners: usize,
-    features: usize,
-    cfg: &AdmmConfig,
-    eval: Option<&Dataset>,
-    timing: DistributedTiming,
-) -> Result<DistributedOutcome> {
-    validate_coordinator(courier, learners, cfg, timing)?;
-    let m = learners;
-    let share_len = features + 1;
-    // Derive the run keypair only to clone its public half: from here
-    // on the coordinator *cannot* decrypt, by construction — folding
-    // needs nothing but `pk`.
-    let pk: PaillierPublicKey = Paillier::keygen(PAILLIER_BITS, &mut keygen_rng(cfg.seed))?
-        .public_key()
-        .clone();
-    let width = pk.ciphertext_width();
-    let authority: PartyId = 0;
-    let mut z = vec![0.0; features];
-    let mut s = 0.0;
-    let mut history = ConvergenceHistory::default();
-    let mut metrics = JobMetrics::default();
-    let mut alive = vec![true; m];
-    let mut dropped: Vec<PartyId> = Vec::new();
-    let mut pending_joins: BTreeMap<PartyId, u64> = BTreeMap::new();
-
-    if telemetry::enabled() {
-        let run_id = telemetry::fresh_run_id();
-        telemetry::emit(courier.party(), EventKind::RunInfo { run_id });
-        clock_sync(courier, &alive, run_id);
-    }
-
-    for iteration in 0..cfg.max_iter as u64 {
-        if !pending_joins.is_empty() {
-            admit_stateless(
-                courier,
-                &mut alive,
-                &mut dropped,
-                std::mem::take(&mut pending_joins),
-                iteration,
-                &z,
-                s,
-                &mut metrics,
-            )?;
-        }
-        let round_start = Instant::now();
-        let round_bytes_before = metrics.bytes_broadcast + metrics.bytes_shuffled;
-        telemetry::emit(
-            courier.party(),
-            EventKind::RoundOpen {
-                iteration,
-                epoch: 0,
-            },
-        );
-        let broadcast = Message::Consensus {
-            iteration,
-            z: z.clone(),
-            s: vec![s],
-            done: false,
-        };
-        let mut lost: Vec<PartyId> = Vec::new();
-        for p in (0..m).filter(|&p| alive[p]) {
-            match courier.send_reliable(p as PartyId, &broadcast) {
-                Ok(n) => metrics.bytes_broadcast += n,
-                Err(e) if peer_is_lost(&e) => lost.push(p as PartyId),
-                Err(e) => return Err(e.into()),
-            }
-        }
-        declare_dropped(courier, &mut alive, &mut dropped, &lost, iteration);
-
-        // Phase 1: one CipherShare per survivor, single deadline. A
-        // learner that misses it is dropped for future rounds — no
-        // re-key, the remaining ciphertexts still fold.
-        let mut cts: Vec<Option<Vec<u8>>> = vec![None; m];
-        let active = alive.iter().filter(|&&a| a).count();
-        let mut have = 0usize;
-        let deadline = Instant::now() + timing.round_deadline;
-        while have < active {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                break;
-            }
-            let env = match courier.recv(remaining) {
-                Ok(env) => env,
-                Err(TransportError::Timeout) => break,
-                Err(e) => return Err(e.into()),
-            };
-            if matches!(
-                env.msg,
-                Message::Heartbeat { .. } | Message::TimeReply { .. }
-            ) {
-                continue;
-            }
-            if let Message::Join { party, nonce } = env.msg {
-                if (party as usize) < m {
-                    pending_joins.insert(party, nonce);
-                }
-                continue;
-            }
-            // In-band telemetry deltas ride the round like the clock
-            // probes do: fold and move on, never charging them to the
-            // protocol's byte accounting.
-            if matches!(env.msg, Message::Telemetry { .. }) {
-                observe::fold_telemetry(courier.party(), &env.msg);
-                continue;
-            }
-            // A straggling decryption of an earlier round's aggregate.
-            if matches!(env.msg, Message::CipherSum { iteration: it, .. } if it < iteration) {
-                continue;
-            }
-            let frame_len = Frame::encoded_len_of(&env.msg);
-            let Message::CipherShare {
-                iteration: it,
-                party,
-                bytes,
-            } = env.msg
-            else {
-                return Err(protocol(format!(
-                    "coordinator expected a ciphertext share, got {:?} from party {}",
-                    env.msg, env.from
-                )));
-            };
-            if it < iteration {
-                continue;
-            }
-            if it > iteration {
-                return Err(protocol(format!(
-                    "ciphertext share from the future: round {it} while collecting \
-                     round {iteration}"
-                )));
-            }
-            if !alive.get(party as usize).copied().unwrap_or(false) {
-                continue;
-            }
-            if bytes.len() != share_len * width {
-                return Err(protocol(format!(
-                    "ciphertext share length mismatch: expected {}, got {}",
-                    share_len * width,
-                    bytes.len()
-                )));
-            }
-            let slot = &mut cts[party as usize];
-            if let Some(existing) = slot {
-                if *existing == bytes {
-                    continue;
-                }
-                return Err(protocol(format!(
-                    "conflicting duplicate ciphertext share from party {party}"
-                )));
-            }
-            *slot = Some(bytes);
-            observe::observe_share_lag(party, iteration, round_start.elapsed().as_nanos() as u64);
-            metrics.bytes_shuffled += frame_len;
-            have += 1;
-        }
-        if have < active {
-            let lost: Vec<PartyId> = (0..m)
-                .filter(|&p| alive[p] && cts[p].is_none())
-                .map(|p| p as PartyId)
-                .collect();
-            telemetry::emit(
-                courier.party(),
-                EventKind::DeadlineMiss {
-                    iteration,
-                    epoch: 0,
-                    missing: lost.len() as u32,
-                },
-            );
-            declare_dropped(courier, &mut alive, &mut dropped, &lost, iteration);
-        }
-        let contributors: Vec<PartyId> = (0..m)
-            .filter(|&p| cts[p].is_some())
-            .map(|p| p as PartyId)
-            .collect();
-        if contributors.is_empty() {
-            return Err(TrainError::Dropped {
-                parties: dropped.clone(),
-            });
-        }
-
-        // Fold the round: coordinate-wise homomorphic addition with the
-        // public key only.
-        let mut agg = Vec::with_capacity(share_len * width);
-        for i in 0..share_len {
-            let mut acc = pk.neutral();
-            for &p in &contributors {
-                let bytes = cts[p as usize].as_ref().expect("contributor ciphertext");
-                let c = pk.ciphertext_from_bytes(&bytes[i * width..(i + 1) * width])?;
-                acc = pk.add(&acc, &c);
-            }
-            push_fixed_width(&mut agg, acc.as_biguint(), width);
-        }
-
-        // Phase 2: authority round-trip. The aggregate (and only the
-        // aggregate) is decryptable, and only by learner 0. Note the
-        // authority answers even when it stopped *contributing*; losing
-        // it outright ends the run — nobody else holds the private key.
-        let request = Message::CipherAgg {
-            iteration,
-            contributors: contributors.len() as u32,
-            bytes: agg,
-        };
-        match courier.send_reliable(authority, &request) {
-            Ok(n) => metrics.bytes_broadcast += n,
-            Err(e) if peer_is_lost(&e) => {
-                declare_dropped(courier, &mut alive, &mut dropped, &[authority], iteration);
-                return Err(TrainError::Dropped {
-                    parties: dropped.clone(),
-                });
-            }
-            Err(e) => return Err(e.into()),
-        }
-        let sums: Vec<f64> = loop {
-            let deadline = Instant::now() + timing.round_deadline;
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                telemetry::emit(
-                    courier.party(),
-                    EventKind::DeadlineMiss {
-                        iteration,
-                        epoch: 0,
-                        missing: 1,
-                    },
-                );
-                declare_dropped(courier, &mut alive, &mut dropped, &[authority], iteration);
-                return Err(TrainError::Dropped {
-                    parties: dropped.clone(),
-                });
-            }
-            let env = match courier.recv(remaining) {
-                Ok(env) => env,
-                Err(TransportError::Timeout) => continue,
-                Err(e) => return Err(e.into()),
-            };
-            if matches!(
-                env.msg,
-                Message::Heartbeat { .. } | Message::TimeReply { .. }
-            ) {
-                continue;
-            }
-            if let Message::Join { party, nonce } = env.msg {
-                if (party as usize) < m {
-                    pending_joins.insert(party, nonce);
-                }
-                continue;
-            }
-            if matches!(env.msg, Message::Telemetry { .. }) {
-                observe::fold_telemetry(courier.party(), &env.msg);
-                continue;
-            }
-            if matches!(env.msg, Message::CipherShare { iteration: it, .. } if it <= iteration) {
-                continue;
-            }
-            let frame_len = Frame::encoded_len_of(&env.msg);
-            let Message::CipherSum {
-                iteration: it,
-                values,
-            } = env.msg
-            else {
-                return Err(protocol(format!(
-                    "coordinator expected the decrypted aggregate, got {:?} from party {}",
-                    env.msg, env.from
-                )));
-            };
-            if it < iteration {
-                continue;
-            }
-            if it > iteration {
-                return Err(protocol(format!(
-                    "decrypted aggregate from the future: round {it} while in round {iteration}"
-                )));
-            }
-            if env.from != authority {
-                return Err(protocol(format!(
-                    "decrypted aggregate from party {} instead of the authority",
-                    env.from
-                )));
-            }
-            if values.len() != share_len {
-                return Err(protocol(format!(
-                    "decrypted aggregate length mismatch: expected {share_len}, got {}",
-                    values.len()
-                )));
-            }
-            metrics.bytes_shuffled += frame_len;
-            break values;
-        };
-
-        let divisor = contributors.len() as f64;
-        telemetry::emit(
-            courier.party(),
-            EventKind::RoundClose {
-                iteration,
-                epoch: 0,
-                shares: contributors.len() as u32,
-                elapsed_ns: round_start.elapsed().as_nanos() as u64,
-            },
-        );
-        observe::score_round(courier.party(), iteration);
-        telemetry::emit(
-            courier.party(),
-            EventKind::SecAggRound {
-                backend: "paillier",
-                iteration,
-                bytes: (metrics.bytes_broadcast + metrics.bytes_shuffled - round_bytes_before)
-                    as u64,
-                elapsed_ns: round_start.elapsed().as_nanos() as u64,
-            },
-        );
-        let z_new: Vec<f64> = sums[..features].iter().map(|&v| v / divisor).collect();
-        let s_new = sums[features] / divisor;
-        let delta = ppml_linalg::vecops::dist_sq(&z_new, &z);
-        z = z_new;
-        s = s_new;
-        history.z_delta.push(delta);
-        if let Some(ds) = eval {
-            history
-                .accuracy
-                .push(LinearSvm::from_parts(z.clone(), s).accuracy(ds));
-        }
-        if let Some(tol) = cfg.tol {
-            if delta < tol {
-                break;
-            }
-        }
-    }
-    metrics.iterations = history.z_delta.len();
-
-    let done = Message::Consensus {
-        iteration: history.z_delta.len() as u64,
-        z: z.clone(),
-        s: vec![s],
-        done: true,
-    };
-    let mut lost: Vec<PartyId> = Vec::new();
-    for p in (0..m).filter(|&p| alive[p]) {
-        match courier.send_reliable(p as PartyId, &done) {
-            Ok(n) => metrics.bytes_broadcast += n,
-            Err(e) if peer_is_lost(&e) => lost.push(p as PartyId),
-            Err(e) => return Err(e.into()),
-        }
-    }
-    declare_dropped(
-        courier,
-        &mut alive,
-        &mut dropped,
-        &lost,
-        history.z_delta.len() as u64,
-    );
-    Ok(DistributedOutcome {
-        model: LinearSvm::from_parts(z, s),
-        history,
-        metrics,
-        dropped,
-    })
+struct PaillierCoordinator {
+    share_len: usize,
+    pk: PaillierPublicKey,
+    round: u64,
+    /// Phase 1: one packed ciphertext vector per live learner.
+    cts: Vec<Option<Vec<u8>>>,
+    /// Contributor count, fixed when the aggregate goes to the authority.
+    contributors: Option<usize>,
+    /// The authority had already stopped *contributing* when the
+    /// aggregate went out; it still answers, so it is still awaited.
+    authority_defected: bool,
+    /// Phase 2: the authority's decrypted totals.
+    sums: Option<Vec<f64>>,
 }
 
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-fn paillier_learn<T: Transport>(
-    courier: &mut Courier<T>,
-    learners: usize,
-    data: &Dataset,
-    cfg: &AdmmConfig,
-    timing: DistributedTiming,
-    defect_after: Option<u64>,
-    rejoin: bool,
-) -> Result<LinearSvm> {
-    cfg.validate()?;
-    timing.validate()?;
-    let party = courier.party();
-    let me = party as usize;
-    let m = learners;
-    if me >= m {
-        return Err(TrainError::BadConfig {
-            reason: format!("learner party {party} out of range 0..{m}"),
-        });
-    }
-    let coordinator = m as PartyId;
-    // Every learner derives the full keypair from the run seed; only
-    // party 0 ever *uses* the private half (the CipherAgg arm below).
-    let keypair = Paillier::keygen(PAILLIER_BITS, &mut keygen_rng(cfg.seed))?;
-    let codec = FixedPointCodec::default();
-    let width = keypair.public_key().ciphertext_width();
-    let mut learner = HlLearner::new(data, m, cfg)?;
-    let mut expected_iter: u64 = 0;
-    let mut dual_ready = false;
-    let mut deadline = Instant::now() + timing.learner_patience;
-    let mut run_id_seen = false;
-    let mut relay = TelemetryRelay::new();
-
-    if rejoin {
-        expected_iter = join_handshake(courier, party, coordinator, timing)?;
-        deadline = Instant::now() + timing.learner_patience;
+impl CoordinatorHalf for PaillierCoordinator {
+    fn open(&mut self, round: u64, _epoch: u64) {
+        self.round = round;
+        self.cts.fill(None);
+        self.contributors = None;
+        self.sums = None;
     }
 
-    loop {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return Err(TrainError::Transport(TransportError::Timeout));
+    fn pending(&self, alive: &[bool]) -> usize {
+        match self.contributors {
+            None => missing(&self.cts, alive).count(),
+            Some(_) => usize::from(
+                self.sums.is_none() && (is_alive(alive, AUTHORITY) || self.authority_defected),
+            ),
         }
-        let env = match courier.recv(remaining.min(LEARNER_POLL)) {
-            Ok(env) => env,
-            Err(TransportError::Timeout) => {
-                let _ = courier.send_unreliable(
-                    coordinator,
-                    &Message::Heartbeat {
-                        nonce: u64::from(party),
-                    },
-                );
-                continue;
-            }
-            Err(e) => return Err(e.into()),
-        };
-        match env.msg {
-            Message::Heartbeat { .. } => continue,
-            Message::TimeProbe { nonce, run_id } => {
-                relay.set_run_id(run_id);
-                if telemetry::enabled() && !run_id_seen {
-                    run_id_seen = true;
-                    telemetry::emit(party, EventKind::RunInfo { run_id });
-                }
-                let _ = courier.send_unreliable(
-                    coordinator,
-                    &Message::TimeReply {
-                        nonce,
-                        t_ns: telemetry::now_ns(),
-                    },
-                );
-                continue;
-            }
-            // The authority arm: decrypt the folded aggregate — the
-            // round *sum*, never an individual share — and hand the
-            // plaintext totals back. Served even while defecting, so a
-            // scripted authority dropout cannot wedge the run.
-            Message::CipherAgg {
-                iteration: it,
-                contributors: _,
+    }
+
+    fn absorb(&mut self, from: PartyId, msg: Message, alive: &[bool]) -> Result<Absorbed> {
+        match msg {
+            Message::CipherShare {
+                iteration,
+                party,
                 bytes,
             } => {
-                if me != 0 {
-                    return Err(protocol(
-                        "ciphertext aggregate sent to a non-authority learner".to_string(),
-                    ));
+                if !is_current("ciphertext share", iteration, self.round)?
+                    || self.contributors.is_some()
+                    || !is_alive(alive, party)
+                {
+                    return Ok(Absorbed::Stale);
                 }
-                if bytes.is_empty() || bytes.len() % width != 0 {
+                let want = self.share_len * self.pk.ciphertext_width();
+                check_len("ciphertext share", bytes.len(), want)?;
+                let slot = &mut self.cts[party as usize];
+                fill(slot, bytes, "ciphertext share", party, Some(party))
+            }
+            Message::CipherSum { iteration, values } => {
+                if !is_current("decrypted aggregate", iteration, self.round)? {
+                    return Ok(Absorbed::Stale);
+                }
+                if from != AUTHORITY {
                     return Err(protocol(format!(
-                        "ciphertext aggregate length {} is not a multiple of the ciphertext \
-                         width {width}",
-                        bytes.len()
+                        "decrypted aggregate from party {from} instead of the authority"
                     )));
                 }
-                let mut values = Vec::with_capacity(bytes.len() / width);
-                for chunk in bytes.chunks(width) {
-                    let c = keypair.public_key().ciphertext_from_bytes(chunk)?;
-                    let sum = keypair.decrypt(&c);
-                    values.push(codec.decode_group(&sum, keypair.public_key().modulus())?);
+                // Fence: totals for an aggregate this incarnation has
+                // not sent answer a crashed predecessor's — stale.
+                if self.contributors.is_none() {
+                    return Ok(Absorbed::Stale);
                 }
-                send_share_patiently(
-                    courier,
-                    coordinator,
-                    &Message::CipherSum {
-                        iteration: it,
-                        values,
-                    },
-                    timing.learner_patience,
-                )?;
-                deadline = Instant::now() + timing.learner_patience;
+                check_len("decrypted aggregate", values.len(), self.share_len)?;
+                fill(&mut self.sums, values, "decrypted aggregate", from, None)
             }
-            Message::Consensus {
-                iteration,
-                z,
-                s,
-                done,
-            } => {
-                let s_val = s.first().copied().unwrap_or(0.0);
-                if done {
-                    return Ok(LinearSvm::from_parts(z, s_val));
-                }
-                if iteration < expected_iter {
-                    continue;
-                }
-                if iteration > expected_iter {
-                    return Err(protocol(format!(
-                        "consensus skipped ahead to round {iteration} while expecting \
-                         {expected_iter}"
-                    )));
-                }
-                if defect_after.is_some_and(|d| iteration >= d) {
-                    // Scripted dropout: stop contributing, keep
-                    // draining (the authority arm above still serves).
-                    expected_iter = iteration + 1;
-                    continue;
-                }
-                telemetry::emit(
-                    party,
-                    EventKind::RoundOpen {
-                        iteration,
-                        epoch: 0,
-                    },
-                );
-                let round_start = Instant::now();
-                observe::injected_lag_sleep();
-                if dual_ready {
-                    learner.dual_update(&z, s_val);
-                }
-                learner.local_step(&z, s_val, &cfg.qp)?;
-                dual_ready = true;
-                let raw = learner.share();
-                let mut rng = encrypt_rng(cfg.seed, me, iteration);
-                let mut bytes = Vec::with_capacity(raw.len() * width);
-                for &v in &raw {
-                    let plain = codec.encode_group(v, keypair.public_key().modulus())?;
-                    let c = keypair.encrypt(&plain, &mut rng)?;
-                    push_fixed_width(&mut bytes, c.as_biguint(), width);
-                }
-                send_share_patiently(
-                    courier,
-                    coordinator,
-                    &Message::CipherShare {
-                        iteration,
-                        party,
-                        bytes,
-                    },
-                    timing.learner_patience,
-                )?;
-                expected_iter = iteration + 1;
-                let elapsed_ns = round_start.elapsed().as_nanos() as u64;
-                telemetry::emit(
-                    party,
-                    EventKind::RoundClose {
-                        iteration,
-                        epoch: 0,
-                        shares: 1,
-                        elapsed_ns,
-                    },
-                );
-                relay.report(courier, coordinator, iteration, 0, elapsed_ns);
-                deadline = Instant::now() + timing.learner_patience;
-            }
-            Message::Welcome {
-                iteration,
-                survivors,
-                ..
-            } => {
-                if !survivors.contains(&party) {
-                    return Err(protocol(format!(
-                        "welcome for round {iteration} excludes this learner"
-                    )));
-                }
-                expected_iter = expected_iter.max(iteration);
-                deadline = Instant::now() + timing.learner_patience;
-            }
-            other => {
-                return Err(protocol(format!(
-                    "paillier learner expected consensus or an aggregate, got {other:?} from \
-                     party {}",
-                    env.from
-                )))
-            }
+            other => Err(unexpected(
+                "a ciphertext share or the decrypted aggregate",
+                &other,
+                from,
+            )),
         }
+    }
+
+    fn advance(&mut self, alive: &[bool]) -> Result<Step> {
+        let Some(contributors) = self.contributors else {
+            let lost: Vec<PartyId> = missing(&self.cts, alive).collect();
+            if !lost.is_empty() {
+                return Ok(Step::Lost(lost));
+            }
+            let contributors = filled(&self.cts);
+            if contributors.is_empty() {
+                return Ok(Step::Abort);
+            }
+            // Fold the round: coordinate-wise homomorphic addition with
+            // the public key only. The aggregate (and only the
+            // aggregate) is decryptable, and only by the authority —
+            // which answers even when it stopped *contributing*; losing
+            // it outright ends the run, nobody else holds the key.
+            let width = self.pk.ciphertext_width();
+            let mut agg = Vec::with_capacity(self.share_len * width);
+            for i in 0..self.share_len {
+                let mut acc = self.pk.neutral();
+                for &p in &contributors {
+                    let bytes = self.cts[p as usize].as_ref().expect("contributor");
+                    let c = self
+                        .pk
+                        .ciphertext_from_bytes(&bytes[i * width..(i + 1) * width])?;
+                    acc = self.pk.add(&acc, &c);
+                }
+                push_fixed_width(&mut agg, acc.as_biguint(), width);
+            }
+            self.contributors = Some(contributors.len());
+            self.authority_defected = !is_alive(alive, AUTHORITY);
+            let request = Message::CipherAgg {
+                iteration: self.round,
+                contributors: contributors.len() as u32,
+                bytes: agg,
+            };
+            return Ok(Step::Send(vec![(AUTHORITY, request)]));
+        };
+        Ok(match self.sums.take() {
+            Some(values) => Step::Sum {
+                values,
+                divisor: contributors,
+            },
+            None if is_alive(alive, AUTHORITY) => Step::Lost(vec![AUTHORITY]),
+            None => Step::Abort,
+        })
+    }
+}
+
+struct PaillierLearner {
+    seed: u64,
+    me: usize,
+    keypair: Paillier,
+    codec: FixedPointCodec,
+}
+
+impl LearnerHalf for PaillierLearner {
+    fn contribute(
+        &mut self,
+        round: u64,
+        _epoch: u64,
+        _roster: &[usize],
+        raw: &[f64],
+    ) -> Result<Vec<Message>> {
+        let pk = self.keypair.public_key();
+        let width = pk.ciphertext_width();
+        let mut rng = encrypt_rng(self.seed, self.me, round);
+        let mut bytes = Vec::with_capacity(raw.len() * width);
+        for &v in raw {
+            let plain = self.codec.encode_group(v, pk.modulus())?;
+            let c = self.keypair.encrypt(&plain, &mut rng)?;
+            push_fixed_width(&mut bytes, c.as_biguint(), width);
+        }
+        Ok(vec![Message::CipherShare {
+            iteration: round,
+            party: self.me as PartyId,
+            bytes,
+        }])
+    }
+
+    /// The authority arm: decrypt the folded aggregate — the round
+    /// *sum*, never an individual share — and hand the plaintext totals
+    /// back. A pure function of the frame, so it is served for any
+    /// round, even while this learner is defecting.
+    fn on_frame(&mut self, msg: Message) -> Result<Vec<Message>> {
+        let Message::CipherAgg {
+            iteration, bytes, ..
+        } = msg
+        else {
+            return Err(protocol(format!(
+                "paillier learner expected consensus or an aggregate, got {msg:?}"
+            )));
+        };
+        if self.me != AUTHORITY as usize {
+            return Err(protocol(
+                "ciphertext aggregate sent to a non-authority learner",
+            ));
+        }
+        let pk = self.keypair.public_key();
+        let width = pk.ciphertext_width();
+        if bytes.is_empty() || bytes.len() % width != 0 {
+            return Err(protocol(format!(
+                "ciphertext aggregate length {} is not a multiple of the ciphertext \
+                 width {width}",
+                bytes.len()
+            )));
+        }
+        let mut values = Vec::with_capacity(bytes.len() / width);
+        for chunk in bytes.chunks(width) {
+            let sum = self.keypair.decrypt(&pk.ciphertext_from_bytes(chunk)?);
+            values.push(self.codec.decode_group(&sum, pk.modulus())?);
+        }
+        Ok(vec![Message::CipherSum { iteration, values }])
     }
 }
 
@@ -2101,9 +1223,10 @@ mod tests {
     use super::*;
     use crate::distributed::feature_count;
     use ppml_data::{synth, Partition};
-    use ppml_transport::{LoopbackHub, NetFaultPlan, RetryPolicy};
+    use ppml_transport::{LinkFilter, LoopbackHub, NetFaultPlan, RetryPolicy};
+    use std::sync::mpsc;
     use std::thread;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     fn twitchy() -> DistributedTiming {
         DistributedTiming::default()
@@ -2114,20 +1237,33 @@ mod tests {
     struct SecAggRun {
         outcome: Result<DistributedOutcome>,
         finals: Vec<Result<LinearSvm>>,
+        /// Wall clock of the coordinator alone (the learners' patience
+        /// can outlast it).
+        coordinator_took: Duration,
     }
 
-    /// Full in-process run over a loopback hub: `defects` scripts
-    /// `(party, round)` dropouts at each backend's characteristic loss
-    /// point.
+    /// Full in-process run over a fault-free loopback hub: `defects`
+    /// scripts `(party, round)` dropouts at each backend's
+    /// characteristic loss point.
     fn run_secagg(
         parts: &[Dataset],
         cfg: &AdmmConfig,
         secagg: SecAggConfig,
         defects: &[(usize, u64)],
     ) -> SecAggRun {
+        run_secagg_with_faults(parts, cfg, secagg, defects, NetFaultPlan::none())
+    }
+
+    fn run_secagg_with_faults(
+        parts: &[Dataset],
+        cfg: &AdmmConfig,
+        secagg: SecAggConfig,
+        defects: &[(usize, u64)],
+        faults: NetFaultPlan,
+    ) -> SecAggRun {
         let m = parts.len();
         let features = feature_count(parts).expect("partitions");
-        let hub = LoopbackHub::with_faults(m + 1, NetFaultPlan::none());
+        let hub = LoopbackHub::with_faults(m + 1, faults);
         let timing = twitchy();
         let mut handles = Vec::new();
         for (p, part) in parts.iter().enumerate() {
@@ -2143,13 +1279,19 @@ mod tests {
             }));
         }
         let mut courier = Courier::new(hub.endpoint(m as PartyId), RetryPolicy::fast_local());
+        let started = Instant::now();
         let outcome =
             coordinate_linear_secagg(&mut courier, m, features, cfg, None, timing, secagg);
+        let coordinator_took = started.elapsed();
         let finals = handles
             .into_iter()
             .map(|h| h.join().expect("learner thread"))
             .collect();
-        SecAggRun { outcome, finals }
+        SecAggRun {
+            outcome,
+            finals,
+            coordinator_took,
+        }
     }
 
     fn assert_models_identical(a: &LinearSvm, b: &LinearSvm) {
@@ -2234,25 +1376,6 @@ mod tests {
             (0..8).map(|_| r.below(MODULUS)).collect()
         };
         assert_ne!(a, reversed, "pair order must matter");
-    }
-
-    #[test]
-    fn recovery_options_rejected_for_stateless_backends() {
-        let hub = LoopbackHub::with_faults(2, NetFaultPlan::none());
-        let mut courier = Courier::new(hub.endpoint(1), RetryPolicy::fast_local());
-        let cfg = AdmmConfig::default().with_max_iter(2).with_seed(1);
-        let err = coordinate_linear_secagg_with_recovery(
-            &mut courier,
-            1,
-            2,
-            &cfg,
-            None,
-            twitchy(),
-            SecAggConfig::shamir(),
-            RecoveryOptions::default().with_checkpoint("/tmp/never-written.ckpt"),
-        )
-        .expect_err("checkpointing under shamir must be rejected");
-        assert!(matches!(err, TrainError::BadConfig { .. }), "{err:?}");
     }
 
     #[test]
@@ -2359,5 +1482,344 @@ mod tests {
             Err(TrainError::Dropped { parties }) => assert_eq!(parties, vec![2]),
             other => panic!("expected a threshold abort, got {other:?}"),
         }
+    }
+
+    /// Regression (hang → typed error): the authority's `CipherSum`
+    /// never arrives. The wait for it shares the driver's one collect
+    /// deadline, so the coordinator must give up on the authority after
+    /// a single `round_deadline` — at the parent of this change the
+    /// Paillier loop re-armed its deadline on every turn and waited
+    /// forever. Run under a watchdog so a regression fails instead of
+    /// wedging the suite.
+    #[test]
+    fn paillier_lost_cipher_sum_drops_the_authority_in_bounded_time() {
+        let (tx, rx) = mpsc::channel();
+        thread::spawn(move || {
+            let ds = synth::blobs(64, 1);
+            let parts = Partition::horizontal(&ds, 2, 2).expect("partition");
+            let cfg = AdmmConfig::default().with_max_iter(3).with_seed(7);
+            let m = parts.len() as PartyId;
+            let sum_kind = Message::CipherSum {
+                iteration: 0,
+                values: Vec::new(),
+            }
+            .kind();
+            let faults = NetFaultPlan::none()
+                .drop_frames(LinkFilter::any().from(0).to(m).kind(sum_kind), u32::MAX);
+            let run = run_secagg_with_faults(&parts, &cfg, SecAggConfig::paillier(), &[], faults);
+            let _ = tx.send((run.outcome, run.coordinator_took));
+        });
+        let deadline = twitchy().round_deadline;
+        let (outcome, took) = rx
+            .recv_timeout(deadline * 20)
+            .expect("the coordinator wedged on a lost CipherSum");
+        match outcome {
+            Err(TrainError::Dropped { parties }) => assert!(parties.contains(&0), "{parties:?}"),
+            other => panic!("expected the authority to be dropped, got {other:?}"),
+        }
+        assert!(
+            took < deadline * 3,
+            "gave up only after {took:?} with a {deadline:?} round deadline"
+        );
+    }
+
+    enum Expect {
+        Accepted,
+        Stale,
+        Protocol,
+    }
+    use Expect::{Accepted, Protocol, Stale};
+
+    /// Feeds each hostile frame to `half` and checks the verdict.
+    fn feed(
+        half: &mut dyn CoordinatorHalf,
+        alive: &[bool],
+        cases: Vec<(&str, PartyId, Message, Expect)>,
+    ) {
+        for (label, from, msg, expect) in cases {
+            let got = half.absorb(from, msg, alive);
+            let ok = match expect {
+                Accepted => matches!(got, Ok(Absorbed::Accepted { .. })),
+                Stale => matches!(got, Ok(Absorbed::Stale)),
+                Protocol => matches!(got, Err(TrainError::Protocol { .. })),
+            };
+            assert!(ok, "{label}: got {got:?}");
+        }
+    }
+
+    /// Drives every backend's coordinator half directly — no transport,
+    /// no threads — with frames no honest run produces. Hostile input
+    /// must come back as [`TrainError::Protocol`] or [`Absorbed::Stale`],
+    /// never a panic and never an accepted share.
+    #[test]
+    fn coordinator_halves_judge_hostile_frames_without_panicking() {
+        let cfg = AdmmConfig::default().with_seed(7);
+        let (m, features, round) = (3usize, 2usize, 5u64);
+        // Party 2 was declared dropped; party 9 never existed.
+        let alive = [true, true, false];
+        let raw = [0.25, -1.5, 3.0];
+        let frame = |secagg: SecAggConfig, party: usize, round: u64, epoch: u64| {
+            let mut half = secagg.learner_half(party, m, &cfg).expect("learner half");
+            let mut frames = half
+                .contribute(round, epoch, &[0, 1], &raw)
+                .expect("contribute");
+            frames.pop().expect("one frame")
+        };
+
+        // Pairwise: one phase, fenced by (round, epoch).
+        let secagg = SecAggConfig::pairwise();
+        let mut half = secagg.coordinator_half(m, features, &cfg).expect("half");
+        half.open(round, 2);
+        let share =
+            |party: u32, iteration: u64, epoch: u64, payload: Vec<u64>| Message::MaskedShare {
+                iteration,
+                epoch,
+                party,
+                payload,
+            };
+        let good = frame(secagg, 0, round, 2);
+        feed(
+            &mut *half,
+            &alive,
+            vec![
+                ("first share", 0, good.clone(), Accepted),
+                ("byte-identical duplicate", 0, good, Stale),
+                (
+                    "conflicting duplicate",
+                    0,
+                    share(0, round, 2, vec![1, 2, 3]),
+                    Protocol,
+                ),
+                (
+                    "wrong payload length",
+                    1,
+                    share(1, round, 2, vec![1, 2]),
+                    Protocol,
+                ),
+                (
+                    "round from the future",
+                    1,
+                    share(1, round + 1, 2, vec![0; 3]),
+                    Protocol,
+                ),
+                (
+                    "epoch from the future",
+                    1,
+                    share(1, round, 3, vec![0; 3]),
+                    Protocol,
+                ),
+                (
+                    "earlier round",
+                    1,
+                    share(1, round - 1, 2, vec![0; 3]),
+                    Stale,
+                ),
+                ("earlier epoch", 1, share(1, round, 1, vec![0; 3]), Stale),
+                ("dropped party", 2, share(2, round, 2, vec![0; 3]), Stale),
+                ("unknown party", 9, share(9, round, 2, vec![0; 3]), Stale),
+                (
+                    "wrong kind",
+                    1,
+                    frame(SecAggConfig::shamir(), 1, round, 0),
+                    Protocol,
+                ),
+            ],
+        );
+        assert_eq!(half.pending(&alive), 1, "only party 1 still owes a share");
+
+        // Shamir: distributions, relay, then summed shares.
+        let secagg = SecAggConfig::shamir();
+        let mut half = secagg.coordinator_half(m, features, &cfg).expect("half");
+        half.open(round, 0);
+        let dist = |party: u32, iteration: u64, flat: Vec<u64>| Message::ShamirDist {
+            iteration,
+            party,
+            flat,
+        };
+        let sub = |iteration: u64, values: Vec<u64>| Message::Shares { iteration, values };
+        let good = frame(secagg, 0, round, 0);
+        feed(
+            &mut *half,
+            &alive,
+            vec![
+                ("first distribution", 0, good.clone(), Accepted),
+                ("byte-identical duplicate", 0, good, Stale),
+                (
+                    "conflicting duplicate",
+                    0,
+                    dist(0, round, vec![7; 6]),
+                    Protocol,
+                ),
+                ("bad block count", 1, dist(1, round, vec![7; 9]), Protocol),
+                (
+                    "round from the future",
+                    1,
+                    dist(1, round + 1, vec![7; 6]),
+                    Protocol,
+                ),
+                ("earlier round", 1, dist(1, round - 1, vec![7; 6]), Stale),
+                ("dropped party", 2, dist(2, round, vec![7; 6]), Stale),
+                ("unknown party", 9, dist(9, round, vec![7; 6]), Stale),
+                (
+                    "summed share before the relay",
+                    0,
+                    sub(round, vec![1; 3]),
+                    Stale,
+                ),
+                (
+                    "summed share from the future",
+                    0,
+                    sub(round + 1, vec![1; 3]),
+                    Protocol,
+                ),
+                (
+                    "wrong kind",
+                    1,
+                    frame(SecAggConfig::pairwise(), 1, round, 0),
+                    Protocol,
+                ),
+                (
+                    "second distribution",
+                    1,
+                    frame(secagg, 1, round, 0),
+                    Accepted,
+                ),
+            ],
+        );
+        match half.advance(&alive).expect("relay") {
+            Step::Send(frames) => assert_eq!(frames.len(), 2),
+            other => panic!("expected the relay, got {other:?}"),
+        }
+        feed(
+            &mut *half,
+            &alive,
+            vec![
+                (
+                    "distribution after the relay",
+                    1,
+                    dist(1, round, vec![7; 6]),
+                    Stale,
+                ),
+                ("non-contributor", 2, sub(round, vec![1; 3]), Stale),
+                (
+                    "wrong summed-share length",
+                    0,
+                    sub(round, vec![1; 2]),
+                    Protocol,
+                ),
+                ("first summed share", 0, sub(round, vec![1; 3]), Accepted),
+                ("byte-identical duplicate", 0, sub(round, vec![1; 3]), Stale),
+                ("conflicting duplicate", 0, sub(round, vec![2; 3]), Protocol),
+                ("earlier round", 1, sub(round - 1, vec![1; 3]), Stale),
+            ],
+        );
+        assert_eq!(half.pending(&alive), 1, "only party 1 still owes its sum");
+
+        // Paillier: ciphertexts, aggregate, then the authority's totals.
+        let secagg = SecAggConfig::paillier();
+        let mut half = secagg.coordinator_half(m, features, &cfg).expect("half");
+        half.open(round, 0);
+        let good = frame(secagg, 0, round, 0);
+        let Message::CipherShare { bytes, .. } = &good else {
+            panic!("paillier learners contribute ciphertexts, got {good:?}");
+        };
+        let width = bytes.len();
+        let ct = |party: u32, iteration: u64, bytes: Vec<u8>| Message::CipherShare {
+            iteration,
+            party,
+            bytes,
+        };
+        let total = |iteration: u64, values: Vec<f64>| Message::CipherSum { iteration, values };
+        feed(
+            &mut *half,
+            &alive,
+            vec![
+                ("first ciphertext", 0, good.clone(), Accepted),
+                ("byte-identical duplicate", 0, good.clone(), Stale),
+                (
+                    "conflicting duplicate",
+                    0,
+                    ct(0, round, vec![1; width]),
+                    Protocol,
+                ),
+                (
+                    "wrong ciphertext length",
+                    1,
+                    ct(1, round, vec![1; width - 1]),
+                    Protocol,
+                ),
+                (
+                    "round from the future",
+                    1,
+                    ct(1, round + 1, vec![1; width]),
+                    Protocol,
+                ),
+                ("earlier round", 1, ct(1, round - 1, vec![1; width]), Stale),
+                ("dropped party", 2, ct(2, round, vec![1; width]), Stale),
+                (
+                    "totals before the aggregate",
+                    0,
+                    total(round, vec![0.0; 3]),
+                    Stale,
+                ),
+                (
+                    "totals from a non-authority",
+                    1,
+                    total(round, vec![0.0; 3]),
+                    Protocol,
+                ),
+                (
+                    "wrong kind",
+                    1,
+                    frame(SecAggConfig::pairwise(), 1, round, 0),
+                    Protocol,
+                ),
+                ("second ciphertext", 1, frame(secagg, 1, round, 0), Accepted),
+            ],
+        );
+        match half.advance(&alive).expect("aggregate") {
+            Step::Send(frames) => assert_eq!(frames.len(), 1),
+            other => panic!("expected the aggregate, got {other:?}"),
+        }
+        feed(
+            &mut *half,
+            &alive,
+            vec![
+                ("ciphertext after the aggregate", 1, good, Stale),
+                (
+                    "totals from a non-authority",
+                    1,
+                    total(round, vec![0.0; 3]),
+                    Protocol,
+                ),
+                (
+                    "totals from the future",
+                    0,
+                    total(round + 1, vec![0.0; 3]),
+                    Protocol,
+                ),
+                (
+                    "wrong totals length",
+                    0,
+                    total(round, vec![0.0; 2]),
+                    Protocol,
+                ),
+                ("earlier round", 0, total(round - 1, vec![0.0; 3]), Stale),
+                ("the totals", 0, total(round, vec![1.0, 2.0, 3.0]), Accepted),
+                (
+                    "conflicting totals",
+                    0,
+                    total(round, vec![9.0; 3]),
+                    Protocol,
+                ),
+            ],
+        );
+        assert_eq!(
+            half.advance(&alive).expect("sum"),
+            Step::Sum {
+                values: vec![1.0, 2.0, 3.0],
+                divisor: 2
+            }
+        );
     }
 }

@@ -27,7 +27,7 @@
 //! max(2, ceil(2m/3))); `paillier` is additively homomorphic encryption
 //! with learner 0 as key authority — the expensive baseline, kept live
 //! for comparison. All three produce bit-identical models on the same
-//! membership schedule. Checkpoint/resume is pairwise-only.
+//! membership schedule, and `--checkpoint`/`--resume` work under each.
 //!
 //! `--transport` picks the socket backend: `event` (default) drives
 //! every connection from one readiness-loop thread and scales to ~100
@@ -74,12 +74,10 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ppml::cli::CliError;
+use ppml::cli::{secagg_config, CliError};
 use ppml::core::distributed::feature_count;
 use ppml::core::secagg::coordinate_linear_secagg_with_recovery;
-use ppml::core::{
-    AdmmConfig, Checkpoint, DistributedTiming, RecoveryOptions, SecAggConfig, SecAggKind,
-};
+use ppml::core::{AdmmConfig, Checkpoint, DistributedTiming, RecoveryOptions};
 use ppml::data::{synth, Dataset, Partition};
 use ppml::telemetry::{self, FanoutSink, JsonlSink, MetricsServer, MetricsSink, Sink, SummarySink};
 use ppml::transport::{Courier, EventTransport, PartyId, RetryPolicy, TcpTransport, Transport};
@@ -167,24 +165,6 @@ fn config(flags: &BTreeMap<String, String>) -> Result<AdmmConfig, String> {
         cfg = cfg.with_tol(tol.parse().map_err(|_| format!("--tol: bad value {tol}"))?);
     }
     Ok(cfg)
-}
-
-/// Secure-aggregation backend selection — must match the learners'.
-fn secagg_config(flags: &BTreeMap<String, String>) -> Result<SecAggConfig, String> {
-    let kind = match flags.get("secagg") {
-        Some(v) => v
-            .parse::<SecAggKind>()
-            .map_err(|e| format!("--secagg: {e}"))?,
-        None => SecAggKind::Pairwise,
-    };
-    let mut secagg = SecAggConfig::new(kind);
-    if let Some(t) = flags.get("secagg-threshold") {
-        secagg = secagg.with_threshold(
-            t.parse()
-                .map_err(|_| format!("--secagg-threshold: bad value {t}"))?,
-        );
-    }
-    Ok(secagg)
 }
 
 fn run(flags: BTreeMap<String, String>) -> Result<(), CliError> {

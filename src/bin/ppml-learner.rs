@@ -72,11 +72,11 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ppml::cli::CliError;
+use ppml::cli::{secagg_config, CliError};
 use ppml::core::secagg::{
     learn_linear_secagg, learn_linear_secagg_with_defect, rejoin_linear_secagg,
 };
-use ppml::core::{AdmmConfig, DistributedTiming, SecAggConfig, SecAggKind};
+use ppml::core::{AdmmConfig, DistributedTiming};
 use ppml::data::{synth, Dataset, Partition};
 use ppml::telemetry::{self, FanoutSink, JsonlSink, MetricsServer, MetricsSink, Sink, SummarySink};
 use ppml::transport::{
@@ -143,24 +143,6 @@ fn config(flags: &BTreeMap<String, String>) -> Result<AdmmConfig, String> {
         cfg = cfg.with_tol(tol.parse().map_err(|_| format!("--tol: bad value {tol}"))?);
     }
     Ok(cfg)
-}
-
-/// Secure-aggregation backend selection — must match the coordinator's.
-fn secagg_config(flags: &BTreeMap<String, String>) -> Result<SecAggConfig, String> {
-    let kind = match flags.get("secagg") {
-        Some(v) => v
-            .parse::<SecAggKind>()
-            .map_err(|e| format!("--secagg: {e}"))?,
-        None => SecAggKind::Pairwise,
-    };
-    let mut secagg = SecAggConfig::new(kind);
-    if let Some(t) = flags.get("secagg-threshold") {
-        secagg = secagg.with_threshold(
-            t.parse()
-                .map_err(|_| format!("--secagg-threshold: bad value {t}"))?,
-        );
-    }
-    Ok(secagg)
 }
 
 fn run(flags: BTreeMap<String, String>) -> Result<(), CliError> {

@@ -1,5 +1,6 @@
 //! Shared plumbing for the `ppml-*` binaries: typed exit codes with a
-//! one-line stderr reason.
+//! one-line stderr reason, and the `--secagg` flag pair both ends of a
+//! distributed run must parse identically.
 //!
 //! Scripts and CI drive these daemons and need to distinguish *why* a
 //! process died without parsing prose — a learner that exited because the
@@ -18,9 +19,10 @@
 //! Exactly one `binary-name: reason` line is printed to stderr on any
 //! nonzero exit (usage errors additionally print the usage block).
 
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use ppml_core::TrainError;
+use ppml_core::{SecAggConfig, SecAggKind, TrainError};
 
 /// Usage or configuration error.
 pub const EXIT_USAGE: u8 = 2;
@@ -86,6 +88,30 @@ impl From<TrainError> for CliError {
             msg: e.to_string(),
         }
     }
+}
+
+/// Secure-aggregation backend selection from `--secagg` and
+/// `--secagg-threshold` — shared by `ppml-coordinator` and
+/// `ppml-learner`, whose choices must match.
+///
+/// # Errors
+///
+/// A one-line usage message naming the offending flag.
+pub fn secagg_config(flags: &BTreeMap<String, String>) -> Result<SecAggConfig, String> {
+    let kind = match flags.get("secagg") {
+        Some(v) => v
+            .parse::<SecAggKind>()
+            .map_err(|e| format!("--secagg: {e}"))?,
+        None => SecAggKind::Pairwise,
+    };
+    let mut secagg = SecAggConfig::new(kind);
+    if let Some(t) = flags.get("secagg-threshold") {
+        secagg = secagg.with_threshold(
+            t.parse()
+                .map_err(|_| format!("--secagg-threshold: bad value {t}"))?,
+        );
+    }
+    Ok(secagg)
 }
 
 #[cfg(test)]

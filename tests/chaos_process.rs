@@ -60,9 +60,8 @@ fn args(list: &[&str]) -> Vec<String> {
 /// matrix against either socket backend; unset, the binaries' default
 /// (the event loop) applies. `PPML_SECAGG=pairwise|shamir|paillier`
 /// does the same for `--secagg`, except for drills that pin a specific
-/// backend themselves (checkpoint/resume is pairwise-only, and the
-/// SIGKILL drill below needs a pairwise reference next to a shamir
-/// run).
+/// backend themselves (the SIGKILL drill below needs a pairwise
+/// reference next to a shamir run).
 fn spawn(bin: &str, argv: &[String]) -> Child {
     let mut argv = argv.to_vec();
     if let Ok(backend) = std::env::var("PPML_TRANSPORT") {
@@ -163,9 +162,8 @@ fn coordinator_crash_and_resume_across_processes() {
     let telemetry_b = dir.join("coordinator-resumed.jsonl");
     // A dataset big enough that 120 rounds take whole seconds: the
     // checkpoint poll below must observe an early round long before the
-    // run can finish. The backend is pinned: checkpoint/resume is a
-    // pairwise-epoch feature, so a PPML_SECAGG override must not leak
-    // into this drill.
+    // run can finish. Recovery lives in the round driver, so a
+    // PPML_SECAGG override applies to this drill like to any other.
     let shared = [
         "--dataset",
         "blobs",
@@ -179,8 +177,6 @@ fn coordinator_crash_and_resume_across_processes() {
         "11",
         "--tol",
         "1e-12",
-        "--secagg",
-        "pairwise",
     ];
     let coord_flags = |extra: &[&str]| {
         let mut v = args(&["--learners", "3", "--round-timeout", "20"]);

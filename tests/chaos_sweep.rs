@@ -20,13 +20,12 @@ use std::thread;
 use std::time::Duration;
 
 use ppml::core::distributed::{
-    coordinate_linear, coordinate_linear_with_recovery, feature_count, learn_linear,
-    learn_linear_with_defect, rejoin_linear,
+    coordinate_linear, feature_count, learn_linear, learn_linear_with_defect, rejoin_linear,
 };
 use ppml::core::jobs::{train_linear_on_cluster, ClusterTuning};
 use ppml::core::secagg::{
-    coordinate_linear_secagg, learn_linear_secagg, learn_linear_secagg_with_defect,
-    rejoin_linear_secagg,
+    coordinate_linear_secagg, coordinate_linear_secagg_with_recovery, learn_linear_secagg,
+    learn_linear_secagg_with_defect, rejoin_linear_secagg,
 };
 use ppml::core::{
     AdmmConfig, Checkpoint, DistributedOutcome, DistributedTiming, RecoveryOptions, SecAggConfig,
@@ -252,7 +251,9 @@ fn learner_kill_schedule_drops_the_victim_and_survivors_match_the_absent_referen
         // where the never-spawned reference does.
         let hub = LoopbackHub::with_faults(M + 1, NetFaultPlan::none().kill_party_after(1, 0));
         let mut timings = [timing; M];
-        timings[1] = timing_ms(1_200, 800); // the corpse should notice quickly
+        // The corpse should notice quickly (patience may not undercut
+        // the deadline, or the learner refuses to start at all).
+        timings[1] = timing_ms(800, 800);
         let ((outcome, learners), events) =
             with_telemetry(|| run_star(&hub, &parts, &cfg, timing, &timings));
         let outcome = outcome.unwrap_or_else(|e| panic!("seed {seed}: {e}"));
@@ -282,6 +283,51 @@ fn learner_kill_schedule_drops_the_victim_and_survivors_match_the_absent_referen
             "seed {seed}: dropout not followed by a 2-survivor re-key"
         );
         models.push(outcome.model);
+
+        // Second kill point: learner 1 dies right behind its last share,
+        // before the final `done` broadcast. Too late to hurt the model
+        // — every round summed all three learners — but the loss must
+        // still take the one drop path, on every backend: recorded in
+        // `dropped` *and* announced as a Dropout, with no re-key (the
+        // run is over). With telemetry on, a learner round is its
+        // protocol frames plus one Telemetry delta; the kill lands on
+        // the last protocol frame of the last round.
+        let full = cluster_reference(&parts, &cfg);
+        let rounds = cfg.max_iter as u32;
+        for (secagg, frames_per_round) in [
+            (SecAggConfig::pairwise(), 2),
+            (SecAggConfig::shamir(), 3),
+            (SecAggConfig::paillier(), 2),
+        ] {
+            let name = secagg.kind.as_str();
+            let last_share = frames_per_round * rounds - 1;
+            let hub = LoopbackHub::with_faults(
+                M + 1,
+                NetFaultPlan::none().kill_party_after(1, last_share),
+            );
+            let ((outcome, learners), events) = with_telemetry(|| {
+                run_star_secagg(&hub, &parts, &cfg, secagg, timing, &timings, &[])
+            });
+            let outcome = outcome.unwrap_or_else(|e| panic!("{name}/seed {seed}: {e}"));
+            assert_eq!(outcome.dropped, vec![1], "{name}/seed {seed}");
+            assert_eq!(outcome.model, full, "{name}/seed {seed}");
+            for (p, model) in learners.into_iter().enumerate() {
+                if p == 1 {
+                    assert!(model.is_err(), "{name}/seed {seed}: the victim saw `done`");
+                } else {
+                    assert_eq!(model.expect("survivor"), full, "{name}/seed {seed}");
+                }
+            }
+            assert!(
+                events.iter().any(|e| e.party == M as u32
+                    && matches!(
+                        e.kind,
+                        EventKind::Dropout { party: 1, iteration } if iteration == u64::from(rounds)
+                    )),
+                "{name}/seed {seed}: no Dropout for the learner lost on `done`"
+            );
+            assert_no_rekey(&events, &format!("{name}/seed {seed}: late kill"));
+        }
     }
     // The §V masks differ per seed yet cancel exactly, so the model is
     // identical across mask seeds down to the last bit.
@@ -443,109 +489,126 @@ fn learner_death_then_rejoin_schedule_readmits_the_learner() {
 }
 
 // ---------------------------------------------------------------------
-// Schedule 8: coordinator kill + checkpoint resume. The resumed run must
-// reproduce the uninterrupted model bit for bit.
+// Schedule 8: coordinator kill + checkpoint resume, under every backend.
+// Recovery lives in the one coordinator driver, so each resumed run must
+// reproduce the same uninterrupted model bit for bit.
 // ---------------------------------------------------------------------
 
 #[test]
 fn coordinator_kill_and_resume_schedule_reproduces_the_reference_bitwise() {
     let _guard = guard();
+    // Countable coordinator frames up to and including the round-2
+    // broadcasts (per round: 3 broadcasts, plus 3 shamir relays or 1
+    // paillier aggregate); the round-2 collection is destroyed with the
+    // coordinator.
+    let backends = [
+        (SecAggConfig::pairwise(), 9),
+        (SecAggConfig::shamir(), 15),
+        (SecAggConfig::paillier(), 11),
+    ];
     for seed in SEEDS {
-        let (parts, cfg) = setup(seed);
-        let reference = cluster_reference(&parts, &cfg);
-        let ckpt_path = std::env::temp_dir().join(format!(
-            "ppml-chaos-resume-{}-{seed}.ckpt",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&ckpt_path);
-
-        // 9 countable frames = the round 0..2 broadcasts; the round-2
-        // share collection is destroyed with the coordinator.
-        let hub = LoopbackHub::with_faults(
-            M + 1,
-            NetFaultPlan::none().kill_party_after(M as PartyId, 9),
-        );
-        let m = M;
-        let handles: Vec<_> = parts
-            .iter()
-            .enumerate()
-            .map(|(p, part)| {
-                let mut courier =
-                    Courier::new(hub.endpoint(p as PartyId), RetryPolicy::fast_local());
-                let part = part.clone();
-                thread::spawn(move || {
-                    learn_linear(&mut courier, m, &part, &cfg, timing_ms(1_000, 25_000))
-                })
-            })
-            .collect();
-
-        let ((), events) = with_telemetry(|| {
-            let features = feature_count(&parts).expect("partitions");
-            let mut courier = Courier::new(hub.endpoint(m as PartyId), RetryPolicy::fast_local());
-            let crashed = coordinate_linear_with_recovery(
-                &mut courier,
-                m,
-                features,
-                &cfg,
-                None,
-                timing_ms(1_000, 25_000),
-                RecoveryOptions::default().with_checkpoint(&ckpt_path),
-            );
-            assert!(
-                matches!(crashed, Err(TrainError::Dropped { .. })),
-                "seed {seed}: dead coordinator should lose quorum, got {crashed:?}"
-            );
-
-            // "Restart": heal the network, load the snapshot, fresh courier.
-            hub.set_faults(NetFaultPlan::none());
-            let ckpt = Checkpoint::load(&ckpt_path).expect("checkpoint readable");
-            assert_eq!(ckpt.next_round, 2, "seed {seed}");
-            ckpt.check_compatible(m, features, cfg.seed)
-                .expect("checkpoint compatible");
-            let mut courier = Courier::new(hub.endpoint(m as PartyId), RetryPolicy::fast_local());
-            let resumed = coordinate_linear_with_recovery(
-                &mut courier,
-                m,
-                features,
-                &cfg,
-                None,
-                timing_ms(1_000, 25_000),
-                RecoveryOptions::default()
-                    .with_checkpoint(&ckpt_path)
-                    .with_resume(ckpt),
-            )
-            .unwrap_or_else(|e| panic!("seed {seed}: resume failed: {e}"));
-            assert_eq!(
-                resumed.model, reference,
-                "seed {seed}: resumed model diverged"
-            );
-            assert!(resumed.dropped.is_empty(), "seed {seed}");
-            for (p, h) in handles.into_iter().enumerate() {
-                let model = h.join().expect("learner thread");
-                assert_eq!(
-                    model.unwrap_or_else(|e| panic!("seed {seed}/learner {p}: {e}")),
-                    reference
-                );
-            }
-        });
-
-        // Telemetry replay: one checkpoint per accepted round across both
-        // incarnations, and exactly one resume with the full survivor set.
-        let checkpoints = events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::CheckpointWrite { .. }))
-            .count();
-        assert_eq!(checkpoints, cfg.max_iter, "seed {seed}");
-        let resumes: Vec<u32> = events
-            .iter()
-            .filter_map(|e| match e.kind {
-                EventKind::ResumeFromCheckpoint { survivors, .. } => Some(survivors),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(resumes, vec![M as u32], "seed {seed}");
-        let _ = std::fs::remove_file(&ckpt_path);
+        for (secagg, kill_after) in backends {
+            kill_and_resume(seed, secagg, kill_after);
+        }
     }
+}
+
+fn kill_and_resume(seed: u64, secagg: SecAggConfig, kill_after: u32) {
+    let name = secagg.kind.as_str();
+    let (parts, cfg) = setup(seed);
+    let reference = cluster_reference(&parts, &cfg);
+    let ckpt_path = std::env::temp_dir().join(format!(
+        "ppml-chaos-resume-{}-{seed}-{name}.ckpt",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&ckpt_path);
+
+    let hub = LoopbackHub::with_faults(
+        M + 1,
+        NetFaultPlan::none().kill_party_after(M as PartyId, kill_after),
+    );
+    let m = M;
+    let handles: Vec<_> = parts
+        .iter()
+        .enumerate()
+        .map(|(p, part)| {
+            let mut courier = Courier::new(hub.endpoint(p as PartyId), RetryPolicy::fast_local());
+            let part = part.clone();
+            thread::spawn(move || {
+                let timing = timing_ms(1_000, 25_000);
+                learn_linear_secagg(&mut courier, m, &part, &cfg, timing, secagg)
+            })
+        })
+        .collect();
+
+    let ((), events) = with_telemetry(|| {
+        let features = feature_count(&parts).expect("partitions");
+        let mut courier = Courier::new(hub.endpoint(m as PartyId), RetryPolicy::fast_local());
+        let crashed = coordinate_linear_secagg_with_recovery(
+            &mut courier,
+            m,
+            features,
+            &cfg,
+            None,
+            timing_ms(1_000, 25_000),
+            secagg,
+            RecoveryOptions::default().with_checkpoint(&ckpt_path),
+        );
+        assert!(
+            matches!(crashed, Err(TrainError::Dropped { .. })),
+            "{name}/seed {seed}: dead coordinator should lose quorum, got {crashed:?}"
+        );
+
+        // "Restart": heal the network, load the snapshot, fresh courier.
+        hub.set_faults(NetFaultPlan::none());
+        let ckpt = Checkpoint::load(&ckpt_path).expect("checkpoint readable");
+        assert_eq!(ckpt.next_round, 2, "{name}/seed {seed}");
+        ckpt.check_compatible(m, features, cfg.seed)
+            .expect("checkpoint compatible");
+        let mut courier = Courier::new(hub.endpoint(m as PartyId), RetryPolicy::fast_local());
+        let resumed = coordinate_linear_secagg_with_recovery(
+            &mut courier,
+            m,
+            features,
+            &cfg,
+            None,
+            timing_ms(1_000, 25_000),
+            secagg,
+            RecoveryOptions::default()
+                .with_checkpoint(&ckpt_path)
+                .with_resume(ckpt),
+        )
+        .unwrap_or_else(|e| panic!("{name}/seed {seed}: resume failed: {e}"));
+        assert_eq!(
+            resumed.model, reference,
+            "{name}/seed {seed}: resumed model diverged"
+        );
+        assert!(resumed.dropped.is_empty(), "{name}/seed {seed}");
+        for (p, h) in handles.into_iter().enumerate() {
+            let model = h.join().expect("learner thread");
+            assert_eq!(
+                model.unwrap_or_else(|e| panic!("{name}/seed {seed}/learner {p}: {e}")),
+                reference
+            );
+        }
+    });
+
+    // Telemetry replay: one checkpoint per accepted round across both
+    // incarnations, and exactly one resume with the full survivor set.
+    let checkpoints = events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::CheckpointWrite { .. }))
+        .count();
+    assert_eq!(checkpoints, cfg.max_iter, "{name}/seed {seed}");
+    let resumes: Vec<u32> = events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::ResumeFromCheckpoint { survivors, .. } => Some(survivors),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(resumes, vec![M as u32], "{name}/seed {seed}");
+    let _ = std::fs::remove_file(&ckpt_path);
 }
 
 // ---------------------------------------------------------------------
