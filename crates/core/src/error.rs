@@ -16,6 +16,15 @@ pub enum TrainError {
     },
     /// The local dual QP failed.
     Qp(ppml_qp::QpError),
+    /// A learner's local dual hit the sweep cap short of the KKT tolerance.
+    /// The point it stopped at is not a solution, so no share is built from
+    /// it.
+    QpNotConverged {
+        /// Sweeps used (the cap, `QpConfig::max_iter`).
+        sweeps: usize,
+        /// Maximum KKT violation the last sweep saw.
+        kkt_violation: f64,
+    },
     /// A dense factorization failed (e.g. a kernel operator that is not
     /// positive definite).
     Linalg(ppml_linalg::LinalgError),
@@ -53,6 +62,13 @@ impl fmt::Display for TrainError {
             TrainError::BadPartition { reason } => write!(f, "bad partition: {reason}"),
             TrainError::BadConfig { reason } => write!(f, "bad config: {reason}"),
             TrainError::Qp(e) => write!(f, "local qp failed: {e}"),
+            TrainError::QpNotConverged {
+                sweeps,
+                kkt_violation,
+            } => write!(
+                f,
+                "local qp did not converge: kkt violation {kkt_violation:e} after {sweeps} sweeps"
+            ),
             TrainError::Linalg(e) => write!(f, "factorization failed: {e}"),
             TrainError::Crypto(e) => write!(f, "secure aggregation failed: {e}"),
             TrainError::MapReduce(e) => write!(f, "mapreduce failed: {e}"),

@@ -23,11 +23,11 @@ use ppml_crypto::SecureSum;
 use ppml_data::Dataset;
 use ppml_kernel::{Kernel, LandmarkSet, LandmarkStrategy};
 use ppml_linalg::{vecops, Cholesky, Matrix};
-use ppml_qp::{solve_box_from, QpConfig};
+use ppml_qp::QpConfig;
 use ppml_telemetry as telemetry;
 use telemetry::{EventKind, NO_PARTY};
 
-use crate::horizontal::linear::validate_parts;
+use crate::horizontal::linear::{solve_local_dual, validate_parts};
 use crate::{AdmmConfig, ConvergenceHistory, Result, TrainError};
 
 /// The nonlinear consensus classifier of one learner after training.
@@ -205,8 +205,7 @@ impl HkLearner {
         let lin: Vec<f64> = (0..self.y.len())
             .map(|i| self.rho * self.m * self.y[i] * kmgu[i] + d * self.y[i] - 1.0)
             .collect();
-        let sol = solve_box_from(&self.q, &lin, 0.0, self.c, &self.lambda, qp)?;
-        self.lambda = sol.x;
+        self.lambda = solve_local_dual(&self.q, &lin, self.c, &self.lambda, qp)?;
         // G·w = M·S·(Yλ) + ρM·K_gg·u
         let ylam: Vec<f64> = self
             .lambda
@@ -429,6 +428,18 @@ mod tests {
         let first = out.history.z_delta[0];
         let last = out.history.final_delta().unwrap();
         assert!(last < first * 1e-2, "no convergence: {first} -> {last}");
+    }
+
+    #[test]
+    fn a_solve_stopped_at_the_sweep_cap_is_a_typed_error() {
+        let ds = synth::xor_like(160, 4);
+        let parts = Partition::horizontal(&ds, 3, 6).unwrap();
+        let mut cfg = cfg_small();
+        cfg.qp.max_iter = 1;
+        assert!(matches!(
+            HorizontalKernelSvm::train(&parts, &cfg, None),
+            Err(TrainError::QpNotConverged { sweeps: 1, .. })
+        ));
     }
 
     #[test]

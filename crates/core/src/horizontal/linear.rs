@@ -69,10 +69,8 @@ impl HlLearner {
         let rho = cfg.rho;
         let a = m_learners as f64 / (1.0 + rho * m_learners as f64);
         let yx = Matrix::from_fn(n, k, |i, j| data.label(i) * data.x()[(i, j)]);
-        // Q = a·(YX)(YX)ᵀ + (1/ρ)·(y)(y)ᵀ  (labels are ±1, so Y1 = y).
         let y = data.y().to_vec();
-        let gram = yx.matmul(&yx.transpose()).expect("square product");
-        let q = Matrix::from_fn(n, n, |i, j| a * gram[(i, j)] + y[i] * y[j] / rho);
+        let q = dual_hessian(&yx, &y, a, rho);
         Ok(HlLearner {
             yx,
             y,
@@ -98,8 +96,7 @@ impl HlLearner {
         let lin: Vec<f64> = (0..self.y.len())
             .map(|i| self.a * self.rho * yxc[i] + d * self.y[i] - 1.0)
             .collect();
-        let sol = solve_box_from(&self.q, &lin, 0.0, self.c, &self.lambda, qp)?;
-        self.lambda = sol.x;
+        self.lambda = solve_local_dual(&self.q, &lin, self.c, &self.lambda, qp)?;
         // w = a(XᵀYλ + ρ(z−γ)) = a((YX)ᵀλ + ρc)
         let xt_y_lambda = self.yx.t_matvec(&self.lambda).expect("row dims match");
         self.w = (0..self.w.len())
@@ -125,6 +122,31 @@ impl HlLearner {
         }
         self.beta += self.b - s;
     }
+}
+
+/// `Q = a·(YX)(YX)ᵀ + (1/ρ)·yyᵀ` (labels are ±1, so `Y1 = y`), filled in one
+/// pass: each row's upper part is accumulated as axpys over the rows of
+/// `(YX)ᵀ` — the order `Matrix::matmul` sums in, so the entries are the ones
+/// `a·matmul + yyᵀ/ρ` gives — then scaled in place and mirrored.
+fn dual_hessian(yx: &Matrix, y: &[f64], a: f64, rho: f64) -> Matrix {
+    let n = yx.rows();
+    let yxt = yx.transpose();
+    let mut q = Matrix::zeros(n, n);
+    for i in 0..n {
+        let upper = &mut q.row_mut(i)[i..];
+        for (k, &v) in yx.row(i).iter().enumerate() {
+            vecops::axpy(v, &yxt.row(k)[i..], upper);
+        }
+        for (o, &yj) in upper.iter_mut().zip(&y[i..]) {
+            *o = a * *o + y[i] * yj / rho;
+        }
+    }
+    for i in 1..n {
+        for j in 0..i {
+            q[(i, j)] = q[(j, i)];
+        }
+    }
+    q
 }
 
 /// Trainer for linear SVMs over horizontally partitioned data.
@@ -240,6 +262,26 @@ impl HorizontalLinearSvm {
             history,
         })
     }
+}
+
+/// Solves a horizontal learner's local dual over `[0, C]ⁿ`, warm-started from
+/// its previous multipliers. A solve that stops at the sweep cap is an error:
+/// its point is not a KKT point and must not feed the round.
+pub(crate) fn solve_local_dual(
+    q: &Matrix,
+    lin: &[f64],
+    c: f64,
+    warm: &[f64],
+    qp: &QpConfig,
+) -> Result<Vec<f64>> {
+    let sol = solve_box_from(q, lin, 0.0, c, warm, qp)?;
+    if !sol.converged {
+        return Err(TrainError::QpNotConverged {
+            sweeps: sol.iterations,
+            kkt_violation: sol.kkt_violation,
+        });
+    }
+    Ok(sol.x)
 }
 
 /// Shared partition validation for the horizontal trainers: non-empty list,
@@ -425,6 +467,44 @@ mod tests {
         assert!(
             HorizontalLinearSvm::train(&[ds, wrong_dim], &AdmmConfig::default(), None).is_err()
         );
+    }
+
+    #[test]
+    fn a_solve_stopped_at_the_sweep_cap_is_a_typed_error() {
+        let (parts, _, _) = blob_parts();
+        let cfg = AdmmConfig::default();
+        let one_sweep = QpConfig {
+            max_iter: 1,
+            ..cfg.qp
+        };
+        let mut learner = HlLearner::new(&parts[0], parts.len(), &cfg).unwrap();
+        let k = parts[0].features();
+        match learner.local_step(&vec![0.0; k], 0.0, &one_sweep) {
+            Err(TrainError::QpNotConverged {
+                sweeps,
+                kkt_violation,
+            }) => {
+                assert_eq!(sweeps, 1);
+                assert!(kkt_violation > one_sweep.tol);
+            }
+            other => panic!("expected QpNotConverged, got {other:?}"),
+        }
+        // The learner still holds its last good multipliers.
+        assert!(learner.lambda.iter().all(|&l| l == 0.0));
+        learner.local_step(&vec![0.0; k], 0.0, &cfg.qp).unwrap();
+    }
+
+    #[test]
+    fn one_pass_hessian_equals_the_two_pass_build() {
+        let (parts, _, _) = blob_parts();
+        let part = &parts[0];
+        let (n, k) = (part.len(), part.features());
+        let (a, rho) = (0.01, 100.0);
+        let yx = Matrix::from_fn(n, k, |i, j| part.label(i) * part.x()[(i, j)]);
+        let y = part.y();
+        let gram = yx.matmul(&yx.transpose()).unwrap();
+        let two_pass = Matrix::from_fn(n, n, |i, j| a * gram[(i, j)] + y[i] * y[j] / rho);
+        assert_eq!(dual_hessian(&yx, y, a, rho), two_pass);
     }
 
     #[test]
