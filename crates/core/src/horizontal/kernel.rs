@@ -52,9 +52,21 @@ impl KernelConsensusModel {
     ///
     /// Panics if `x` has the wrong feature dimension.
     pub fn decision(&self, x: &[f64]) -> f64 {
-        let kx = self.kernel.eval_row(x, &self.local_points);
-        let kg = self.kernel.eval_row(x, &self.landmarks);
-        vecops::dot(&kx, &self.alpha) + vecops::dot(&kg, &self.eta) + self.bias
+        self.margins(1, x)[0]
+    }
+
+    /// `f(x_r)` for `rows` samples flattened row-major in `xs`; each value
+    /// is the two expansions and the bias added in that order.
+    fn margins(&self, rows: usize, xs: &[f64]) -> Vec<f64> {
+        let local = self
+            .kernel
+            .expand(rows, xs, &self.local_points, &self.alpha);
+        let shared = self.kernel.expand(rows, xs, &self.landmarks, &self.eta);
+        local
+            .iter()
+            .zip(&shared)
+            .map(|(kx, kg)| kx + kg + self.bias)
+            .collect()
     }
 
     /// Predicted label in `{−1, +1}`.
@@ -76,7 +88,8 @@ impl KernelConsensusModel {
     ///
     /// As [`KernelConsensusModel::decision`].
     pub fn accuracy(&self, data: &Dataset) -> f64 {
-        ppml_svm::accuracy((0..data.len()).map(|i| (self.classify(data.sample(i)), data.label(i))))
+        let margins = self.margins(data.len(), data.x().as_slice());
+        ppml_svm::accuracy(margins.into_iter().zip(data.y().iter().copied()))
     }
 
     /// The bias term.
@@ -440,6 +453,24 @@ mod tests {
             HorizontalKernelSvm::train(&parts, &cfg, None),
             Err(TrainError::QpNotConverged { sweeps: 1, .. })
         ));
+    }
+
+    #[test]
+    fn batch_accuracy_is_the_per_row_loop_bit_for_bit() {
+        let ds = synth::xor_like(160, 4);
+        let (train, test) = ds.split(0.5, 5).unwrap();
+        let parts = Partition::horizontal(&train, 3, 6).unwrap();
+        let model = HorizontalKernelSvm::train(&parts, &cfg_small().with_max_iter(5), None)
+            .unwrap()
+            .model;
+        let margins = model.margins(test.len(), test.x().as_slice());
+        for (i, f) in margins.iter().enumerate() {
+            assert_eq!(f.to_bits(), model.decision(test.sample(i)).to_bits());
+        }
+        let per_row = ppml_svm::accuracy(
+            (0..test.len()).map(|i| (model.classify(test.sample(i)), test.label(i))),
+        );
+        assert_eq!(model.accuracy(&test), per_row);
     }
 
     #[test]

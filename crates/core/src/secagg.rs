@@ -7,12 +7,12 @@
 //! step. A backend is its crypto and its frame shapes, split in two
 //! halves:
 //!
-//! * a **coordinator half** ([`CoordinatorHalf`]) with three verbs —
+//! * a **coordinator half** (`CoordinatorHalf`) with three verbs —
 //!   `open(round, epoch)`, `absorb(from, frame) → Accepted | Stale`
 //!   (or a [`TrainError::Protocol`]), and
 //!   `advance(roster) → Send(frames) | Sum{values, divisor} |
 //!   Lost(parties) | Abort`;
-//! * a **learner half** ([`LearnerHalf`]) — `contribute(round, epoch,
+//! * a **learner half** (`LearnerHalf`) — `contribute(round, epoch,
 //!   roster, raw) → frames`, a pure function of its inputs and the run
 //!   seed, and `on_frame(frame) → frames` for the coordinator's
 //!   second-phase frames.

@@ -50,13 +50,24 @@ impl VerticalKernelModel {
     ///
     /// Panics if `x` is shorter than the highest partitioned feature index.
     pub fn decision(&self, x: &[f64]) -> f64 {
-        let mut acc = self.bias;
+        self.margins(1, x.len(), x)[0]
+    }
+
+    /// `f(x_r)` for `rows` samples of `features` values each, flattened
+    /// row-major in `xs`: the bias plus every learner's expansion over its
+    /// own feature slice, added in learner order.
+    fn margins(&self, rows: usize, features: usize, xs: &[f64]) -> Vec<f64> {
+        let mut f = vec![self.bias; rows];
         for ((slice, coeff), cols) in self.slices.iter().zip(&self.coeffs).zip(&self.feature_sets) {
-            let xm: Vec<f64> = cols.iter().map(|&c| x[c]).collect();
-            let krow = self.kernel.eval_row(&xm, slice);
-            acc += vecops::dot(&krow, coeff);
+            let xm: Vec<f64> = (0..rows)
+                .flat_map(|r| cols.iter().map(move |&c| xs[r * features + c]))
+                .collect();
+            let part = self.kernel.expand(rows, &xm, slice, coeff);
+            for (acc, v) in f.iter_mut().zip(part) {
+                *acc += v;
+            }
         }
-        acc
+        f
     }
 
     /// Predicted label in `{−1, +1}`.
@@ -78,7 +89,8 @@ impl VerticalKernelModel {
     ///
     /// As [`VerticalKernelModel::decision`].
     pub fn accuracy(&self, data: &Dataset) -> f64 {
-        ppml_svm::accuracy((0..data.len()).map(|i| (self.classify(data.sample(i)), data.label(i))))
+        let margins = self.margins(data.len(), data.features(), data.x().as_slice());
+        ppml_svm::accuracy(margins.into_iter().zip(data.y().iter().copied()))
     }
 
     /// The bias term.
@@ -357,6 +369,25 @@ mod tests {
             let b = l.model.decision(ds.sample(i));
             assert!((a - b).abs() < 1e-4, "{a} vs {b}");
         }
+    }
+
+    #[test]
+    fn batch_accuracy_is_the_per_row_loop_bit_for_bit() {
+        let ds = synth::cancer_like(120, 4);
+        let (train, test) = ds.split(0.5, 5).unwrap();
+        let view = Partition::vertical(&train, 3, 6).unwrap();
+        let cfg = AdmmConfig::default()
+            .with_max_iter(5)
+            .with_kernel(Kernel::Rbf { gamma: 0.1 });
+        let model = VerticalKernelSvm::train(&view, &cfg, None).unwrap().model;
+        let margins = model.margins(test.len(), test.features(), test.x().as_slice());
+        for (i, f) in margins.iter().enumerate() {
+            assert_eq!(f.to_bits(), model.decision(test.sample(i)).to_bits());
+        }
+        let per_row = ppml_svm::accuracy(
+            (0..test.len()).map(|i| (model.classify(test.sample(i)), test.label(i))),
+        );
+        assert_eq!(model.accuracy(&test), per_row);
     }
 
     #[test]

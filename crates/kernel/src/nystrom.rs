@@ -90,7 +90,7 @@ impl NystromFactor {
                 s[(i, j)] += w[(i, j)] / rho;
             }
         }
-        let chol_s = s.cholesky()?;
+        let chol_s = factor_s(&s)?;
         Ok(NystromFactor {
             c,
             chol_w,
@@ -149,6 +149,26 @@ impl NystromFactor {
         let winv_ct = self.chol_w.solve_matrix(&self.c.transpose())?;
         self.c.matmul(&winv_ct)
     }
+}
+
+/// Factors `S = W/ρ + CᵀC`. The jitter on `W` reaches `S` divided by `ρ`,
+/// while an entry of `CᵀC` is a sum of `N` products and grows with `N`: at
+/// the paper's sizes its round-off alone is larger, and near-duplicate
+/// landmarks leave `S` indefinite in its last bits. When the plain factor
+/// breaks down, retry with a ridge of 1e-12 … 1e-6 (×10 per retry) of the
+/// mean diagonal of `S`, then give the typed error up.
+fn factor_s(s: &Matrix) -> Result<Cholesky, LinalgError> {
+    let mean_diag = (0..s.rows()).map(|i| s[(i, i)]).sum::<f64>() / s.rows() as f64;
+    let mut factored = s.cholesky();
+    for exponent in (6..=12).rev() {
+        if !matches!(factored, Err(LinalgError::NotPositiveDefinite { .. })) {
+            break;
+        }
+        let mut ridged = s.clone();
+        ridged.add_diag(10f64.powi(-exponent) * mean_diag);
+        factored = ridged.cholesky();
+    }
+    factored
 }
 
 #[cfg(test)]
@@ -214,6 +234,27 @@ mod tests {
         let c2 = vecops::scale(&ny.approx_gram().unwrap().matvec(&alpha).unwrap(), rho);
         for (a, b) in c1.iter().zip(&c2) {
             assert!((a - b).abs() < 1e-8, "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn near_duplicate_landmarks_over_many_rows_still_factor() {
+        // 200 landmarks on a 97-point curve: `CᵀC` is numerically singular
+        // and its round-off (entries ≈ N) dwarfs the 1e-8/ρ that the jitter
+        // on `W` contributes to `S`, so the unridged factor breaks down.
+        let x = Matrix::from_fn(600, 2, |i, j| {
+            ((i % 97) as f64 * 0.13 + j as f64).sin() + i as f64 * 1e-7
+        });
+        let ny = NystromFactor::fit(&x, Kernel::Rbf { gamma: 0.25 }, 200, 1e4, 7).unwrap();
+        // The ridged factor still inverts `I + ρK̃`: α + ρK̃α = e, to what
+        // the jittered `W⁻¹` in `landmark_coeffs` resolves at this ρ.
+        let e: Vec<f64> = (0..600).map(|i| (i as f64 * 0.3).cos()).collect();
+        let alpha = ny.solve(&e).unwrap();
+        let rho_k_alpha = ny
+            .contribution(&ny.landmark_coeffs(&alpha).unwrap())
+            .unwrap();
+        for ((a, k), e) in alpha.iter().zip(&rho_k_alpha).zip(&e) {
+            assert!((a + k - e).abs() < 1e-2, "{a} + {k} vs {e}");
         }
     }
 

@@ -337,7 +337,7 @@ const NEWTON_AFTER_SWEEPS: usize = 1000;
 /// # Method
 ///
 /// Projected cyclic coordinate descent with a maintained gradient; once a
-/// solve is [`NEWTON_AFTER_SWEEPS`] sweeps old, a safeguarded Newton step
+/// solve is `NEWTON_AFTER_SWEEPS` sweeps old, a safeguarded Newton step
 /// on the free set runs between sweeps. A coordinate that passes its KKT
 /// check costs O(1) in a sweep, so a sweep costs *movers × n*; what is
 /// expensive on an SVM dual is the *number* of sweeps the few free

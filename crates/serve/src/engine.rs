@@ -133,14 +133,10 @@ impl Engine {
         }
         let rows = xs.len() / features;
         let start = Instant::now();
-        let mut margins = Vec::with_capacity(rows);
-        for row in xs.chunks_exact(features) {
-            let margin = snapshot
-                .model
-                .decision(row)
-                .map_err(|e| ScoreError::new(format!("{e}")))?;
-            margins.push(margin);
-        }
+        let margins = snapshot
+            .model
+            .decision_batch(xs)
+            .map_err(|e| ScoreError::new(format!("{e}")))?;
         emit(
             NO_PARTY,
             EventKind::ScoreBatch {
@@ -166,6 +162,54 @@ mod tests {
         let engine = Engine::new(linear(vec![1.0, 2.0], 0.5), 64);
         let margins = engine.score_batch(2, &[1.0, 1.0, -1.0, 0.5]).unwrap();
         assert_eq!(margins, vec![3.5, 0.5]);
+    }
+
+    #[test]
+    fn kernel_batches_are_bit_for_bit_the_per_row_decisions() {
+        let model = crate::model::tests::rbf_sample();
+        let engine = Engine::new(model.clone(), 64);
+        let features = model.features();
+        for rows in [1, 7, 8, 9, 256] {
+            let xs: Vec<f64> = (0..rows * features)
+                .map(|i| (i as f64 * 0.61).sin() * 3.0)
+                .collect();
+            let margins = engine.score_batch(features, &xs).unwrap();
+            assert_eq!(margins.len(), rows);
+            for (row, margin) in xs.chunks_exact(features).zip(&margins) {
+                let single = model.decision(row).unwrap();
+                assert_eq!(margin.to_bits(), single.to_bits(), "batch of {rows}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_wrong_feature_count_is_rejected_before_any_scoring() {
+        let model = crate::model::tests::rbf_sample();
+        let engine = Engine::new(model.clone(), 64);
+        let ring = ppml_telemetry::RingSink::new(4096);
+        ppml_telemetry::install(ring.clone());
+        // 41 rows of one feature too many: a batch size no other test of
+        // this binary sends while the ring listens.
+        let features = model.features() + 1;
+        let refused = engine.score_batch(features, &vec![0.5; 41 * features]);
+        ppml_telemetry::uninstall();
+        assert!(refused.is_err());
+        let about_the_batch: Vec<EventKind> = ring
+            .snapshot()
+            .into_iter()
+            .map(|e| e.kind)
+            .filter(|kind| {
+                matches!(
+                    kind,
+                    EventKind::ScoreRejected { batch: 41 }
+                        | EventKind::ScoreBatch { batch: 41, .. }
+                )
+            })
+            .collect();
+        assert_eq!(
+            about_the_batch,
+            vec![EventKind::ScoreRejected { batch: 41 }]
+        );
     }
 
     #[test]

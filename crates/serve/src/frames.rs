@@ -290,6 +290,24 @@ mod tests {
     }
 
     #[test]
+    fn a_kernel_batch_round_trips_bit_for_bit() {
+        let model = crate::model::tests::rbf_sample();
+        let server =
+            FrameServer::serve("127.0.0.1:0", Engine::new(model.clone(), 32)).expect("bind");
+        let addr = server.local_addr().to_string();
+        let features = model.features();
+        let xs: Vec<f64> = (0..13 * features)
+            .map(|i| (i as f64 * 0.47).cos())
+            .collect();
+        let margins = score_over_frames(&addr, features as u32, xs.clone()).expect("score");
+        assert_eq!(margins.len(), 13);
+        for (row, margin) in xs.chunks_exact(features).zip(&margins) {
+            assert_eq!(margin.to_bits(), model.decision(row).unwrap().to_bits());
+        }
+        server.shutdown();
+    }
+
+    #[test]
     fn one_connection_carries_many_batches() {
         let server = FrameServer::serve("127.0.0.1:0", engine()).expect("bind");
         let mut client =

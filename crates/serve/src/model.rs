@@ -109,6 +109,24 @@ impl SavedModel {
         }
     }
 
+    /// Decision values of a batch flattened row-major into `xs`, one per
+    /// row, each bit for bit what [`SavedModel::decision`] gives that row.
+    ///
+    /// # Errors
+    ///
+    /// [`ppml_svm::SvmError::DimensionMismatch`] when `xs` is not a whole
+    /// number of rows.
+    pub fn decision_batch(&self, xs: &[f64]) -> ppml_svm::Result<Vec<f64>> {
+        match self {
+            // A stray partial row reaches `decision` and fails its check.
+            SavedModel::Linear(m) => xs
+                .chunks(m.weights().len().max(1))
+                .map(|row| m.decision(row))
+                .collect(),
+            SavedModel::Kernel(m) => m.decision_batch(xs),
+        }
+    }
+
     /// Predicted label in `{−1, +1}` (ties break positive).
     ///
     /// # Errors
@@ -321,10 +339,19 @@ impl SavedModel {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ppml_data::synth;
     use ppml_svm::SvmParams;
+
+    /// An RBF expansion over 40 five-feature rows, built without training;
+    /// the engine and frame-front tests score against it.
+    pub(crate) fn rbf_sample() -> SavedModel {
+        let support = Matrix::from_fn(40, 5, |i, j| ((i * 5 + j) as f64 * 0.83).cos() * 2.0);
+        let coeffs = (0..40).map(|i| (i as f64 * 1.7).sin()).collect();
+        let kernel = Kernel::Rbf { gamma: 0.05 };
+        SavedModel::Kernel(KernelSvm::from_parts(kernel, support, coeffs, -0.125).unwrap())
+    }
 
     fn linear_sample() -> SavedModel {
         SavedModel::Linear(LinearSvm::from_parts(vec![0.5, -1.25, 3.0], 0.125))

@@ -136,7 +136,8 @@ impl KernelSvm {
         })
     }
 
-    /// Decision value `f(x)`; the predicted class is its sign.
+    /// Decision value `f(x)`; the predicted class is its sign. The batch of
+    /// one: bit for bit what [`KernelSvm::decision_batch`] gives the row.
     ///
     /// # Errors
     ///
@@ -148,8 +149,34 @@ impl KernelSvm {
                 found: x.len(),
             });
         }
-        let k = self.kernel.eval_row(x, &self.support_x);
-        Ok(ppml_linalg::vecops::dot(&k, &self.coeffs) + self.bias)
+        Ok(self.margins(1, x)[0])
+    }
+
+    /// Decision values of a batch of samples flattened row-major into `xs`
+    /// (`xs.len() == rows × features`), one per row.
+    ///
+    /// # Errors
+    ///
+    /// [`SvmError::DimensionMismatch`] when `xs` is not a whole number of
+    /// rows; `found` is the length of the stray partial row.
+    pub fn decision_batch(&self, xs: &[f64]) -> Result<Vec<f64>> {
+        let rows = xs.len().checked_div(self.features).unwrap_or(0);
+        if rows * self.features != xs.len() {
+            return Err(SvmError::DimensionMismatch {
+                expected: self.features,
+                found: xs.len() - rows * self.features,
+            });
+        }
+        Ok(self.margins(rows, xs))
+    }
+
+    /// `f(x_r) = Σ_i c_i K(x_r, s_i) + b` for `rows` checked rows.
+    fn margins(&self, rows: usize, xs: &[f64]) -> Vec<f64> {
+        let mut f = self.kernel.expand(rows, xs, &self.support_x, &self.coeffs);
+        for v in &mut f {
+            *v += self.bias;
+        }
+        f
     }
 
     /// Predicted label in `{−1, +1}` (ties break positive).
@@ -168,12 +195,8 @@ impl KernelSvm {
     ///
     /// Panics if `data` has a different feature count than the model.
     pub fn accuracy(&self, data: &Dataset) -> f64 {
-        crate::accuracy((0..data.len()).map(|i| {
-            (
-                self.classify(data.sample(i)).expect("dimension checked"),
-                data.label(i),
-            )
-        }))
+        let margins = self.margins(data.len(), data.x().as_slice());
+        crate::accuracy(margins.into_iter().zip(data.y().iter().copied()))
     }
 
     /// Number of support vectors.
@@ -362,6 +385,39 @@ mod tests {
         assert!(matches!(
             KernelSvm::from_parts(m.kernel(), sv.clone(), vec![0.0], m.bias()),
             Err(SvmError::DimensionMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn batch_decisions_are_bit_for_bit_the_per_row_decisions() {
+        let ds = synth::xor_like(120, 9);
+        let params = SvmParams {
+            kernel: Kernel::Rbf { gamma: 0.5 },
+            ..Default::default()
+        };
+        let m = KernelSvm::train(&ds, &params).unwrap();
+        let features = ds.features();
+        for rows in [0, 1, 7, 8, 9, 17, 120] {
+            let xs = &ds.x().as_slice()[..rows * features];
+            let batch = m.decision_batch(xs).unwrap();
+            assert_eq!(batch.len(), rows);
+            for (r, f) in batch.iter().enumerate() {
+                let single = m.decision(ds.sample(r)).unwrap();
+                assert_eq!(f.to_bits(), single.to_bits(), "row {r} of {rows}");
+            }
+        }
+        // The batch accuracy is the per-row loop it replaced.
+        let per_row = crate::accuracy(
+            (0..ds.len()).map(|i| (m.classify(ds.sample(i)).unwrap(), ds.label(i))),
+        );
+        assert_eq!(m.accuracy(&ds), per_row);
+        // A stray partial row is a typed error, not a shorter answer.
+        assert!(matches!(
+            m.decision_batch(&ds.x().as_slice()[..3 * features + 1]),
+            Err(SvmError::DimensionMismatch {
+                expected: 2,
+                found: 1
+            })
         ));
     }
 

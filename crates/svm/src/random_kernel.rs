@@ -118,12 +118,10 @@ impl RandomKernelSvm {
     ///
     /// Panics if feature dimensions differ.
     pub fn accuracy(&self, data: &Dataset) -> f64 {
-        crate::accuracy((0..data.len()).map(|i| {
-            (
-                self.classify(data.sample(i)).expect("dimension checked"),
-                data.label(i),
-            )
-        }))
+        let disclosed = self
+            .disclosed_view(data)
+            .expect("feature dimensions differ");
+        self.inner.accuracy(&disclosed)
     }
 }
 
