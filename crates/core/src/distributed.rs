@@ -20,16 +20,20 @@
 //! # Who owns what
 //!
 //! A backend is its crypto and its frame shapes (see
-//! [`crate::secagg`] for the per-round contract). Everything else lives
+//! [`crate::secagg`] for the per-round contract); what a learner
+//! computes and what the sum becomes is the round problem
+//! (`crate::round`) these drivers share with the in-process trainers
+//! and the cluster job — `learn` runs any learner side's `step`,
+//! `coordinate` the one averaging update. Everything else lives
 //! here, once: config and party validation, the roster
 //! (`alive`/`dropped`/pending joins), the single deadline-bounded
 //! collect loop (heartbeats, clock replies, telemetry deltas and `Join`
 //! probes are handled in exactly one place), dropout declaration,
 //! re-keying, rejoin admission, checkpoint/resume, clock sync, byte
-//! accounting, straggler scoring, every telemetry event, the consensus
-//! update and the `done` broadcast; on the learner side the patience
+//! accounting, straggler scoring, every telemetry event, the `tol`
+//! exit and the `done` broadcast; on the learner side the patience
 //! clock, heartbeat nudges, clock probes, stale/ahead consensus
-//! handling, the QP step, scripted defection, the telemetry relay and
+//! handling, scripted defection, the telemetry relay and
 //! the `Welcome`/`Rekey` roster updates.
 //!
 //! The coordinator only ever sees what the backend's frames reveal —
@@ -120,6 +124,7 @@ use crate::error::TrainError;
 use crate::history::ConvergenceHistory;
 use crate::horizontal::linear::{validate_parts, HlLearner};
 use crate::observe::{self, TelemetryRelay};
+use crate::round::{Averaging, ConsensusUpdate, Learner};
 use crate::secagg::{Absorbed, CoordinatorHalf, LearnerHalf, SecAggConfig, Step};
 use crate::Result;
 
@@ -371,7 +376,7 @@ impl<T: Transport> Coordinator<'_, T> {
         }
     }
 
-    fn welcome(&self, nonce: u64, iteration: u64, z: &[f64], s: f64) -> Message {
+    fn welcome(&self, nonce: u64, iteration: u64, (z, s): (&[f64], f64)) -> Message {
         Message::Welcome {
             nonce,
             iteration,
@@ -389,7 +394,7 @@ impl<T: Transport> Coordinator<'_, T> {
     /// Welcome is what re-syncs each learner's dedup watermark). A
     /// learner that cannot be reached any more goes through the normal
     /// drop path.
-    fn resume_handshake(&mut self, start_round: u64, z: &[f64], s: f64) -> Result<()> {
+    fn resume_handshake(&mut self, start_round: u64, consensus: &Averaging) -> Result<()> {
         let survivors = self.survivors();
         telemetry::emit(
             self.courier.party(),
@@ -399,7 +404,7 @@ impl<T: Transport> Coordinator<'_, T> {
                 survivors: survivors.len() as u32,
             },
         );
-        let welcome = self.welcome(0, start_round, z, s);
+        let welcome = self.welcome(0, start_round, consensus.parts());
         let lost = self.send_all(&survivors, &welcome)?;
         self.drop_parties(lost, start_round)
     }
@@ -416,7 +421,7 @@ impl<T: Transport> Coordinator<'_, T> {
     /// frames from a live learner's earlier incarnation) are ignored.
     /// Anyone unreachable during the fan-out goes through the normal
     /// drop path.
-    fn admit_rejoiners(&mut self, iteration: u64, z: &[f64], s: f64) -> Result<()> {
+    fn admit_rejoiners(&mut self, iteration: u64, consensus: &Averaging) -> Result<()> {
         let joiners: Vec<(PartyId, u64)> = std::mem::take(&mut self.pending_joins)
             .into_iter()
             .filter(|&(p, _)| !self.alive[p as usize])
@@ -447,7 +452,7 @@ impl<T: Transport> Coordinator<'_, T> {
             // swallow everything it sends. Clear it before talking to
             // the new one.
             self.courier.reset_peer(p);
-            let welcome = self.welcome(nonce, iteration, z, s);
+            let welcome = self.welcome(nonce, iteration, consensus.parts());
             lost.extend(self.send_all(&[p], &welcome)?);
         }
         if let Some(rekey) = rekey {
@@ -551,8 +556,7 @@ pub(crate) fn coordinate<T: Transport>(
     }
     let m = learners;
     let mut backend = secagg.coordinator_half(m, features, cfg)?;
-    let mut z = vec![0.0; features];
-    let mut s = 0.0;
+    let mut consensus = Averaging::new(features);
     let mut history = ConvergenceHistory::default();
     let mut start_round: u64 = 0;
     let mut run_id: u64 = 0;
@@ -568,8 +572,7 @@ pub(crate) fn coordinate<T: Transport>(
 
     if let Some(ckpt) = &recovery.resume_from {
         ckpt.check_compatible(m, features, cfg.seed)?;
-        z = ckpt.z.clone();
-        s = ckpt.s;
+        consensus = Averaging::from_parts(ckpt.z.clone(), ckpt.s);
         history.z_delta = ckpt.z_delta.clone();
         history.accuracy = ckpt.accuracy.clone();
         c.metrics.bytes_broadcast = ckpt.bytes_broadcast as usize;
@@ -603,21 +606,16 @@ pub(crate) fn coordinate<T: Transport>(
     }
 
     if recovery.resume_from.is_some() {
-        c.resume_handshake(start_round, &z, s)?;
+        c.resume_handshake(start_round, &consensus)?;
     }
 
     for iteration in start_round..cfg.max_iter as u64 {
-        c.admit_rejoiners(iteration, &z, s)?;
+        c.admit_rejoiners(iteration, &consensus)?;
         let round_start = Instant::now();
         let round_bytes_before = c.metrics.bytes_broadcast + c.metrics.bytes_shuffled;
         let epoch = c.epoch;
         telemetry::emit(c.courier.party(), EventKind::RoundOpen { iteration, epoch });
-        let broadcast = Message::Consensus {
-            iteration,
-            z: z.clone(),
-            s: vec![s],
-            done: false,
-        };
+        let broadcast = consensus_frame(iteration, &consensus, false);
         let lost = c.send_all(&c.survivors(), &broadcast)?;
         c.drop_parties(lost, iteration)?;
 
@@ -676,20 +674,13 @@ pub(crate) fn coordinate<T: Transport>(
                 elapsed_ns,
             },
         );
-        let z_new: Vec<f64> = values[..features]
-            .iter()
-            .map(|&v| v / divisor as f64)
-            .collect();
-        s = values[features] / divisor as f64;
-        let delta = ppml_linalg::vecops::dist_sq(&z_new, &z);
-        z = z_new;
+        let delta = consensus.update(&values, divisor)?;
         history.z_delta.push(delta);
-        if let Some(ds) = eval {
-            history
-                .accuracy
-                .push(LinearSvm::from_parts(z.clone(), s).accuracy(ds));
-        }
+        history
+            .accuracy
+            .extend(eval.map(|ds| consensus.model().accuracy(ds)));
         if let Some(path) = &recovery.checkpoint_to {
+            let (z, s) = consensus.parts();
             let ckpt = Checkpoint {
                 run_id,
                 learners: m as u32,
@@ -697,7 +688,7 @@ pub(crate) fn coordinate<T: Transport>(
                 seed: cfg.seed,
                 next_round: iteration + 1,
                 epoch: c.epoch,
-                z: z.clone(),
+                z: z.to_vec(),
                 s,
                 alive: c.survivors(),
                 dropped: c.dropped.clone(),
@@ -727,20 +718,26 @@ pub(crate) fn coordinate<T: Transport>(
     // cannot hurt the model; it is only recorded as dropped — with no
     // re-key, the run is over.
     let rounds = history.z_delta.len() as u64;
-    let done = Message::Consensus {
-        iteration: rounds,
-        z: z.clone(),
-        s: vec![s],
-        done: true,
-    };
+    let done = consensus_frame(rounds, &consensus, true);
     let lost = c.send_all(&c.survivors(), &done)?;
     c.declare_dropped(&lost, rounds);
     Ok(DistributedOutcome {
-        model: LinearSvm::from_parts(z, s),
+        model: consensus.model(),
         history,
         metrics: c.metrics,
         dropped: c.dropped,
     })
+}
+
+/// The consensus as the wire carries it: `z` and the one-long `s`.
+fn consensus_frame(iteration: u64, consensus: &Averaging, done: bool) -> Message {
+    let (z, s) = consensus.parts();
+    Message::Consensus {
+        iteration,
+        z: z.to_vec(),
+        s: vec![s],
+        done,
+    }
 }
 
 /// How long a learner blocks on one receive before checking its patience
@@ -879,21 +876,23 @@ impl<T: Transport> Contributor<'_, T> {
     }
 }
 
-/// The learner driver: the one learner loop every backend runs under
-/// (see the module docs for what it owns). `defect_after` scripts a
-/// dropout at the backend's characteristic loss point; `rejoin`
-/// re-enters a run as a restarted process.
+/// The learner driver: the one learner loop every backend and every
+/// learner side runs under (see the module docs for what it owns).
+/// `learner` must be freshly built — a rejoiner warm-starts with zeroed
+/// duals. `defect_after` scripts a dropout at the backend's
+/// characteristic loss point; `rejoin` re-enters a run as a restarted
+/// process. Returns the consensus `[z ; s]` the `done` broadcast carried.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn learn<T: Transport>(
+pub(crate) fn learn<L: Learner, T: Transport>(
     courier: &mut Courier<T>,
     learners: usize,
-    data: &Dataset,
+    learner: &mut L,
     cfg: &AdmmConfig,
     timing: DistributedTiming,
     secagg: SecAggConfig,
     defect_after: Option<u64>,
     rejoin: bool,
-) -> Result<LinearSvm> {
+) -> Result<Vec<f64>> {
     cfg.validate()?;
     timing.validate()?;
     let party = courier.party();
@@ -904,7 +903,6 @@ pub(crate) fn learn<T: Transport>(
     }
     let coordinator = learners as PartyId;
     let patience = timing.learner_patience;
-    let mut learner = HlLearner::new(data, learners, cfg)?;
     let mut c = Contributor {
         backend: secagg.learner_half(party as usize, learners, cfg)?,
         courier,
@@ -916,10 +914,6 @@ pub(crate) fn learn<T: Transport>(
         relay: TelemetryRelay::new(),
     };
     let mut expected_iter: u64 = 0;
-    // Duals lag one *computed* round, so the first round this learner
-    // takes part in — round 0, or the re-admission round of a rejoiner
-    // warm-starting with zeroed duals — skips the dual update.
-    let mut dual_ready = false;
     let mut run_id_seen = false;
     // A round whose contribution completes with an `on_frame` reply:
     // when it opened, so it can be closed (event + telemetry delta)
@@ -981,13 +975,13 @@ pub(crate) fn learn<T: Transport>(
             }
             Message::Consensus {
                 iteration,
-                z,
+                z: mut consensus,
                 s,
                 done,
             } => {
-                let s_val = s.first().copied().unwrap_or(0.0);
+                consensus.push(s.first().copied().unwrap_or(0.0));
                 if done {
-                    return Ok(LinearSvm::from_parts(z, s_val));
+                    return Ok(consensus);
                 }
                 if iteration < expected_iter {
                     // Stale or duplicated broadcast of an already
@@ -1024,14 +1018,7 @@ pub(crate) fn learn<T: Transport>(
                 telemetry::emit(party, EventKind::RoundOpen { iteration, epoch });
                 let round_start = Instant::now();
                 observe::injected_lag_sleep();
-                // Same step order as `ConsensusJob::map`: duals lag one
-                // computed round.
-                if dual_ready {
-                    learner.dual_update(&z, s_val);
-                }
-                learner.local_step(&z, s_val, &cfg.qp)?;
-                dual_ready = true;
-                c.last_raw = Some((iteration, learner.share()));
+                c.last_raw = Some((iteration, learner.step(&consensus, &cfg.qp)?));
                 c.contribute_cached(iteration)?;
                 deadline = Instant::now() + patience;
                 if defecting {
@@ -1117,6 +1104,27 @@ pub(crate) fn learn<T: Transport>(
     }
 }
 
+/// [`learn`] over the HL learner side — what every public `learn_linear*`
+/// and `rejoin_linear*` entry point runs: builds the learner over `data`
+/// and reads the final consensus as the linear model.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn learn_hl<T: Transport>(
+    courier: &mut Courier<T>,
+    learners: usize,
+    data: &Dataset,
+    cfg: &AdmmConfig,
+    timing: DistributedTiming,
+    secagg: SecAggConfig,
+    defect: Option<u64>,
+    rejoin: bool,
+) -> Result<LinearSvm> {
+    // `learn` validates `cfg` before the learner takes a step.
+    let hl = &mut HlLearner::new(data, learners, cfg)?;
+    let mut zs = learn(courier, learners, hl, cfg, timing, secagg, defect, rejoin)?;
+    let s = zs.pop().unwrap_or(0.0);
+    Ok(LinearSvm::from_parts(zs, s))
+}
+
 /// Pairwise-named convenience: [`crate::secagg::coordinate_linear_secagg`]
 /// with [`SecAggConfig::pairwise`].
 ///
@@ -1171,7 +1179,7 @@ pub fn learn_linear<T: Transport>(
     timing: DistributedTiming,
 ) -> Result<LinearSvm> {
     let secagg = SecAggConfig::pairwise();
-    learn(courier, learners, data, cfg, timing, secagg, None, false)
+    learn_hl(courier, learners, data, cfg, timing, secagg, None, false)
 }
 
 /// Pairwise-named convenience: [`crate::secagg::rejoin_linear_secagg`]
@@ -1188,7 +1196,7 @@ pub fn rejoin_linear<T: Transport>(
     timing: DistributedTiming,
 ) -> Result<LinearSvm> {
     let secagg = SecAggConfig::pairwise();
-    learn(courier, learners, data, cfg, timing, secagg, None, true)
+    learn_hl(courier, learners, data, cfg, timing, secagg, None, true)
 }
 
 /// Pairwise-named convenience:
@@ -1207,7 +1215,7 @@ pub fn learn_linear_with_defect<T: Transport>(
     defect_after: u64,
 ) -> Result<LinearSvm> {
     let (secagg, defect) = (SecAggConfig::pairwise(), Some(defect_after));
-    learn(courier, learners, data, cfg, timing, secagg, defect, false)
+    learn_hl(courier, learners, data, cfg, timing, secagg, defect, false)
 }
 
 /// Validates a set of horizontal partitions and returns the feature
@@ -1218,7 +1226,7 @@ pub fn feature_count(parts: &[Dataset]) -> Result<usize> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::jobs::{train_linear_on_cluster, ClusterTuning};
     use ppml_data::{synth, Partition};
@@ -1238,12 +1246,12 @@ mod tests {
             .with_learner_patience(Duration::from_secs(2))
     }
 
-    struct DistRun {
-        outcome: Result<DistributedOutcome>,
-        finals: Vec<Result<LinearSvm>>,
+    pub(crate) struct DistRun {
+        pub(crate) outcome: Result<DistributedOutcome>,
+        pub(crate) finals: Vec<Result<LinearSvm>>,
     }
 
-    fn run_with_faults(
+    pub(crate) fn run_with_faults(
         parts: &[Dataset],
         cfg: &AdmmConfig,
         faults: NetFaultPlan,
@@ -1270,7 +1278,7 @@ mod tests {
         DistRun { outcome, finals }
     }
 
-    fn run_distributed(
+    pub(crate) fn run_distributed(
         parts: &[Dataset],
         cfg: &AdmmConfig,
         faults: NetFaultPlan,
@@ -1301,7 +1309,7 @@ mod tests {
     /// round)` in `rejoins` re-enters at `round` as a *fresh* process —
     /// new learner state, zeroed duals. `computed` gates the dual update
     /// per learner exactly as `dual_ready` does on the wire.
-    fn reference_with_membership(
+    pub(crate) fn reference_with_membership(
         parts: &[Dataset],
         cfg: &AdmmConfig,
         drops: &[(usize, u64)],
@@ -1376,6 +1384,88 @@ mod tests {
         // Every learner saw the same final consensus.
         for f in &finals {
             assert_eq!(*f, outcome.model);
+        }
+    }
+
+    /// The seam is not HL-shaped: the same two drivers run the kernel
+    /// trainer's learner side unchanged — consensus in the landmark
+    /// space, so `features` is the landmark count — under every backend.
+    #[test]
+    fn kernel_learners_run_under_the_same_wire_drivers() {
+        use crate::horizontal::kernel::{HkLearner, HorizontalKernelSvm};
+        use crate::jobs::train_kernel_on_cluster;
+
+        let ds = synth::cancer_like(150, 3);
+        let (train, test) = ds.split(0.6, 4).expect("split");
+        let parts = Partition::horizontal(&train, 3, 5).expect("partition");
+        let cfg = AdmmConfig::default()
+            .with_max_iter(8)
+            .with_landmarks(6)
+            .with_kernel(ppml_kernel::Kernel::Rbf { gamma: 1.0 / 9.0 })
+            .with_seed(11);
+        let (reference, _) =
+            train_kernel_on_cluster(&parts, &cfg, None, ClusterTuning::default()).expect("cluster");
+        let probes = |decision: &dyn Fn(&[f64]) -> f64| -> Vec<u64> {
+            (0..8).map(|i| decision(test.sample(i)).to_bits()).collect()
+        };
+
+        let m = parts.len();
+        let k = feature_count(&parts).expect("partitions");
+        let landmarks = HorizontalKernelSvm::choose_landmarks(&parts, k, &cfg).expect("landmarks");
+        for secagg in [
+            SecAggConfig::pairwise(),
+            SecAggConfig::shamir(),
+            SecAggConfig::paillier(),
+        ] {
+            let hub = LoopbackHub::with_faults(m + 1, NetFaultPlan::none());
+            let handles: Vec<_> = (0..m)
+                .map(|p| {
+                    let mut courier =
+                        Courier::new(hub.endpoint(p as PartyId), RetryPolicy::fast_local());
+                    let mut learner =
+                        HkLearner::new(&parts[p], m, &landmarks, &cfg).expect("learner");
+                    thread::spawn(move || {
+                        let timing = calm();
+                        learn(
+                            &mut courier,
+                            m,
+                            &mut learner,
+                            &cfg,
+                            timing,
+                            secagg,
+                            None,
+                            false,
+                        )
+                        .map(|_| learner)
+                    })
+                })
+                .collect();
+            let mut courier = Courier::new(hub.endpoint(m as PartyId), RetryPolicy::fast_local());
+            let recovery = RecoveryOptions::default();
+            let outcome = coordinate(
+                &mut courier,
+                m,
+                landmarks.len(),
+                &cfg,
+                None,
+                calm(),
+                secagg,
+                recovery,
+            )
+            .expect("coordinator");
+            let learners: Vec<HkLearner> = handles
+                .into_iter()
+                .map(|h| h.join().expect("learner thread").expect("learner"))
+                .collect();
+
+            let case = secagg.kind;
+            assert_eq!(outcome.history.z_delta, reference.history.z_delta, "{case}");
+            let model = learners[0].model(&landmarks).expect("model");
+            assert_eq!(
+                probes(&|x| model.decision(x)),
+                probes(&|x| reference.model.decision(x)),
+                "{case}"
+            );
         }
     }
 
@@ -1735,7 +1825,7 @@ mod tests {
                     Courier::new(hub.endpoint(p as PartyId), RetryPolicy::fast_local());
                 let part = part.clone();
                 handles.push(thread::spawn(move || {
-                    learn(&mut courier, m, &part, &cfg, timing, secagg, None, false)
+                    learn_hl(&mut courier, m, &part, &cfg, timing, secagg, None, false)
                 }));
             }
             let mut courier = Courier::new(hub.endpoint(m as PartyId), RetryPolicy::fast_local());

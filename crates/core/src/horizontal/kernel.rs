@@ -24,10 +24,9 @@ use ppml_data::Dataset;
 use ppml_kernel::{Kernel, LandmarkSet, LandmarkStrategy};
 use ppml_linalg::{vecops, Cholesky, Matrix};
 use ppml_qp::QpConfig;
-use ppml_telemetry as telemetry;
-use telemetry::{EventKind, NO_PARTY};
 
 use crate::horizontal::linear::{solve_local_dual, validate_parts};
+use crate::round::{self, split_consensus, Averaging, Learner};
 use crate::{AdmmConfig, ConvergenceHistory, Result, TrainError};
 
 /// The nonlinear consensus classifier of one learner after training.
@@ -145,16 +144,18 @@ pub(crate) struct HkLearner {
     kg_chol: Cholesky,
     kgg: Matrix,
     lambda: Vec<f64>,
-    pub(crate) r: Vec<f64>,
-    pub(crate) beta: f64,
+    r: Vec<f64>,
+    beta: f64,
     /// Last computed reduced image `G·w_m`.
-    pub(crate) gw: Vec<f64>,
-    pub(crate) b: f64,
+    gw: Vec<f64>,
+    b: f64,
     m: f64,
     rho: f64,
     c: f64,
     /// `z − r` frozen at the last local step (the discriminant needs it).
     last_c: Vec<f64>,
+    /// Whether a round has been computed: the duals lag one computed round.
+    stepped: bool,
 }
 
 impl HkLearner {
@@ -205,11 +206,12 @@ impl HkLearner {
             rho,
             c: cfg.c,
             last_c: vec![0.0; l],
+            stepped: false,
         })
     }
 
     /// Solves the local dual given consensus `(z, s)`; refreshes `G·w`, `b`.
-    pub(crate) fn local_step(&mut self, z: &[f64], s_cons: f64, qp: &QpConfig) -> Result<()> {
+    fn local_step(&mut self, z: &[f64], s_cons: f64, qp: &QpConfig) -> Result<()> {
         let c_vec = vecops::sub(z, &self.r);
         let d = s_cons - self.beta;
         let u = self.kg_chol.solve(&c_vec)?; // K_g⁻¹(z − r)
@@ -238,14 +240,14 @@ impl HkLearner {
     }
 
     /// Contribution to the secure average: `[G·w + r ; b + β]`.
-    pub(crate) fn share(&self) -> Vec<f64> {
+    fn share(&self) -> Vec<f64> {
         let mut out = vecops::add(&self.gw, &self.r);
         out.push(self.b + self.beta);
         out
     }
 
     /// Scaled-dual ascent after receiving the new consensus.
-    pub(crate) fn dual_update(&mut self, z: &[f64], s_cons: f64) {
+    fn dual_update(&mut self, z: &[f64], s_cons: f64) {
         for ((r, &gw), &zj) in self.r.iter_mut().zip(&self.gw).zip(z) {
             *r += gw - zj;
         }
@@ -275,6 +277,18 @@ impl HkLearner {
             eta,
             bias: self.b,
         })
+    }
+}
+
+impl Learner for HkLearner {
+    fn step(&mut self, consensus: &[f64], qp: &QpConfig) -> Result<Vec<f64>> {
+        let (z, s) = split_consensus(consensus);
+        if self.stepped {
+            self.dual_update(z, s);
+        }
+        self.local_step(z, s, qp)?;
+        self.stepped = true;
+        Ok(self.share())
     }
 }
 
@@ -326,58 +340,24 @@ impl HorizontalKernelSvm {
         let k = validate_parts(parts)?;
         let landmarks = Self::choose_landmarks(parts, k, cfg)?;
         let m = parts.len();
-        let l = landmarks.len();
         let mut learners = parts
             .iter()
             .map(|p| HkLearner::new(p, m, &landmarks, cfg))
             .collect::<Result<Vec<_>>>()?;
-
-        let mut z = vec![0.0; l];
-        let mut s = 0.0;
-        let mut history = ConvergenceHistory::default();
-        for iteration in 0..cfg.max_iter {
-            for learner in &mut learners {
-                learner.local_step(&z, s, &cfg.qp)?;
-            }
-            let shares: Vec<Vec<f64>> = learners.iter().map(HkLearner::share).collect();
-            let sum = aggregator.aggregate(&shares)?;
-            let mut z_new = vecops::scale(&sum[..l], 1.0 / m as f64);
-            let s_new = sum[l] / m as f64;
-            let delta = vecops::dist_sq(&z_new, &z);
-            for learner in &mut learners {
-                learner.dual_update(&z_new, s_new);
-            }
-            std::mem::swap(&mut z, &mut z_new);
-            s = s_new;
-            if telemetry::enabled() {
+        let mut consensus = Averaging::new(landmarks.len());
+        let history = round::train(
+            &mut learners,
+            &mut consensus,
+            cfg,
+            aggregator,
+            |learners, consensus, iteration, delta| {
                 // Aggregate norms in the reduced consensus space only.
-                let primal_sq: f64 = learners
-                    .iter()
-                    .map(|lr| vecops::dist_sq(&lr.gw, &z) + (lr.b - s) * (lr.b - s))
-                    .sum();
-                telemetry::emit(
-                    NO_PARTY,
-                    EventKind::AdmmIteration {
-                        iteration: iteration as u64,
-                        primal_sq,
-                        dual_sq: cfg.rho * cfg.rho * m as f64 * delta,
-                        z_delta: delta,
-                        objective: None,
-                    },
-                );
-            }
-            history.z_delta.push(delta);
-            if let Some(ds) = eval {
-                history
-                    .accuracy
-                    .push(learners[0].model(&landmarks)?.accuracy(ds));
-            }
-            if let Some(tol) = cfg.tol {
-                if delta < tol {
-                    break;
-                }
-            }
-        }
+                let locals = learners.iter().map(|l| (&l.gw[..], l.b));
+                consensus.emit_diagnostics(locals, iteration, delta, cfg.rho, None);
+                eval.map(|ds| Ok(learners[0].model(&landmarks)?.accuracy(ds)))
+                    .transpose()
+            },
+        )?;
         Ok(KernelOutcome {
             model: learners[0].model(&landmarks)?,
             history,

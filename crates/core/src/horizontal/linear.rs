@@ -22,8 +22,8 @@ use ppml_linalg::{vecops, Matrix};
 use ppml_qp::{solve_box_from, QpConfig};
 use ppml_svm::LinearSvm;
 use ppml_telemetry as telemetry;
-use telemetry::{EventKind, NO_PARTY};
 
+use crate::round::{self, split_consensus, Averaging, Learner};
 use crate::{AdmmConfig, ConvergenceHistory, Result, TrainError};
 
 /// Result of distributed linear training.
@@ -38,8 +38,8 @@ pub struct LinearOutcome {
     pub local_models: Vec<LinearSvm>,
 }
 
-/// One learner's persistent ADMM state; shared between the in-process
-/// driver and the MapReduce job ([`crate::jobs`]).
+/// One learner's persistent ADMM state: the learner side of the round
+/// problem ([`crate::round`]) under all three drivers.
 #[derive(Debug, Clone)]
 pub(crate) struct HlLearner {
     /// Rows scaled by their labels: row `i` is `y_i · x_i` ("YX").
@@ -48,13 +48,15 @@ pub(crate) struct HlLearner {
     /// Constant dual Hessian `a·YXXᵀY + (1/ρ)(Y1)(Y1)ᵀ`.
     q: Matrix,
     lambda: Vec<f64>,
-    pub(crate) gamma: Vec<f64>,
-    pub(crate) beta: f64,
-    pub(crate) w: Vec<f64>,
-    pub(crate) b: f64,
+    gamma: Vec<f64>,
+    beta: f64,
+    w: Vec<f64>,
+    b: f64,
     a: f64,
     rho: f64,
     c: f64,
+    /// Whether a round has been computed: the duals lag one computed round.
+    stepped: bool,
 }
 
 impl HlLearner {
@@ -83,6 +85,7 @@ impl HlLearner {
             a,
             rho,
             c: cfg.c,
+            stepped: false,
         })
     }
 
@@ -121,6 +124,18 @@ impl HlLearner {
             *g += w - zj;
         }
         self.beta += self.b - s;
+    }
+}
+
+impl Learner for HlLearner {
+    fn step(&mut self, consensus: &[f64], qp: &QpConfig) -> Result<Vec<f64>> {
+        let (z, s) = split_consensus(consensus);
+        if self.stepped {
+            self.dual_update(z, s);
+        }
+        self.local_step(z, s, qp)?;
+        self.stepped = true;
+        Ok(self.share())
     }
 }
 
@@ -195,72 +210,49 @@ impl HorizontalLinearSvm {
             .iter()
             .map(|p| HlLearner::new(p, m, cfg))
             .collect::<Result<Vec<_>>>()?;
-
-        let mut z = vec![0.0; k];
-        let mut s = 0.0;
-        let mut history = ConvergenceHistory::default();
-        for iteration in 0..cfg.max_iter {
-            for learner in &mut learners {
-                learner.local_step(&z, s, &cfg.qp)?;
-            }
-            let shares: Vec<Vec<f64>> = learners.iter().map(HlLearner::share).collect();
-            let sum = aggregator.aggregate(&shares)?;
-            let mut z_new = vecops::scale(&sum[..k], 1.0 / m as f64);
-            let s_new = sum[k] / m as f64;
-            let delta = vecops::dist_sq(&z_new, &z);
-            for learner in &mut learners {
-                learner.dual_update(&z_new, s_new);
-            }
-            std::mem::swap(&mut z, &mut z_new);
-            s = s_new;
-            if telemetry::enabled() {
-                // Aggregate diagnostics only (the §V privacy rule): norms
-                // and objective values, never coordinates.
-                let primal_sq: f64 = learners
-                    .iter()
-                    .map(|l| vecops::dist_sq(&l.w, &z) + (l.b - s) * (l.b - s))
-                    .sum();
-                let hinge: f64 = parts
-                    .iter()
-                    .map(|p| {
-                        (0..p.len())
-                            .map(|i| {
-                                let margin = p.label(i) * (vecops::dot(&z, p.sample(i)) + s);
-                                (1.0 - margin).max(0.0)
-                            })
-                            .sum::<f64>()
-                    })
-                    .sum();
-                telemetry::emit(
-                    NO_PARTY,
-                    EventKind::AdmmIteration {
-                        iteration: iteration as u64,
-                        primal_sq,
-                        dual_sq: cfg.rho * cfg.rho * m as f64 * delta,
-                        z_delta: delta,
-                        objective: Some(0.5 * vecops::norm_sq(&z) + cfg.c * hinge),
-                    },
-                );
-            }
-            history.z_delta.push(delta);
-            if let Some(ds) = eval {
-                let model = LinearSvm::from_parts(z.clone(), s);
-                history.accuracy.push(model.accuracy(ds));
-            }
-            if let Some(tol) = cfg.tol {
-                if delta < tol {
-                    break;
+        let mut consensus = Averaging::new(k);
+        let history = round::train(
+            &mut learners,
+            &mut consensus,
+            cfg,
+            aggregator,
+            |learners, consensus, iteration, delta| {
+                if telemetry::enabled() {
+                    let (z, s) = consensus.parts();
+                    let hinge: f64 = parts
+                        .iter()
+                        .map(|p| {
+                            (0..p.len())
+                                .map(|i| {
+                                    let margin = p.label(i) * (vecops::dot(z, p.sample(i)) + s);
+                                    (1.0 - margin).max(0.0)
+                                })
+                                .sum::<f64>()
+                        })
+                        .sum();
+                    let objective = 0.5 * vecops::norm_sq(z) + cfg.c * hinge;
+                    let locals = learners.iter().map(|l| (&l.w[..], l.b));
+                    consensus.emit_diagnostics(locals, iteration, delta, cfg.rho, Some(objective));
                 }
-            }
-        }
-        Ok(LinearOutcome {
-            model: LinearSvm::from_parts(z, s),
-            local_models: learners
-                .iter()
-                .map(|l| LinearSvm::from_parts(l.w.clone(), l.b))
-                .collect(),
-            history,
-        })
+                Ok(eval.map(|ds| consensus.model().accuracy(ds)))
+            },
+        )?;
+        Ok(outcome(learners.iter(), &consensus, history))
+    }
+}
+
+/// Assembles the outcome from the pair's final state.
+pub(crate) fn outcome<'a>(
+    learners: impl Iterator<Item = &'a HlLearner>,
+    consensus: &Averaging,
+    history: ConvergenceHistory,
+) -> LinearOutcome {
+    LinearOutcome {
+        model: consensus.model(),
+        local_models: learners
+            .map(|l| LinearSvm::from_parts(l.w.clone(), l.b))
+            .collect(),
+        history,
     }
 }
 

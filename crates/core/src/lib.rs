@@ -18,14 +18,19 @@
 //! its learner; only the per-iteration local models move, and those only as
 //! masked shares.
 //!
-//! All trainers run in two modes:
+//! Every trainer is one learner step and one consensus update, and the
+//! same pair runs under each deployment's driver:
 //! * **in-process** (`train`) — learners simulated in one address space,
 //!   aggregation through any [`SecureSum`] backend; this is what the
 //!   benchmarks sweep;
-//! * **MapReduce** (`train_on_cluster`, horizontal trainers) — learners are
-//!   data nodes of a [`ppml_mapreduce::Cluster`]; the mask exchange rides
-//!   on pre-agreed pairwise seeds so each mapper masks independently and
-//!   the Reduce step only ever sees the cancelled sum.
+//! * **MapReduce** ([`jobs`]`::train_*_on_cluster`) — learners are data
+//!   nodes of a [`ppml_mapreduce::Cluster`]; the mask exchange rides on
+//!   pre-agreed pairwise seeds so each mapper masks independently and the
+//!   Reduce step only ever sees the cancelled sum;
+//! * **wire** ([`distributed`], HL) — one process per party over a real
+//!   transport, under any [`secagg`] backend.
+//!
+//! The three produce bit-identical models at every learner count.
 //!
 //! # Example
 //!
@@ -56,6 +61,7 @@ mod masks;
 pub mod multiclass;
 mod observe;
 pub mod preprocessing;
+mod round;
 pub mod secagg;
 
 mod horizontal {

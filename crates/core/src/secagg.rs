@@ -110,7 +110,7 @@ use ppml_svm::LinearSvm;
 use ppml_transport::{Courier, Message, PartyId, Transport};
 
 use crate::config::{AdmmConfig, DistributedTiming};
-use crate::distributed::{coordinate, learn, protocol, DistributedOutcome, RecoveryOptions};
+use crate::distributed::{coordinate, learn_hl, protocol, DistributedOutcome, RecoveryOptions};
 use crate::error::TrainError;
 use crate::masks::{mix64, SeededMasker};
 use crate::Result;
@@ -392,7 +392,7 @@ pub fn learn_linear_secagg<T: Transport>(
     timing: DistributedTiming,
     secagg: SecAggConfig,
 ) -> Result<LinearSvm> {
-    learn(courier, learners, data, cfg, timing, secagg, None, false)
+    learn_hl(courier, learners, data, cfg, timing, secagg, None, false)
 }
 
 /// Re-admission variant of [`learn_linear_secagg`] for a restarted
@@ -417,7 +417,7 @@ pub fn rejoin_linear_secagg<T: Transport>(
     timing: DistributedTiming,
     secagg: SecAggConfig,
 ) -> Result<LinearSvm> {
-    learn(courier, learners, data, cfg, timing, secagg, None, true)
+    learn_hl(courier, learners, data, cfg, timing, secagg, None, true)
 }
 
 /// Fault-injection variant of [`learn_linear_secagg`]: behaves
@@ -456,7 +456,7 @@ pub fn learn_linear_secagg_with_defect<T: Transport>(
     defect_after: u64,
 ) -> Result<LinearSvm> {
     let defect = Some(defect_after);
-    learn(courier, learners, data, cfg, timing, secagg, defect, false)
+    learn_hl(courier, learners, data, cfg, timing, secagg, defect, false)
 }
 
 // ---------------------------------------------------------------------

@@ -21,11 +21,11 @@ use ppml_crypto::SecureSum;
 use ppml_data::{Dataset, VerticalView};
 use ppml_kernel::Kernel;
 use ppml_linalg::{vecops, Cholesky, Matrix};
-use ppml_telemetry as telemetry;
-use telemetry::{EventKind, NO_PARTY};
+use ppml_qp::QpConfig;
 
-use crate::vertical::linear::VerticalReducer;
-use crate::{AdmmConfig, ConvergenceHistory, Result, TrainError};
+use crate::round::{self, Learner};
+use crate::vertical::linear::{validate_view, VerticalReducer};
+use crate::{AdmmConfig, ConvergenceHistory, Result};
 
 /// The trained vertically partitioned kernel model.
 ///
@@ -123,7 +123,7 @@ impl VerticalKernelSvm {
     /// # Errors
     ///
     /// As [`crate::VerticalLinearSvm::train`]; additionally
-    /// [`TrainError::Linalg`] if `(I + ρK_m)` fails to factor (only
+    /// [`crate::TrainError::Linalg`] if `(I + ρK_m)` fails to factor (only
     /// possible for non-positive-definite kernels).
     pub fn train(
         view: &VerticalView,
@@ -146,57 +146,22 @@ impl VerticalKernelSvm {
         aggregator: &dyn SecureSum,
     ) -> Result<VerticalKernelOutcome> {
         cfg.validate()?;
-        let n = view.rows();
-        let m = view.learners();
-        if n == 0 || m == 0 {
-            return Err(TrainError::BadPartition {
-                reason: "vertical view has no rows or learners".to_string(),
-            });
-        }
-        let mut nodes = (0..m)
-            .map(|p| VkNode::new(view.part(p), cfg.kernel, cfg))
+        let mut nodes = (0..validate_view(view)?)
+            .map(|p| VkNode::new(view.part(p), cfg))
             .collect::<Result<Vec<_>>>()?;
-        let mut reducer = VerticalReducer::new(view.y().to_vec(), cfg)?;
-        let mut gap = vec![0.0; n];
-        let mut history = ConvergenceHistory::default();
-        for iteration in 0..cfg.max_iter {
-            for node in &mut nodes {
-                node.step(&gap)?;
-            }
-            let contribs: Vec<Vec<f64>> = nodes.iter().map(|nd| nd.c.clone()).collect();
-            let cbar = aggregator.aggregate(&contribs)?;
-            let delta = reducer.step(&cbar)?;
-            gap = reducer.gap(&cbar);
-            if telemetry::enabled() {
-                telemetry::emit(
-                    NO_PARTY,
-                    EventKind::AdmmIteration {
-                        iteration: iteration as u64,
-                        // The consensus gap ‖z − c̄ + r‖² plays the primal
-                        // residual's role in the vertical decomposition.
-                        primal_sq: vecops::norm_sq(&gap),
-                        dual_sq: cfg.rho * cfg.rho * delta,
-                        z_delta: delta,
-                        objective: None,
-                    },
-                );
-            }
-            history.z_delta.push(delta);
-            if let Some(ds) = eval {
-                let expansions: Vec<(Matrix, Vec<f64>)> =
-                    nodes.iter().map(VkNode::expansion).collect();
-                let model = assemble(view, cfg.kernel, expansions, reducer.bias);
-                history.accuracy.push(model.accuracy(ds));
-            }
-            if let Some(tol) = cfg.tol {
-                if delta < tol {
-                    break;
-                }
-            }
-        }
-        let expansions: Vec<(Matrix, Vec<f64>)> = nodes.iter().map(VkNode::expansion).collect();
+        let mut reducer = VerticalReducer::new(view.y().to_vec(), cfg);
+        let history = round::train(
+            &mut nodes,
+            &mut reducer,
+            cfg,
+            aggregator,
+            |nodes, reducer, iteration, delta| {
+                reducer.emit_diagnostics(iteration, delta);
+                Ok(eval.map(|ds| assemble(view, cfg.kernel, nodes.iter(), reducer).accuracy(ds)))
+            },
+        )?;
         Ok(VerticalKernelOutcome {
-            model: assemble(view, cfg.kernel, expansions, reducer.bias),
+            model: assemble(view, cfg.kernel, nodes.iter(), &reducer),
             history,
         })
     }
@@ -215,14 +180,14 @@ enum VkOp {
     Nystrom(ppml_kernel::NystromFactor),
 }
 
-/// One learner's node-local state in the vertical kernel scheme; shared by
-/// the in-process trainer and the MapReduce job ([`crate::jobs`]).
+/// One learner's node-local state in the vertical kernel scheme: the
+/// learner side of the round problem ([`crate::round`]).
 #[derive(Debug, Clone)]
 pub(crate) struct VkNode {
     op: VkOp,
     rho: f64,
     /// Current contribution `c_m = ρ·K̃_m·α_m`.
-    pub(crate) c: Vec<f64>,
+    c: Vec<f64>,
     /// Current expansion coefficients for the discriminant: over the full
     /// slice (`ρ·α`) in exact mode, over the landmarks (`w_L`) with
     /// Nyström.
@@ -234,8 +199,8 @@ impl VkNode {
     /// `(I + ρK_m)` (tiny jitter tolerates PSD-but-singular Grams from
     /// duplicate rows). With `nystrom_rank = Some(l)`: an `l`-landmark
     /// low-rank factor instead.
-    pub(crate) fn new(x: &Matrix, kernel: Kernel, cfg: &crate::AdmmConfig) -> Result<Self> {
-        let rho = cfg.rho;
+    pub(crate) fn new(x: &Matrix, cfg: &AdmmConfig) -> Result<Self> {
+        let (kernel, rho) = (cfg.kernel, cfg.rho);
         let op = match cfg.nystrom_rank {
             Some(rank) => {
                 let rank = rank.min(x.rows());
@@ -266,8 +231,20 @@ impl VkNode {
         })
     }
 
+    /// The discriminant expansion this node contributes:
+    /// `f_m(x_m) = K(x_m, points)·coeffs`.
+    fn expansion(&self) -> (Matrix, Vec<f64>) {
+        let points = match &self.op {
+            VkOp::Exact { points, .. } => points.clone(),
+            VkOp::Nystrom(ny) => ny.landmarks().clone(),
+        };
+        (points, self.expansion_coeffs.clone())
+    }
+}
+
+impl Learner for VkNode {
     /// One α-update given the broadcast consensus gap.
-    pub(crate) fn step(&mut self, gap: &[f64]) -> Result<()> {
+    fn step(&mut self, gap: &[f64], _qp: &QpConfig) -> Result<Vec<f64>> {
         let e = vecops::add(gap, &self.c);
         match &self.op {
             VkOp::Exact { gram, chol, .. } => {
@@ -282,27 +259,17 @@ impl VkNode {
                 self.expansion_coeffs = w_l;
             }
         }
-        Ok(())
-    }
-
-    /// The discriminant expansion this node contributes:
-    /// `f_m(x_m) = K(x_m, points)·coeffs`.
-    pub(crate) fn expansion(&self) -> (Matrix, Vec<f64>) {
-        let points = match &self.op {
-            VkOp::Exact { points, .. } => points.clone(),
-            VkOp::Nystrom(ny) => ny.landmarks().clone(),
-        };
-        (points, self.expansion_coeffs.clone())
+        Ok(self.c.clone())
     }
 }
 
-pub(crate) fn assemble(
+pub(crate) fn assemble<'a>(
     view: &VerticalView,
     kernel: Kernel,
-    expansions: Vec<(Matrix, Vec<f64>)>,
-    bias: f64,
+    nodes: impl Iterator<Item = &'a VkNode>,
+    reducer: &VerticalReducer,
 ) -> VerticalKernelModel {
-    let (slices, coeffs) = expansions.into_iter().unzip();
+    let (slices, coeffs) = nodes.map(VkNode::expansion).unzip();
     VerticalKernelModel {
         kernel,
         slices,
@@ -310,7 +277,7 @@ pub(crate) fn assemble(
         feature_sets: (0..view.learners())
             .map(|p| view.features_of(p).to_vec())
             .collect(),
-        bias,
+        bias: reducer.bias,
     }
 }
 

@@ -25,10 +25,11 @@
 use ppml_crypto::SecureSum;
 use ppml_data::{Dataset, VerticalView};
 use ppml_linalg::{vecops, Cholesky};
-use ppml_qp::solve_separable_eq;
+use ppml_qp::{solve_separable_eq, QpConfig};
 use ppml_telemetry as telemetry;
 use telemetry::{EventKind, NO_PARTY};
 
+use crate::round::{self, ConsensusUpdate, Learner};
 use crate::{AdmmConfig, ConvergenceHistory, Result, TrainError};
 
 /// The assembled model after vertical training.
@@ -110,22 +111,23 @@ impl VerticalLinearModel {
     }
 }
 
-/// One learner's node-local state in the vertical linear scheme; shared by
-/// the in-process trainer and the MapReduce job ([`crate::jobs`]).
+/// One learner's node-local state in the vertical linear scheme: the
+/// learner side of the round problem ([`crate::round`]).
 #[derive(Debug, Clone)]
 pub(crate) struct VlNode {
     x: ppml_linalg::Matrix,
     chol: Cholesky,
     rho: f64,
     /// Current weight slice `w_m`.
-    pub(crate) w: Vec<f64>,
+    w: Vec<f64>,
     /// Current contribution `c_m = X_m w_m`.
-    pub(crate) c: Vec<f64>,
+    c: Vec<f64>,
 }
 
 impl VlNode {
     /// Builds the node: factors `(I + ρ·X_mᵀX_m)` once.
-    pub(crate) fn new(x: &ppml_linalg::Matrix, rho: f64) -> Result<Self> {
+    pub(crate) fn new(x: &ppml_linalg::Matrix, cfg: &AdmmConfig) -> Result<Self> {
+        let rho = cfg.rho;
         let mut gram = x.t_matmul(x)?;
         gram = gram.scale(rho);
         gram.add_diag(1.0);
@@ -137,15 +139,17 @@ impl VlNode {
             x: x.clone(),
         })
     }
+}
 
+impl Learner for VlNode {
     /// One w-update given the broadcast consensus gap `z − c̄ + r`:
     /// `e_m = gap + c_m`, `w_m = ρ(I + ρXᵀX)⁻¹Xᵀe_m`, `c_m = X w_m`.
-    pub(crate) fn step(&mut self, gap: &[f64]) -> Result<()> {
+    fn step(&mut self, gap: &[f64], _qp: &QpConfig) -> Result<Vec<f64>> {
         let e = vecops::add(gap, &self.c);
         let rhs = vecops::scale(&self.x.t_matvec(&e)?, self.rho);
         self.w = self.chol.solve(&rhs)?;
         self.c = self.x.matvec(&self.w)?;
-        Ok(())
+        Ok(self.c.clone())
     }
 }
 
@@ -192,64 +196,42 @@ impl VerticalLinearSvm {
         aggregator: &dyn SecureSum,
     ) -> Result<VerticalOutcome> {
         cfg.validate()?;
-        let n = view.rows();
-        let m = view.learners();
-        if n == 0 || m == 0 {
-            return Err(TrainError::BadPartition {
-                reason: "vertical view has no rows or learners".to_string(),
-            });
-        }
-        let mut nodes = (0..m)
-            .map(|p| VlNode::new(view.part(p), cfg.rho))
+        let mut nodes = (0..validate_view(view)?)
+            .map(|p| VlNode::new(view.part(p), cfg))
             .collect::<Result<Vec<_>>>()?;
-        let mut reducer = VerticalReducer::new(view.y().to_vec(), cfg)?;
-        let mut gap = vec![0.0; n];
-        let mut history = ConvergenceHistory::default();
-        for iteration in 0..cfg.max_iter {
-            for node in &mut nodes {
-                node.step(&gap)?;
-            }
-            let contribs: Vec<Vec<f64>> = nodes.iter().map(|nd| nd.c.clone()).collect();
-            let cbar = aggregator.aggregate(&contribs)?;
-            let delta = reducer.step(&cbar)?;
-            gap = reducer.gap(&cbar);
-            if telemetry::enabled() {
-                telemetry::emit(
-                    NO_PARTY,
-                    EventKind::AdmmIteration {
-                        iteration: iteration as u64,
-                        // The consensus gap ‖z − c̄ + r‖² plays the primal
-                        // residual's role in the vertical decomposition.
-                        primal_sq: vecops::norm_sq(&gap),
-                        dual_sq: cfg.rho * cfg.rho * delta,
-                        z_delta: delta,
-                        objective: None,
-                    },
-                );
-            }
-            history.z_delta.push(delta);
-            if let Some(ds) = eval {
-                let w: Vec<Vec<f64>> = nodes.iter().map(|nd| nd.w.clone()).collect();
-                let model = assemble(view, &w, reducer.bias);
-                history.accuracy.push(model.accuracy(ds));
-            }
-            if let Some(tol) = cfg.tol {
-                if delta < tol {
-                    break;
-                }
-            }
-        }
-        let w: Vec<Vec<f64>> = nodes.iter().map(|nd| nd.w.clone()).collect();
+        let mut reducer = VerticalReducer::new(view.y().to_vec(), cfg);
+        let history = round::train(
+            &mut nodes,
+            &mut reducer,
+            cfg,
+            aggregator,
+            |nodes, reducer, iteration, delta| {
+                reducer.emit_diagnostics(iteration, delta);
+                Ok(eval.map(|ds| assemble(view, nodes.iter(), reducer).accuracy(ds)))
+            },
+        )?;
         Ok(VerticalOutcome {
-            model: assemble(view, &w, reducer.bias),
+            model: assemble(view, nodes.iter(), &reducer),
             history,
         })
     }
 }
 
-/// The reducer-side state of the vertical schemes: solves the hinge-loss
+/// Shared view validation for the vertical trainers; returns the learner
+/// count.
+pub(crate) fn validate_view(view: &VerticalView) -> Result<usize> {
+    if view.rows() == 0 || view.learners() == 0 {
+        return Err(TrainError::BadPartition {
+            reason: "vertical view has no rows or learners".to_string(),
+        });
+    }
+    Ok(view.learners())
+}
+
+/// The reducer-side state of the vertical schemes — the coordinator side of
+/// the round problem ([`crate::round`]) for VL and VK: solves the hinge-loss
 /// `z`-subproblem on the securely aggregated `c̄` and maintains the scaled
-/// dual `r`. Shared by the in-process trainers and the MapReduce drivers.
+/// dual `r`.
 #[derive(Debug, Clone)]
 pub(crate) struct VerticalReducer {
     y: Vec<f64>,
@@ -257,30 +239,56 @@ pub(crate) struct VerticalReducer {
     rho: f64,
     diag: Vec<f64>,
     /// Current consensus decision values on the training rows.
-    pub(crate) z: Vec<f64>,
+    z: Vec<f64>,
     /// Scaled dual residual.
-    pub(crate) r: Vec<f64>,
+    r: Vec<f64>,
+    /// The broadcastable consensus gap `z − c̄ + r` every node needs for its
+    /// next w-update.
+    gap: Vec<f64>,
     /// Current bias estimate.
     pub(crate) bias: f64,
 }
 
 impl VerticalReducer {
-    pub(crate) fn new(y: Vec<f64>, cfg: &AdmmConfig) -> Result<Self> {
+    pub(crate) fn new(y: Vec<f64>, cfg: &AdmmConfig) -> Self {
         let n = y.len();
-        Ok(VerticalReducer {
+        VerticalReducer {
             c: cfg.c,
             rho: cfg.rho,
             diag: vec![1.0 / cfg.rho; n],
             z: vec![0.0; n],
             r: vec![0.0; n],
+            gap: vec![0.0; n],
             bias: 0.0,
             y,
-        })
+        }
     }
 
-    /// Solves the `z`-subproblem for the aggregated `c̄`, updates `z`, `r`
-    /// and the bias, and returns `‖z_new − z_old‖²`.
-    pub(crate) fn step(&mut self, cbar: &[f64]) -> Result<f64> {
+    /// The in-process trainers' [`EventKind::AdmmIteration`] diagnostics.
+    pub(crate) fn emit_diagnostics(&self, iteration: u64, delta: f64) {
+        if !telemetry::enabled() {
+            return;
+        }
+        telemetry::emit(
+            NO_PARTY,
+            EventKind::AdmmIteration {
+                iteration,
+                // The consensus gap ‖z − c̄ + r‖² plays the primal
+                // residual's role in the vertical decomposition.
+                primal_sq: vecops::norm_sq(&self.gap),
+                dual_sq: self.rho * self.rho * delta,
+                z_delta: delta,
+                objective: None,
+            },
+        );
+    }
+}
+
+impl ConsensusUpdate for VerticalReducer {
+    /// Solves the `z`-subproblem for the aggregated `c̄` — a plain sum, so
+    /// the contributor count is not used — and updates `z`, `r`, the bias
+    /// and the gap.
+    fn update(&mut self, cbar: &[f64], _contributors: usize) -> Result<f64> {
         let n = self.y.len();
         let dd = vecops::sub(cbar, &self.r);
         let lin: Vec<f64> = (0..n).map(|i| self.y[i] * dd[i] - 1.0).collect();
@@ -291,22 +299,23 @@ impl VerticalReducer {
         self.bias = recover_bias(&sol.x, &z_new, &self.y, self.c);
         for i in 0..n {
             self.r[i] += z_new[i] - cbar[i];
+            self.gap[i] = z_new[i] - cbar[i] + self.r[i];
         }
         let delta = vecops::dist_sq(&z_new, &self.z);
         self.z = z_new;
         Ok(delta)
     }
 
-    /// The broadcastable consensus gap `z − c̄ + r` every node needs for its
-    /// next w-update.
-    pub(crate) fn gap(&self, cbar: &[f64]) -> Vec<f64> {
-        (0..self.z.len())
-            .map(|i| self.z[i] - cbar[i] + self.r[i])
-            .collect()
+    fn broadcast(&self) -> &[f64] {
+        &self.gap
     }
 }
 
-pub(crate) fn assemble(view: &VerticalView, w: &[Vec<f64>], bias: f64) -> VerticalLinearModel {
+pub(crate) fn assemble<'a>(
+    view: &VerticalView,
+    nodes: impl Iterator<Item = &'a VlNode>,
+    reducer: &VerticalReducer,
+) -> VerticalLinearModel {
     let feature_sets: Vec<Vec<usize>> = (0..view.learners())
         .map(|p| view.features_of(p).to_vec())
         .collect();
@@ -316,9 +325,9 @@ pub(crate) fn assemble(view: &VerticalView, w: &[Vec<f64>], bias: f64) -> Vertic
         .max()
         .map_or(0, |v| v + 1);
     VerticalLinearModel {
-        weight_slices: w.to_vec(),
+        weight_slices: nodes.map(|nd| nd.w.clone()).collect(),
         feature_sets,
-        bias,
+        bias: reducer.bias,
         features,
     }
 }

@@ -52,7 +52,6 @@ mod fixed;
 mod mont;
 mod paillier;
 mod prime;
-pub mod rounds;
 mod secure_sum;
 pub mod shamir;
 
@@ -62,9 +61,6 @@ pub use fixed::FixedPointCodec;
 pub use mont::Montgomery;
 pub use paillier::{Paillier, PaillierCiphertext, PaillierPrivateKey, PaillierPublicKey};
 pub use prime::{gen_prime, is_probable_prime};
-pub use rounds::{
-    gather_masked_sum, reconstruct_threshold_sum, PairwiseRound, RoundError, ThresholdRound,
-};
 pub use secure_sum::{
     AdditiveSharing, MaskedShare, MaskingParty, PaillierAggregation, PairwiseMasking, PlainSum,
     SecureSum, ThresholdSharing,
