@@ -19,6 +19,12 @@
 //! pairwise, split/blind/reconstruct for Shamir, modular
 //! exponentiations for Paillier.
 //!
+//! The couriers run the binaries' schedule (`RetryPolicy::tcp_default()`),
+//! not the tests' 2 ms one: on a hub that loses nothing every
+//! retransmission is a timer firing while the receiver computes, and
+//! would make the wire bytes depend on scheduling — with 65 runnable
+//! threads on a few cores, badly.
+//!
 //! Results go to stdout and `BENCH_secagg.json` in the working
 //! directory. `PPML_BENCH_QUICK=1` shrinks the grid to m in {4, 8} for
 //! CI smoke runs; `PPML_BENCH_M=8,64` overrides the grid outright.
@@ -127,12 +133,12 @@ fn run_cell(secagg: SecAggConfig, m: usize) -> Row {
         .iter()
         .enumerate()
         .map(|(p, part)| {
-            let mut courier = Courier::new(hub.endpoint(p as PartyId), RetryPolicy::fast_local());
+            let mut courier = Courier::new(hub.endpoint(p as PartyId), RetryPolicy::tcp_default());
             let part = part.clone();
             thread::spawn(move || learn_linear_secagg(&mut courier, m, &part, &cfg, timing, secagg))
         })
         .collect();
-    let mut courier = Courier::new(hub.endpoint(m as PartyId), RetryPolicy::fast_local());
+    let mut courier = Courier::new(hub.endpoint(m as PartyId), RetryPolicy::tcp_default());
     let features = feature_count(&parts).expect("partitions");
     let outcome = coordinate_linear_secagg(&mut courier, m, features, &cfg, None, timing, secagg);
     let mut ok = outcome.is_ok();

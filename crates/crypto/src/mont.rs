@@ -27,9 +27,13 @@ pub struct Montgomery {
     k: usize,
     /// `n' = -n⁻¹ mod 2⁶⁴`.
     n_prime: u64,
-    /// `R² mod n`, for conversion into the Montgomery domain.
-    r2: BigUint,
+    /// `R² mod n` as `k` limbs, for conversion into the Montgomery domain.
+    r2: Vec<u64>,
 }
+
+/// Exponent bits consumed per table lookup in [`Montgomery::mod_pow`];
+/// divides 64, so a window (bit offset `i`) never straddles two limbs.
+const WINDOW: usize = 4;
 
 impl Montgomery {
     /// Builds a context for the odd modulus `n`.
@@ -50,13 +54,13 @@ impl Montgomery {
             inv = inv.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(inv)));
         }
         debug_assert_eq!(n0.wrapping_mul(inv), 1);
-        let n_prime = inv.wrapping_neg();
         // R² mod n via shifting (one-time cost).
-        let r2 = BigUint::one().shl(64 * k * 2).rem(n);
+        let mut r2 = BigUint::one().shl(64 * k * 2).rem(n).limbs().to_vec();
+        r2.resize(k, 0);
         Montgomery {
             n: n.clone(),
             k,
-            n_prime,
+            n_prime: inv.wrapping_neg(),
             r2,
         }
     }
@@ -66,76 +70,100 @@ impl Montgomery {
         &self.n
     }
 
-    /// Montgomery reduction: computes `t · R⁻¹ mod n` for `t < n·R`.
-    fn redc(&self, t: &BigUint) -> BigUint {
-        let k = self.k;
-        let n_limbs = self.n.limbs();
-        // Working buffer of 2k+1 limbs.
-        let mut buf = vec![0u64; 2 * k + 1];
-        let t_limbs = t.limbs();
-        buf[..t_limbs.len()].copy_from_slice(t_limbs);
-        for i in 0..k {
-            let m = buf[i].wrapping_mul(self.n_prime);
-            // buf += m * n << (64*i)
+    /// `a mod n` as exactly `k` limbs.
+    fn residue(&self, a: &BigUint) -> Vec<u64> {
+        let mut limbs = a.rem(&self.n).limbs().to_vec();
+        limbs.resize(self.k, 0);
+        limbs
+    }
+
+    /// The Montgomery product `a · b · R⁻¹ mod n` of two `k`-limb residues,
+    /// left in `t[..k]`; `t` is `k + 2` limbs of caller-owned scratch.
+    /// CIOS: each limb of `b` is multiplied in and one limb of the running
+    /// sum reduced away in the same pass, so the sum never outgrows `t`.
+    fn mul_into(&self, a: &[u64], b: &[u64], t: &mut [u64]) {
+        let (k, n) = (self.k, self.n.limbs());
+        let (a, t) = (&a[..k], &mut t[..k + 2]);
+        t.fill(0);
+        for &bi in &b[..k] {
             let mut carry = 0u128;
-            for (j, &nl) in n_limbs.iter().enumerate() {
-                let idx = i + j;
-                let v = buf[idx] as u128 + (m as u128) * (nl as u128) + carry;
-                buf[idx] = v as u64;
+            for (tj, &aj) in t.iter_mut().zip(a) {
+                let v = *tj as u128 + aj as u128 * bi as u128 + carry;
+                *tj = v as u64;
                 carry = v >> 64;
             }
-            let mut idx = i + k;
-            while carry != 0 {
-                let v = buf[idx] as u128 + carry;
-                buf[idx] = v as u64;
+            let v = t[k] as u128 + carry;
+            t[k] = v as u64;
+            t[k + 1] = (v >> 64) as u64;
+            // t += m·n makes the low limb zero; drop it (divide by 2⁶⁴).
+            let m = t[0].wrapping_mul(self.n_prime);
+            let mut carry = (t[0] as u128 + m as u128 * n[0] as u128) >> 64;
+            for j in 1..k {
+                let v = t[j] as u128 + m as u128 * n[j] as u128 + carry;
+                t[j - 1] = v as u64;
                 carry = v >> 64;
-                idx += 1;
+            }
+            let v = t[k] as u128 + carry;
+            t[k - 1] = v as u64;
+            t[k] = t[k + 1] + (v >> 64) as u64;
+        }
+        // The sum is below 2n: one conditional subtraction finishes.
+        if t[k] != 0 || t[..k].iter().rev().ge(n.iter().rev()) {
+            let mut borrow = 0u128;
+            for (tj, &nj) in t.iter_mut().zip(n) {
+                let d = (*tj as u128).wrapping_sub(nj as u128 + borrow);
+                *tj = d as u64;
+                borrow = d >> 127;
             }
         }
-        // Divide by R: drop the low k limbs.
-        let out = BigUint::from_limbs(buf[k..].to_vec());
-        if out >= self.n {
-            out.sub(&self.n)
-        } else {
-            out
-        }
     }
 
-    /// Converts into the Montgomery domain: `a · R mod n`.
-    fn to_mont(&self, a: &BigUint) -> BigUint {
-        self.redc(&a.mul(&self.r2))
-    }
-
-    /// Montgomery-domain product.
-    fn mont_mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        self.redc(&a.mul(b))
-    }
-
-    /// `base^exp mod n` by left-to-right square-and-multiply in the
-    /// Montgomery domain.
+    /// `base^exp mod n` by fixed 4-bit windows, left to right, in the
+    /// Montgomery domain. The table and two swap buffers are allocated up
+    /// front; the exponent loop allocates nothing.
     pub fn mod_pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         if exp.is_zero() {
             return BigUint::one().rem(&self.n);
         }
-        let base = base.rem(&self.n);
-        if base.is_zero() {
-            return BigUint::zero();
+        let k = self.k;
+        let one = self.residue(&BigUint::one());
+        let (mut acc, mut tmp) = (vec![0u64; k + 2], vec![0u64; k + 2]);
+        // table[w·k..][..k] = base^w · R mod n, from 1·R and base·R.
+        let mut table = vec![0u64; k << WINDOW];
+        self.mul_into(&one, &self.r2, &mut acc);
+        self.mul_into(&self.residue(base), &self.r2, &mut tmp);
+        table[..k].copy_from_slice(&acc[..k]);
+        for w in 1..1 << WINDOW {
+            self.mul_into(&table[(w - 1) * k..], &tmp, &mut acc);
+            table[w * k..][..k].copy_from_slice(&acc[..k]);
         }
-        let mb = self.to_mont(&base);
-        let mut acc = mb.clone();
-        for i in (0..exp.bits() - 1).rev() {
-            acc = self.mont_mul(&acc, &acc);
-            if exp.bit(i) {
-                acc = self.mont_mul(&acc, &mb);
+        let window = |i: usize| (exp.limbs()[i / 64] >> (i % 64)) as usize % (1 << WINDOW);
+        let top = (exp.bits() - 1) / WINDOW * WINDOW;
+        acc[..k].copy_from_slice(&table[window(top) * k..][..k]);
+        for i in (0..top).step_by(WINDOW).rev() {
+            for _ in 0..WINDOW {
+                self.mul_into(&acc, &acc, &mut tmp);
+                std::mem::swap(&mut acc, &mut tmp);
+            }
+            // A zero window multiplies by one and is skipped: like the
+            // table index this depends on the exponent — not constant time.
+            if window(i) != 0 {
+                self.mul_into(&acc, &table[window(i) * k..], &mut tmp);
+                std::mem::swap(&mut acc, &mut tmp);
             }
         }
-        self.redc(&acc)
+        self.mul_into(&acc, &one, &mut tmp);
+        tmp.truncate(k);
+        BigUint::from_limbs(tmp)
     }
 
     /// `a · b mod n` through one round-trip into the Montgomery domain.
     pub fn mod_mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        let ma = self.to_mont(&a.rem(&self.n));
-        self.mont_mul(&ma, &b.rem(&self.n))
+        let (mut ma, mut out) = (vec![0u64; self.k + 2], vec![0u64; self.k + 2]);
+        self.mul_into(&self.residue(a), &self.r2, &mut ma);
+        self.mul_into(&ma, &self.residue(b), &mut out);
+        out.truncate(self.k);
+        BigUint::from_limbs(out)
     }
 }
 

@@ -25,12 +25,10 @@ pub fn is_probable_prime(n: &BigUint, rounds: usize, rng: &mut Rng64) -> bool {
         return false;
     }
     for &p in TRIAL_PRIMES {
-        let bp = BigUint::from(p);
-        if n == &bp {
-            return true;
-        }
-        if n.rem(&bp).is_zero() {
-            return false;
+        // n mod p, folding the limbs from the top through `u128 % p`.
+        let fold = |r: u64, &l: &u64| (((r as u128) << 64 | l as u128) % p as u128) as u64;
+        if n.limbs().iter().rev().fold(0, fold) == 0 {
+            return n.to_u64() == Some(p);
         }
     }
     // Write n-1 = d·2^s with d odd.

@@ -129,6 +129,59 @@ fn montgomery_matches_naive_modpow() {
     });
 }
 
+/// Uniform value of exactly `bits` bits (top bit set; zero for 0 bits).
+fn any_of_bits(g: &mut Gen, bits: usize) -> BigUint {
+    let mut limbs: Vec<u64> = (0..bits.div_ceil(64)).map(|_| g.rng().next_u64()).collect();
+    if let Some(top) = limbs.last_mut() {
+        *top >>= (64 - bits % 64) % 64;
+    }
+    let mut v = BigUint::from_limbs(limbs);
+    if bits > 0 {
+        v.set_bit(bits - 1);
+    }
+    v
+}
+
+#[test]
+fn montgomery_matches_div_rem_reference_on_multi_limb_moduli() {
+    // Paillier's n² is 4 limbs; cover 1–8, each size twice, once with a
+    // top limb of all ones (the carry-heavy corner of CIOS).
+    run_cases("montgomery_multi_limb", 16, |g, case| {
+        let limbs = case % 8 + 1;
+        let mut m: Vec<u64> = (0..limbs).map(|_| g.rng().next_u64()).collect();
+        m[0] |= 1;
+        m[limbs - 1] = if case < 8 {
+            u64::MAX
+        } else {
+            m[limbs - 1] | 1 << 63
+        };
+        let m = BigUint::from_limbs(m);
+        let ctx = Montgomery::new(&m);
+        let bases = [
+            BigUint::zero(),
+            any_of_bits(g, 64 * limbs - 1),
+            m.add(&any_of_bits(g, 64 * limbs + 3)), // base ≥ n
+        ];
+        for (a, b) in [(&bases[1], &bases[2]), (&bases[2], &bases[2])] {
+            assert_eq!(ctx.mod_mul(a, b), a.mul(b).rem(&m), "{a} · {b} mod {m}");
+        }
+        for bits in [0, 1, 4, 5, 63, 64, 65, 127, 128, 129] {
+            let exp = any_of_bits(g, bits);
+            for base in &bases {
+                // Reference: square-and-multiply on `mul` + `div_rem`.
+                let mut want = BigUint::one();
+                for i in (0..bits).rev() {
+                    want = want.mul(&want).rem(&m);
+                    if exp.bit(i) {
+                        want = want.mul(base).rem(&m);
+                    }
+                }
+                assert_eq!(ctx.mod_pow(base, &exp), want, "{base}^{exp} mod {m}");
+            }
+        }
+    });
+}
+
 #[test]
 fn fixed_point_roundtrip() {
     // The default codec admits |v| ≤ 2⁶²/2³²/2¹² ≈ 2.6e5.

@@ -4,13 +4,14 @@
 //!
 //! The underlying fabrics are allowed to drop, duplicate and reorder
 //! frames (the loopback backend does so on purpose; TCP reconnection can
-//! lose a frame in flight). `Courier` layers a stop-and-wait ARQ on top:
-//! every non-ack frame is acknowledged by the receiver with
-//! [`Message::Ack`] carrying the frame's sequence number; the sender
-//! retransmits under the *same* sequence number (flagged
-//! [`FLAG_RETRANSMIT`]) until the ack arrives or the retry budget is
-//! spent; receivers track a per-sender contiguous watermark plus a small
-//! out-of-order window, re-ack duplicates, and deliver each message
+//! lose a frame in flight). `Courier` layers an ARQ on top that is
+//! stop-and-wait *per link* and fans out *across* links
+//! ([`Courier::send_reliable_each`]): every non-ack frame is acknowledged
+//! by the receiver with [`Message::Ack`] carrying the frame's sequence
+//! number; the sender retransmits under the *same* sequence number
+//! (flagged [`FLAG_RETRANSMIT`]) until the ack arrives or the retry budget
+//! is spent; receivers track a per-sender contiguous watermark plus a
+//! small out-of-order window, re-ack duplicates, and deliver each message
 //! exactly once in arrival order.
 //!
 //! Acknowledgement frames travel at sequence number 0 (like the TCP
@@ -76,6 +77,17 @@ impl DedupState {
     }
 }
 
+/// One unacknowledged frame of a `send_reliable_each` call: its index in the
+/// call's list, transmissions and bytes so far, when its retry window closes.
+struct Flight {
+    frame: usize,
+    to: PartyId,
+    seq: u64,
+    attempts: u32,
+    bytes: usize,
+    deadline: Instant,
+}
+
 /// Exactly-once messaging over a lossy transport.
 pub struct Courier<T: Transport> {
     transport: T,
@@ -84,8 +96,6 @@ pub struct Courier<T: Transport> {
     inbox: VecDeque<Envelope>,
     /// Duplicate-suppression state, per sender.
     seen: HashMap<PartyId, DedupState>,
-    /// Acks that arrived before we looked for them: (peer, seq).
-    acks: BTreeSet<(PartyId, u64)>,
 }
 
 impl<T: Transport> Courier<T> {
@@ -96,7 +106,6 @@ impl<T: Transport> Courier<T> {
             policy,
             inbox: VecDeque::new(),
             seen: HashMap::new(),
-            acks: BTreeSet::new(),
         }
     }
 
@@ -117,9 +126,9 @@ impl<T: Transport> Courier<T> {
         &self.transport
     }
 
-    /// Forgets all duplicate-suppression and pending-ack state for
-    /// `peer`, as if this endpoint had never heard from it — including
-    /// any of its frames still queued in the inbox.
+    /// Forgets all duplicate-suppression state for `peer`, as if this
+    /// endpoint had never heard from it — including any of its frames
+    /// still queued in the inbox.
     ///
     /// Useful when a peer *process* is known to have restarted: its
     /// transport sequence counters reset to 1, so stale state would
@@ -132,7 +141,6 @@ impl<T: Transport> Courier<T> {
     /// fresh-incarnation traffic beyond Join probes can exist.
     pub fn reset_peer(&mut self, peer: PartyId) {
         self.seen.remove(&peer);
-        self.acks.retain(|&(p, _)| p != peer);
         self.inbox.retain(|env| env.from != peer);
     }
 
@@ -141,9 +149,9 @@ impl<T: Transport> Courier<T> {
         self.transport
     }
 
-    /// Sends `msg` and blocks until the destination acknowledges it,
-    /// retransmitting per the retry policy. Returns the total bytes put on
-    /// the wire for this message (retransmissions included).
+    /// Sends `msg` and blocks until the destination acknowledges it — the
+    /// one-frame case of [`Courier::send_reliable_each`]. Returns the total
+    /// bytes put on the wire for this message (retransmissions included).
     ///
     /// Messages arriving while we wait are acknowledged, deduplicated and
     /// queued for [`Courier::recv`] — two parties can therefore
@@ -154,58 +162,101 @@ impl<T: Transport> Courier<T> {
     /// [`TransportError::Timeout`] when the retry budget is exhausted
     /// without an acknowledgement; any transport error is propagated.
     pub fn send_reliable(&mut self, to: PartyId, msg: &Message) -> Result<usize, TransportError> {
-        let seq = self.transport.next_seq(to);
-        let mut total = 0usize;
-        for attempt in 0..self.policy.max_attempts {
-            let flags = if attempt == 0 {
-                0
-            } else {
-                telemetry::emit(self.party(), EventKind::ArqRetransmit { to, seq, attempt });
-                FLAG_RETRANSMIT
-            };
-            total += self.transport.send_raw(to, msg, seq, flags)?;
-            if self.await_ack(to, seq, self.policy.backoff(attempt))? {
-                return Ok(total);
-            }
-        }
-        telemetry::emit(
-            self.party(),
-            EventKind::SendTimeout {
-                to,
-                attempts: self.policy.max_attempts,
-            },
-        );
-        Err(TransportError::Timeout)
+        let mut results = self.send_reliable_each(&[(to, msg)])?;
+        results.pop().expect("one result per frame")
     }
 
-    /// Waits for an ack of `(to, seq)` until `window` elapses, processing
-    /// (and acking) whatever else arrives meanwhile.
-    fn await_ack(
+    /// Reliably sends every frame, overlapping the round trips: the first
+    /// transmission to *every* recipient is on the wire before the first
+    /// wait, acks are gathered together, and each unacknowledged frame is
+    /// retransmitted on its own retry schedule. Per link it stays
+    /// stop-and-wait — a second frame for the same recipient goes out
+    /// once the first has settled — so per-link order holds. Returns, in
+    /// call order, what [`Courier::send_reliable`] would for each frame:
+    /// one lost peer does not fail the others.
+    ///
+    /// # Errors
+    ///
+    /// Only this endpoint's own failure while waiting
+    /// ([`TransportError::Closed`], a non-timeout receive error), which
+    /// aborts the whole call.
+    pub fn send_reliable_each(
         &mut self,
-        to: PartyId,
-        seq: u64,
-        window: Duration,
-    ) -> Result<bool, TransportError> {
-        if self.acks.remove(&(to, seq)) {
-            return Ok(true);
-        }
-        let deadline = Instant::now() + window;
+        frames: &[(PartyId, &Message)],
+    ) -> Result<Vec<Result<usize, TransportError>>, TransportError> {
+        let mut results: Vec<_> = frames.iter().map(|_| Ok(0)).collect();
+        let mut queued: Vec<usize> = (0..frames.len()).collect();
+        let mut flights: Vec<Flight> = Vec::with_capacity(frames.len());
         loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return Ok(false);
-            }
-            match self.transport.recv(deadline - now) {
+            // First transmission of every queued frame whose link is idle.
+            queued.retain(|&frame| {
+                let (to, msg) = frames[frame];
+                if flights.iter().any(|f| f.to == to) {
+                    return true;
+                }
+                let (seq, deadline) = (self.transport.next_seq(to), Instant::now());
+                let mut flight = Flight {
+                    frame,
+                    to,
+                    seq,
+                    attempts: 0,
+                    bytes: 0,
+                    deadline,
+                };
+                match self.transmit(&mut flight, msg) {
+                    Ok(()) => flights.push(flight),
+                    Err(e) => results[frame] = Err(e),
+                }
+                false
+            });
+            let Some(deadline) = flights.iter().map(|f| f.deadline).min() else {
+                return Ok(results);
+            };
+            // A window ends only on a receive that found nothing: what has
+            // already arrived is drained (zero wait past the deadline)
+            // before any frame is judged overdue — absorbing one frame can
+            // outlast a window, with our ack queued right behind it.
+            let wait = deadline.saturating_duration_since(Instant::now());
+            match self.transport.recv(wait) {
                 Ok(env) => {
-                    self.absorb(env)?;
-                    if self.acks.remove(&(to, seq)) {
-                        return Ok(true);
+                    let ack = self.absorb(env)?;
+                    if let Some(i) = flights.iter().position(|f| Some((f.to, f.seq)) == ack) {
+                        let flight = flights.remove(i);
+                        results[flight.frame] = Ok(flight.bytes);
                     }
                 }
-                Err(TransportError::Timeout) => return Ok(false),
+                Err(TransportError::Timeout) => {
+                    let now = Instant::now();
+                    flights.retain_mut(|f| {
+                        if f.deadline > now {
+                            return true;
+                        }
+                        let sent = if f.attempts < self.policy.max_attempts {
+                            self.transmit(f, frames[f.frame].1)
+                        } else {
+                            let (to, attempts) = (f.to, f.attempts);
+                            telemetry::emit(self.party(), EventKind::SendTimeout { to, attempts });
+                            Err(TransportError::Timeout)
+                        };
+                        sent.map_err(|e| results[f.frame] = Err(e)).is_ok()
+                    });
+                }
                 Err(e) => return Err(e),
             }
         }
+    }
+
+    /// Puts `f`'s next transmission on the wire and opens its retry window.
+    fn transmit(&mut self, f: &mut Flight, msg: &Message) -> Result<(), TransportError> {
+        let (to, seq, attempt) = (f.to, f.seq, f.attempts);
+        if attempt > 0 {
+            telemetry::emit(self.party(), EventKind::ArqRetransmit { to, seq, attempt });
+        }
+        let flags = if attempt > 0 { FLAG_RETRANSMIT } else { 0 };
+        f.bytes += self.transport.send_raw(to, msg, seq, flags)?;
+        f.deadline = Instant::now() + self.policy.backoff(attempt);
+        f.attempts += 1;
+        Ok(())
     }
 
     /// Sends `msg` once, without waiting for an acknowledgement. Returns
@@ -246,12 +297,12 @@ impl<T: Transport> Courier<T> {
         }
     }
 
-    /// Routes one raw envelope: acks are recorded, fresh messages are
-    /// acked and queued, duplicates are re-acked and discarded.
-    fn absorb(&mut self, env: Envelope) -> Result<(), TransportError> {
+    /// Routes one raw envelope: an ack is handed back as the `(peer, seq)` it
+    /// names, leaving no state (so one naming no frame in flight is dropped);
+    /// fresh messages are acked and queued, duplicates re-acked and discarded.
+    fn absorb(&mut self, env: Envelope) -> Result<Option<(PartyId, u64)>, TransportError> {
         if let Message::Ack { of_seq } = env.msg {
-            self.acks.insert((env.from, of_seq));
-            return Ok(());
+            return Ok(Some((env.from, of_seq)));
         }
         // Always acknowledge — the sender may have missed the last ack.
         // Acks ride at seq 0 so data sequence numbers stay contiguous.
@@ -289,7 +340,7 @@ impl<T: Transport> Courier<T> {
         if matches!(env.msg, Message::Join { .. } | Message::Welcome { .. }) {
             self.seen.remove(&env.from);
             self.inbox.push_back(env);
-            return Ok(());
+            return Ok(None);
         }
         let fresh = self.seen.entry(env.from).or_default().record(env.seq);
         if fresh {
@@ -303,7 +354,7 @@ impl<T: Transport> Courier<T> {
                 },
             );
         }
-        Ok(())
+        Ok(None)
     }
 }
 
@@ -521,18 +572,13 @@ mod tests {
             .unwrap();
         let (env, _b) = rx.join().unwrap();
         assert_eq!(env.msg, Message::Heartbeat { nonce: 5 });
-        // The sender's own ack bookkeeping is empty afterwards: the ack
-        // was consumed, not retained under (peer, 0).
-        assert!(a.acks.is_empty(), "{:?}", a.acks);
     }
 
     #[test]
     fn duplicated_acks_do_not_poison_later_deliveries() {
         // Duplicate every ack 1→0: the sender sees the same (1, seq) ack
-        // twice; the second insert is a no-op on the BTreeSet and must not
-        // make a *future* send at the same seq considered pre-acked for a
-        // different message. With per-link monotone sequence numbers that
-        // can only happen if acks leaked into dedup — assert they did not.
+        // twice; the second names no frame in flight and must be dropped,
+        // not kept to pre-ack a *future* send.
         let plan = NetFaultPlan::none().duplicate_frames(LinkFilter::any().from(1).kind(4), 8);
         let (mut a, b) = pair(plan);
         let rx = receive_n_in_background(b, 3);
@@ -541,12 +587,6 @@ mod tests {
         }
         let got = rx.join().unwrap();
         assert_eq!(got.len(), 3);
-        // Stray duplicate acks for already-consumed seqs may remain; none
-        // of them may claim seq 0 or a seq we never sent (≤ 3).
-        for &(peer, seq) in &a.acks {
-            assert_eq!(peer, 1);
-            assert!((1..=3).contains(&seq), "phantom ack for seq {seq}");
-        }
     }
 
     #[test]
@@ -671,6 +711,193 @@ mod tests {
             assert!(policy.backoff(policy.max_attempts.saturating_mul(1000)) <= cap);
             assert!(cap > Duration::ZERO);
         }
+    }
+
+    /// What a [`ScriptedTransport`] hands to the next `recv`.
+    enum Arrival {
+        Frame(Envelope),
+        /// Handed over only after the caller's whole timeout has passed.
+        LateFrame(Envelope),
+        /// Nothing arrives: the timeout elapses.
+        Silence,
+    }
+
+    /// A single-threaded fabric for party 9 that logs `(to, seq, flags)`
+    /// per `send_raw` in the sender's own call order and feeds `recv`
+    /// from a script; data frames to a party in `acking` are answered
+    /// with an ack appended to the script, all others vanish.
+    #[derive(Default)]
+    struct ScriptedTransport {
+        log: Vec<(PartyId, u64, u16)>,
+        seqs: HashMap<PartyId, u64>,
+        acking: Vec<PartyId>,
+        script: VecDeque<Arrival>,
+    }
+
+    fn ack_from(from: PartyId, of_seq: u64) -> Envelope {
+        Envelope {
+            from,
+            seq: 0,
+            flags: 0,
+            msg: Message::Ack { of_seq },
+        }
+    }
+
+    impl Transport for ScriptedTransport {
+        fn party(&self) -> PartyId {
+            9
+        }
+        fn next_seq(&mut self, to: PartyId) -> u64 {
+            let seq = self.seqs.entry(to).or_insert(0);
+            *seq += 1;
+            *seq
+        }
+        fn send_raw(
+            &mut self,
+            to: PartyId,
+            msg: &Message,
+            seq: u64,
+            flags: u16,
+        ) -> Result<usize, TransportError> {
+            self.log.push((to, seq, flags));
+            if seq != 0 && self.acking.contains(&to) {
+                self.script.push_back(Arrival::Frame(ack_from(to, seq)));
+            }
+            Ok(crate::Frame::encoded_len_of(msg))
+        }
+        fn recv(&mut self, timeout: Duration) -> Result<Envelope, TransportError> {
+            match self.script.pop_front() {
+                Some(Arrival::Frame(env)) => Ok(env),
+                Some(Arrival::LateFrame(env)) => {
+                    std::thread::sleep(timeout + Duration::from_millis(1));
+                    Ok(env)
+                }
+                Some(Arrival::Silence) | None => {
+                    std::thread::sleep(timeout);
+                    Err(TransportError::Timeout)
+                }
+            }
+        }
+        fn stats(&self) -> crate::LinkStats {
+            crate::LinkStats::default()
+        }
+    }
+
+    /// The data frames (acks ride at seq 0) a scripted courier sent.
+    fn data_log(courier: &Courier<ScriptedTransport>) -> Vec<(PartyId, u64, u16)> {
+        let log = courier.transport().log.iter();
+        log.filter(|&&(_, seq, _)| seq != 0).copied().collect()
+    }
+
+    #[test]
+    fn fan_out_reaches_every_recipient_before_any_retransmission() {
+        // Party 0 never answers, party 1 acks at once: 1 must be served
+        // before 0's retry schedule starts, not after its whole budget.
+        let policy = RetryPolicy::fast_local();
+        let transport = ScriptedTransport {
+            acking: vec![1],
+            ..Default::default()
+        };
+        let mut courier = Courier::new(transport, policy);
+        let msg = Message::Heartbeat { nonce: 7 };
+        let results = courier
+            .send_reliable_each(&[(0, &msg), (1, &msg)])
+            .expect("own endpoint is healthy");
+        let one = crate::Frame::encoded_len_of(&msg);
+        assert!(matches!(results[0], Err(TransportError::Timeout)));
+        assert!(matches!(results[1], Ok(n) if n == one));
+        let log = data_log(&courier);
+        let first_to_1 = log.iter().position(|&(to, _, _)| to == 1).unwrap();
+        let first_retransmit = log.iter().position(|&(_, _, f)| f == FLAG_RETRANSMIT);
+        assert!(first_to_1 < first_retransmit.unwrap(), "{log:?}");
+        let to_0: Vec<_> = log.iter().filter(|&&(to, _, _)| to == 0).collect();
+        assert_eq!(to_0.len(), policy.max_attempts as usize);
+        assert!(to_0.iter().all(|&&(_, seq, _)| seq == 1), "{log:?}");
+        assert_eq!(log.iter().filter(|&&(to, _, _)| to == 1).count(), 1);
+    }
+
+    #[test]
+    fn a_window_ends_only_on_an_empty_receive() {
+        // An unrelated frame surfaces after the window has elapsed, with
+        // our ack queued right behind it: the inbox is drained before the
+        // frame is judged overdue, so nothing is retransmitted.
+        let late = Envelope {
+            from: 1,
+            seq: 1,
+            flags: 0,
+            msg: Message::Heartbeat { nonce: 1 },
+        };
+        let transport = ScriptedTransport {
+            script: VecDeque::from([Arrival::LateFrame(late), Arrival::Frame(ack_from(1, 1))]),
+            ..Default::default()
+        };
+        let mut courier = Courier::new(transport, RetryPolicy::fast_local());
+        courier
+            .send_reliable(1, &Message::Heartbeat { nonce: 2 })
+            .unwrap();
+        assert_eq!(data_log(&courier), vec![(1, 1, 0)]);
+        assert_eq!(
+            courier.recv(TICK).unwrap().msg,
+            Message::Heartbeat { nonce: 1 }
+        );
+    }
+
+    #[test]
+    fn a_link_carries_one_frame_at_a_time_in_call_order() {
+        // Two frames for one recipient in one call; the first ack is a
+        // window late. The second frame must wait for it (the first is
+        // retransmitted meanwhile), so per-link order holds.
+        let transport = ScriptedTransport {
+            script: VecDeque::from([
+                Arrival::Silence,
+                Arrival::Frame(ack_from(1, 1)),
+                Arrival::Frame(ack_from(1, 2)),
+            ]),
+            ..Default::default()
+        };
+        let mut courier = Courier::new(transport, RetryPolicy::fast_local());
+        let (a, b) = (
+            Message::Heartbeat { nonce: 1 },
+            Message::Heartbeat { nonce: 2 },
+        );
+        let results = courier.send_reliable_each(&[(1, &a), (1, &b)]).unwrap();
+        let one = crate::Frame::encoded_len_of(&a);
+        assert!(matches!(results[0], Ok(n) if n == 2 * one));
+        assert!(matches!(results[1], Ok(n) if n == one));
+        assert_eq!(
+            data_log(&courier),
+            vec![(1, 1, 0), (1, 1, FLAG_RETRANSMIT), (1, 2, 0)]
+        );
+    }
+
+    #[test]
+    fn acks_that_name_no_frame_in_flight_are_dropped() {
+        // Every unreliable send is acked by its receiver and a
+        // retransmitted frame is acked twice. The courier keeps no ack
+        // state at all (the parent kept all 1 001 of these for the life
+        // of the process): such an ack is consumed on arrival, never
+        // surfaces, and never settles a frame it does not name.
+        let transport = ScriptedTransport {
+            acking: vec![1],
+            ..Default::default()
+        };
+        let mut courier = Courier::new(transport, RetryPolicy::fast_local());
+        for nonce in 0..1000 {
+            let msg = Message::Heartbeat { nonce };
+            courier.send_unreliable(1, &msg).unwrap();
+        }
+        // Seq 1001 → party 1. Behind the thousand late acks comes an ack
+        // of that very seq from the wrong peer, then a silent window: the
+        // frame goes out twice and is acked twice.
+        let script = &mut courier.transport.script;
+        script.extend([Arrival::Frame(ack_from(2, 1001)), Arrival::Silence]);
+        let msg = Message::Heartbeat { nonce: 0 };
+        let bytes = courier.send_reliable(1, &msg).unwrap();
+        assert_eq!(bytes, 2 * crate::Frame::encoded_len_of(&msg));
+        assert_eq!(data_log(&courier).len(), 1002);
+        let idle = courier.recv(Duration::from_millis(1));
+        assert!(matches!(idle, Err(TransportError::Timeout)), "{idle:?}");
+        assert!(courier.transport().script.is_empty());
     }
 
     /// A transport whose inbox holds one last frame from a peer that has

@@ -18,8 +18,9 @@
 //!   [`NetFaultPlan`] drop/duplicate/delay injection) and [`TcpTransport`]
 //!   (`std::net`, per-message timeouts, exponential-backoff dialing,
 //!   reconnection);
-//! * [`Courier`] — stop-and-wait reliability on top of any backend: acks,
-//!   retransmission under [`RetryPolicy`], and duplicate suppression.
+//! * [`Courier`] — reliability on top of any backend, stop-and-wait per
+//!   link and overlapped across links: acks, retransmission under
+//!   [`RetryPolicy`], and duplicate suppression.
 //!
 //! # Example
 //!

@@ -1233,16 +1233,24 @@ fn shamir_wire_tap_sees_only_blinded_blocks_and_a_lone_share_decodes_to_garbage(
     // shares and control frames — never a raw model or a bare share.
     let sent = sent.lock().expect("tap");
     assert!(!sent.is_empty());
-    let mut dists = 0usize;
+    // Counted per distinct iteration: an ARQ retransmission under load
+    // is a second frame on the tap, not a second contribution.
+    let mut dists = std::collections::BTreeSet::new();
     let mut sums: Vec<(u64, Vec<u64>)> = Vec::new();
     for (to, msg) in sent.iter() {
         assert_eq!(*to, m as PartyId, "learner spoke to a non-coordinator");
         match msg {
-            Message::ShamirDist { party, .. } => {
+            Message::ShamirDist {
+                party, iteration, ..
+            } => {
                 assert_eq!(*party, 0);
-                dists += 1;
+                dists.insert(*iteration);
             }
-            Message::Shares { iteration, values } => sums.push((*iteration, values.clone())),
+            Message::Shares { iteration, values } => {
+                if sums.iter().all(|(seen, _)| seen != iteration) {
+                    sums.push((*iteration, values.clone()));
+                }
+            }
             Message::Ack { .. }
             | Message::Heartbeat { .. }
             | Message::TimeReply { .. }
@@ -1250,7 +1258,7 @@ fn shamir_wire_tap_sees_only_blinded_blocks_and_a_lone_share_decodes_to_garbage(
             other => panic!("unexpected frame kind on the wire: {other:?}"),
         }
     }
-    assert_eq!(dists, cfg.max_iter, "seed {seed}");
+    assert_eq!(dists.len(), cfg.max_iter, "seed {seed}");
     assert_eq!(sums.len(), cfg.max_iter, "seed {seed}");
 
     // One summed share is a single evaluation of a random degree-(t-1)
