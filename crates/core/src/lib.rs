@@ -81,7 +81,7 @@ pub use history::ConvergenceHistory;
 pub use horizontal::kernel::{HorizontalKernelSvm, KernelConsensusModel, KernelOutcome};
 pub use horizontal::linear::{HorizontalLinearSvm, LinearOutcome};
 pub use masks::SeededMasker;
-pub use observe::{observe_task_attempt, score_task_round, set_injected_lag};
+pub use observe::set_injected_lag;
 pub use secagg::{
     coordinate_linear_secagg, coordinate_linear_secagg_with_recovery, learn_linear_secagg,
     learn_linear_secagg_with_defect, rejoin_linear_secagg, SecAggConfig, SecAggKind,

@@ -195,42 +195,3 @@ pub(crate) fn score_round(coordinator: u32, iteration: u64) {
         }
     }
 }
-
-/// Records one MapReduce map-attempt wall clock for the task straggler
-/// scorer — the task-level twin of the learner-side share-lag observer,
-/// surfaced on
-/// `GET /cluster` as `ppml_task_attempt_lag_ns`. The built-in engines
-/// (`ppml_mapreduce::Cluster` and `TaskScheduler`) feed this themselves;
-/// external drivers timing their own attempts call it directly. A no-op
-/// with telemetry disabled.
-pub fn observe_task_attempt(worker: u32, iteration: u64, lag_ns: u64) {
-    if telemetry::enabled() {
-        ClusterRegistry::global().observe_task_lag(worker, iteration, lag_ns);
-    }
-}
-
-/// Scores one MapReduce round's recorded attempt timings against their
-/// lower median and emits [`EventKind::SlowWorker`] for each flagged
-/// straggler — the task-level twin of the learner round scorer, for
-/// drivers that
-/// feed [`observe_task_attempt`] themselves. Consumes the round's
-/// samples; scoring an unfed round is a no-op.
-pub fn score_task_round(coordinator: u32, iteration: u64) {
-    if !telemetry::enabled() {
-        return;
-    }
-    for verdict in ClusterRegistry::global().score_task_round(iteration) {
-        if verdict.is_slow() {
-            telemetry::emit(
-                coordinator,
-                EventKind::SlowWorker {
-                    node: verdict.party,
-                    iteration: verdict.iteration,
-                    lag_ns: verdict.lag_ns,
-                    median_ns: verdict.median_ns,
-                    score: verdict.score,
-                },
-            );
-        }
-    }
-}

@@ -172,6 +172,9 @@ pub struct Cluster<J: IterativeJob> {
     /// Nodes declared dead (overdue attempt or closed channel). A dead
     /// node is blacklisted for the rest of the cluster's life.
     dead: Vec<bool>,
+    /// The node a reduce phase lost after it had dispatched to others;
+    /// their answers are still queued, so the job is over.
+    reduce_lost: Option<NodeId>,
 }
 
 impl<J: IterativeJob> Cluster<J>
@@ -221,6 +224,7 @@ where
             handles,
             metrics: JobMetrics::default(),
             iteration: 0,
+            reduce_lost: None,
         })
     }
 
@@ -271,9 +275,8 @@ where
     /// Runs one Map → Shuffle → Reduce round with the given broadcast and
     /// returns the reduce outputs (in key order) plus per-iteration metrics.
     ///
-    /// Fault tolerance mirrors the multi-process
-    /// [`TaskScheduler`](crate::TaskScheduler): failed attempts retry on
-    /// other nodes within `max_attempts`; a node whose attempt outlives
+    /// Fault tolerance: failed attempts retry on other nodes within
+    /// `max_attempts`; a node whose attempt outlives
     /// `task_timeout` (or whose channel is closed) is declared dead, its
     /// in-flight tasks re-queue on survivors, and the node is never
     /// scheduled again. Late results from a node the driver gave up on
@@ -285,7 +288,8 @@ where
     /// [`MapReduceError::TaskFailed`] when a task exhausts its attempts;
     /// [`MapReduceError::QuorumLost`] when every node has died;
     /// [`MapReduceError::WorkerLost`] if a worker thread panicked
-    /// mid-reduce.
+    /// mid-reduce, and again from a later call that meets that round's
+    /// leftover reduce results.
     pub fn run_iteration(
         &mut self,
         broadcast: &J::Broadcast,
@@ -401,9 +405,12 @@ where
                     }
                 }
                 Ok(WorkerOut::Reduce { .. }) => {
-                    // A stray reduce result cannot occur: reduce tasks are
-                    // only dispatched after every map result is in.
-                    unreachable!("reduce result during map phase");
+                    // Left over from a reduce phase that lost a worker
+                    // after dispatching: that round never completed, so
+                    // the job cannot go on.
+                    return Err(MapReduceError::WorkerLost {
+                        node: self.reduce_lost.unwrap_or(NodeId(0)),
+                    });
                 }
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => {
@@ -438,7 +445,7 @@ where
         let outputs = self.run_reduce_phase(groups, &mut iter_metrics)?;
 
         // Hand the round's attempt timings to the straggler scorer and
-        // surface its verdicts (twin of the TaskScheduler path).
+        // surface its verdicts.
         if telemetry::enabled() {
             for v in ClusterRegistry::global().score_task_round(self.iteration as u64) {
                 if v.is_slow() {
@@ -521,9 +528,13 @@ where
         }
         for (task, part) in partitions.into_iter().enumerate() {
             let node = live[task % live.len()];
-            self.senders[node]
+            if self.senders[node]
                 .send(WorkerMsg::Reduce { groups: part })
-                .map_err(|_| MapReduceError::WorkerLost { node: NodeId(node) })?;
+                .is_err()
+            {
+                self.reduce_lost = Some(NodeId(node));
+                return Err(MapReduceError::WorkerLost { node: NodeId(node) });
+            }
         }
         let mut merged: BTreeMap<J::Key, J::ReduceOut> = BTreeMap::new();
         let mut done = 0usize;
@@ -540,9 +551,8 @@ where
                     }
                     done += 1;
                 }
-                WorkerOut::Map(_) => {
-                    unreachable!("map result during reduce phase")
-                }
+                // A straggler the map phase gave up on answering late.
+                WorkerOut::Map(_) => {}
             }
         }
         Ok(merged.into_iter().collect())
@@ -867,7 +877,14 @@ mod tests {
     }
 
     fn wc_cluster(config: ClusterConfig) -> Cluster<WordCount> {
-        let mut c = Cluster::new(config, WordCount).unwrap();
+        wc_cluster_of(config, WordCount)
+    }
+
+    fn wc_cluster_of<J>(config: ClusterConfig, job: J) -> Cluster<J>
+    where
+        J: IterativeJob<BlockPayload = String>,
+    {
+        let mut c = Cluster::new(config, job).unwrap();
         c.load_blocks(vec![
             "the quick brown fox".to_string(),
             "the lazy dog".to_string(),
@@ -1236,6 +1253,57 @@ mod tests {
         let out2 = c.run_iteration(&()).unwrap();
         assert_eq!(counts(&out2)["the"], 3);
         assert_eq!(counts(&out2).len(), 6);
+    }
+
+    /// [`WordCount`] whose every reduce call sleeps.
+    struct SleepyReduce(Duration);
+
+    impl IterativeJob for SleepyReduce {
+        type BlockPayload = String;
+        type MapperState = usize;
+        type Broadcast = ();
+        type Key = String;
+        type MapOut = u64;
+        type ReduceOut = u64;
+
+        fn init_state(&self, block: BlockId, payload: &String) -> usize {
+            WordCount.init_state(block, payload)
+        }
+
+        fn map(
+            &self,
+            node: NodeId,
+            payload: &String,
+            state: &mut usize,
+            b: &(),
+        ) -> Vec<(String, u64)> {
+            WordCount.map(node, payload, state, b)
+        }
+
+        fn reduce(&self, k: &String, values: Vec<u64>) -> u64 {
+            std::thread::sleep(self.0);
+            WordCount.reduce(k, values)
+        }
+    }
+
+    #[test]
+    fn abandoned_stragglers_late_result_is_dropped_by_a_parallel_reduce_phase() {
+        // Node 0 wakes at 200 ms, long after the 40 ms timeout gave up
+        // on it and while the driver is blocked collecting the two
+        // reduce tasks (three keys × 100 ms each, on live nodes).
+        let cfg = ClusterConfig {
+            fault_plan: FaultPlan::new().slow_worker(NodeId(0), Duration::from_millis(200)),
+            task_timeout: Duration::from_millis(40),
+            reduce_tasks: 2,
+            ..Default::default()
+        };
+        let mut c = wc_cluster_of(cfg, SleepyReduce(Duration::from_millis(100)));
+        let out = c.run_iteration(&()).unwrap();
+        assert_eq!(out.metrics.workers_lost, 1);
+        let clean = wc_cluster(ClusterConfig::default())
+            .run_iteration(&())
+            .unwrap();
+        assert_eq!(out.outputs, clean.outputs);
     }
 
     #[test]

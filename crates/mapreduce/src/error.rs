@@ -34,12 +34,6 @@ pub enum MapReduceError {
         /// Minimum live workers the job needs.
         needed: usize,
     },
-    /// The remote worker pool is unusable: a worker registered for a
-    /// different job, or registration never arrived.
-    BadWorker {
-        /// What is wrong with it.
-        reason: String,
-    },
 }
 
 impl fmt::Display for MapReduceError {
@@ -57,7 +51,6 @@ impl fmt::Display for MapReduceError {
                     "cluster lost quorum: {alive} workers alive, {needed} needed"
                 )
             }
-            MapReduceError::BadWorker { reason } => write!(f, "bad worker: {reason}"),
         }
     }
 }

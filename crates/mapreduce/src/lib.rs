@@ -67,20 +67,16 @@ mod bytes;
 mod cluster;
 mod error;
 mod fault;
-pub mod job;
 mod metrics;
 mod scheduler;
-pub mod worker;
 
 pub use block::{BlockId, BlockStore};
 pub use bytes::ByteSized;
 pub use cluster::{Cluster, ClusterConfig, IterationOutput};
 pub use error::MapReduceError;
 pub use fault::{FaultPlan, FaultSpec, WorkerFault};
-pub use job::{process_job, run_local, spin_broadcast, ProcessJob};
 pub use metrics::JobMetrics;
-pub use scheduler::{Scheduler, TaskAssignment, TaskPolicy, TaskScheduler};
-pub use worker::{WorkerOptions, WorkerReport, REGISTER_TAG};
+pub use scheduler::{Scheduler, TaskAssignment};
 
 /// Identifier of a simulated cluster node (also an HDFS data node).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -19,10 +19,8 @@ pub struct JobMetrics {
     /// Map task attempts that failed (fault injection or panic) and were
     /// retried.
     pub task_retries: usize,
-    /// Speculative duplicate attempts launched against stragglers.
-    pub task_speculations: usize,
-    /// Workers that died mid-job (thread exit, process crash, or an
-    /// unreachable peer) whose tasks were re-queued on survivors.
+    /// Workers that died mid-job (thread exit or an overdue attempt)
+    /// whose tasks were re-queued on survivors.
     pub workers_lost: usize,
     /// Bytes of map output crossing the simulated network (shuffle).
     pub bytes_shuffled: usize,
@@ -59,7 +57,6 @@ impl JobMetrics {
         self.locality_hits += other.locality_hits;
         self.remote_reads += other.remote_reads;
         self.task_retries += other.task_retries;
-        self.task_speculations += other.task_speculations;
         self.workers_lost += other.workers_lost;
         self.bytes_shuffled += other.bytes_shuffled;
         self.bytes_broadcast += other.bytes_broadcast;

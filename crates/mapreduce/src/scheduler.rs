@@ -1,40 +1,13 @@
-//! Locality-aware map task placement and the fault-tolerant task driver.
+//! Locality-aware map task placement.
 //!
-//! Two layers live here. [`Scheduler`] is the pure placement heuristic —
-//! GFS/Hadoop in miniature: prefer a node that holds a replica of the
-//! task's block and currently has the lightest load; fall back to the
-//! globally lightest node (a *remote read*) when every replica holder is
-//! saturated relative to it. Deterministic: ties break toward the lower
-//! node id, so every run schedules identically.
-//!
-//! [`TaskScheduler`] is the driver for *real OS-process* workers behind a
-//! [`Courier`]: it dispatches [`Message::TaskDispatch`] frames, collects
-//! [`Message::TaskResult`]s, and survives the three classic failure modes
-//! (DESIGN.md §13):
-//!
-//! * **failed attempts** — bounded retry with [`RetryPolicy`]-shaped
-//!   backoff, preferring a worker that has not failed this task yet;
-//! * **stragglers** — speculative re-execution: when most of the round is
-//!   done and one attempt has run longer than
-//!   `speculation_factor ×` the round's lower-median attempt time, a
-//!   duplicate launches on another worker; first result wins and the
-//!   loser is cancelled (results are bit-identical either way because
-//!   [`ProcessJob::map`] is pure);
-//! * **dead workers** — a send failure or an attempt exceeding
-//!   `attempt_timeout` declares the worker dead; its in-flight tasks
-//!   re-queue on survivors, and when fewer than `quorum` workers remain
-//!   the round fails fast with [`MapReduceError::QuorumLost`] instead of
-//!   hanging.
+//! [`Scheduler`] is the pure placement heuristic — GFS/Hadoop in
+//! miniature: prefer a node that holds a replica of the task's block and
+//! currently has the lightest load; fall back to the globally lightest
+//! node (a *remote read*) when every replica holder is saturated relative
+//! to it. Deterministic: ties break toward the lower node id, so every
+//! run schedules identically.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::time::{Duration, Instant};
-
-use ppml_telemetry::{emit, ClusterRegistry, EventKind};
-use ppml_transport::{Courier, Message, PartyId, RetryPolicy, Transport};
-
-use crate::job::ProcessJob;
-use crate::worker::{decode_register, REGISTER_TAG};
-use crate::{BlockId, BlockStore, JobMetrics, MapReduceError, NodeId};
+use crate::{BlockId, BlockStore, NodeId};
 
 /// One scheduled map task attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,674 +105,6 @@ impl Scheduler {
     }
 }
 
-/// Retry, speculation and liveness knobs for [`TaskScheduler`].
-#[derive(Debug, Clone)]
-pub struct TaskPolicy {
-    /// Give up on a task after this many *failed* attempts (worker
-    /// deaths re-queue without consuming the budget — they are the
-    /// cluster's fault, not the task's).
-    pub max_attempts: usize,
-    /// An attempt older than this declares its worker dead (the
-    /// Hadoop-style liveness rule: with speculation covering mere
-    /// slowness, only a dead or wedged worker ever gets this far).
-    pub attempt_timeout: Duration,
-    /// Backoff schedule between retries of a failed task.
-    pub retry: RetryPolicy,
-    /// Whether stragglers get speculative duplicate attempts.
-    pub speculate: bool,
-    /// Speculate when an attempt has run longer than this multiple of
-    /// the round's lower-median completed-attempt time.
-    pub speculation_factor: f64,
-    /// Delay-scheduling budget: a queued task waits up to this long for
-    /// a live replica holder to free up before paying a remote read.
-    pub locality_wait: Duration,
-    /// Fail fast with [`MapReduceError::QuorumLost`] when fewer live
-    /// workers than this remain.
-    pub quorum: usize,
-}
-
-impl Default for TaskPolicy {
-    fn default() -> Self {
-        TaskPolicy {
-            max_attempts: 3,
-            attempt_timeout: Duration::from_secs(10),
-            retry: RetryPolicy::fast_local(),
-            speculate: true,
-            speculation_factor: 2.0,
-            locality_wait: Duration::from_millis(50),
-            quorum: 1,
-        }
-    }
-}
-
-/// Driver-side view of one registered worker process.
-#[derive(Debug, Clone, Default)]
-struct RemoteWorker {
-    /// Blocks the worker holds locally (from its registration blob).
-    resident: BTreeSet<u64>,
-    /// False once declared dead; a dead worker is never dispatched to
-    /// again (a restarted process must re-register as itself).
-    alive: bool,
-    /// Dispatches currently outstanding on this worker.
-    inflight: usize,
-}
-
-/// One outstanding dispatch of a task.
-#[derive(Debug, Clone, Copy)]
-struct Inflight {
-    worker: PartyId,
-    attempt: u32,
-    started: Instant,
-}
-
-/// A cancelled attempt the worker is still (obliviously) crunching.
-///
-/// A single-slot worker cannot be interrupted mid-map, so a speculation
-/// loser keeps its slot *occupied* until its late result surfaces (and
-/// is discarded) or the liveness timeout expires. Forgetting this and
-/// treating the loser as free would dispatch fresh work into a blocked
-/// worker and then declare it dead when the send goes unacknowledged.
-#[derive(Debug, Clone, Copy)]
-struct Zombie {
-    worker: PartyId,
-    block: u64,
-    attempt: u32,
-    started: Instant,
-}
-
-/// Driver-side lifecycle of one map task within a round:
-/// queued → dispatched → (speculated) → done / failed.
-#[derive(Debug, Default)]
-struct TaskState {
-    /// Attempt ids handed out so far (unique per task within a round).
-    attempts_started: u32,
-    /// Failed (`ok=false`) attempts — counted against `max_attempts`.
-    failures: usize,
-    /// Outstanding dispatches (two while a speculation race runs).
-    inflight: Vec<Inflight>,
-    /// Earliest instant the next retry may dispatch (backoff).
-    retry_at: Option<Instant>,
-    /// Workers that failed this task (preferred-against on retry).
-    blamed: BTreeSet<PartyId>,
-    /// When the task last entered (or re-entered) the queue — the
-    /// delay-scheduling clock.
-    queued_at: Option<Instant>,
-    /// True once a duplicate launched (at most one speculation/task).
-    speculated: bool,
-    /// The winning map output.
-    output: Option<Vec<u8>>,
-}
-
-/// Fault-tolerant driver for map tasks on real worker processes.
-///
-/// Construction order: [`TaskScheduler::new`] →
-/// [`TaskScheduler::register_workers`] (once) →
-/// [`TaskScheduler::run_round`] per iteration →
-/// [`TaskScheduler::shutdown`].
-pub struct TaskScheduler<T: Transport> {
-    courier: Courier<T>,
-    job: Box<dyn ProcessJob>,
-    policy: TaskPolicy,
-    workers: BTreeMap<PartyId, RemoteWorker>,
-    /// Cancelled attempts still occupying their worker's slot.
-    zombies: Vec<Zombie>,
-    iteration: u64,
-    /// Accumulated cost/robustness accounting across rounds.
-    pub metrics: JobMetrics,
-    /// `TaskCancel` frames sent to speculation losers.
-    pub cancels_sent: usize,
-}
-
-/// Receive slice while waiting for results: short enough to notice
-/// attempt timeouts and retry deadlines promptly.
-const RECV_SLICE: Duration = Duration::from_millis(5);
-
-impl<T: Transport> TaskScheduler<T> {
-    /// Wraps `courier` (the driver endpoint) to drive `job` under
-    /// `policy`.
-    pub fn new(courier: Courier<T>, job: Box<dyn ProcessJob>, policy: TaskPolicy) -> Self {
-        TaskScheduler {
-            courier,
-            job,
-            policy,
-            workers: BTreeMap::new(),
-            zombies: Vec::new(),
-            iteration: 0,
-            metrics: JobMetrics::default(),
-            cancels_sent: 0,
-        }
-    }
-
-    /// Waits for `expected` distinct workers to register.
-    ///
-    /// A registration is a [`Message::Blob`] tagged [`REGISTER_TAG`]
-    /// carrying the job name and the worker's resident blocks; a worker
-    /// announcing a different job poisons the pool immediately.
-    ///
-    /// # Errors
-    ///
-    /// [`MapReduceError::BadWorker`] on a malformed or mismatched
-    /// registration, or when fewer than `expected` workers appear
-    /// within `timeout`.
-    pub fn register_workers(
-        &mut self,
-        expected: usize,
-        timeout: Duration,
-    ) -> Result<(), MapReduceError> {
-        let deadline = Instant::now() + timeout;
-        while self.workers.len() < expected {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Err(MapReduceError::BadWorker {
-                    reason: format!(
-                        "registration timed out: {} of {expected} workers announced",
-                        self.workers.len()
-                    ),
-                });
-            }
-            let Ok(env) = self.courier.recv(left.min(Duration::from_millis(50))) else {
-                continue;
-            };
-            if let Message::Blob { tag, bytes } = env.msg {
-                if tag != REGISTER_TAG {
-                    continue;
-                }
-                let (job, blocks) = decode_register(&bytes)
-                    .map_err(|reason| MapReduceError::BadWorker { reason })?;
-                if job != self.job.name() {
-                    return Err(MapReduceError::BadWorker {
-                        reason: format!(
-                            "worker {} registered for job {job:?}, driver runs {:?}",
-                            env.from,
-                            self.job.name()
-                        ),
-                    });
-                }
-                self.workers.insert(
-                    env.from,
-                    RemoteWorker {
-                        resident: blocks.into_iter().collect(),
-                        alive: true,
-                        inflight: 0,
-                    },
-                );
-                emit(self.courier.party(), EventKind::WorkerUp { node: env.from });
-            }
-        }
-        Ok(())
-    }
-
-    /// Live workers right now.
-    pub fn alive_workers(&self) -> usize {
-        self.workers.values().filter(|w| w.alive).count()
-    }
-
-    fn registry_enabled() -> bool {
-        ppml_telemetry::enabled()
-    }
-
-    /// Releases the zombie slot for a cancelled attempt whose late
-    /// result finally surfaced.
-    fn free_zombie(&mut self, from: PartyId, block: u64, attempt: u32) {
-        if let Some(z) = self
-            .zombies
-            .iter()
-            .position(|z| z.worker == from && z.block == block && z.attempt == attempt)
-        {
-            self.zombies.swap_remove(z);
-            if let Some(w) = self.workers.get_mut(&from) {
-                w.inflight = w.inflight.saturating_sub(1);
-            }
-        }
-    }
-
-    /// Declares `worker` dead: stops dispatching to it and re-queues
-    /// everything it was running. Idempotent.
-    fn declare_dead(&mut self, worker: PartyId, tasks: &mut BTreeMap<u64, TaskState>) {
-        let Some(w) = self.workers.get_mut(&worker) else {
-            return;
-        };
-        if !w.alive {
-            return;
-        }
-        w.alive = false;
-        let inflight = w.inflight as u32;
-        w.inflight = 0;
-        self.zombies.retain(|z| z.worker != worker);
-        self.metrics.workers_lost += 1;
-        emit(
-            self.courier.party(),
-            EventKind::WorkerDead {
-                node: worker,
-                inflight,
-            },
-        );
-        if Self::registry_enabled() {
-            ClusterRegistry::global().fold_worker_death(worker);
-        }
-        for task in tasks.values_mut() {
-            // The dead worker's attempts can never produce results;
-            // dropping them re-queues the task (no failure charged —
-            // the loss is the cluster's fault, not the task's).
-            let before = task.inflight.len();
-            task.inflight.retain(|f| f.worker != worker);
-            if task.inflight.len() < before && task.inflight.is_empty() && task.output.is_none() {
-                task.queued_at = Some(Instant::now());
-            }
-        }
-    }
-
-    /// Picks a live worker with a free map slot for `block`.
-    ///
-    /// Each worker runs one task at a time (a single map slot), so
-    /// placement is over *free* workers only — dispatching into a busy
-    /// worker's queue would make the driver's liveness clock charge one
-    /// task's runtime to the next. Preference order: a free un-blamed
-    /// replica holder; otherwise, while `wait_for_local` holds and an
-    /// un-blamed holder is alive-but-busy, `None` (delay scheduling —
-    /// wait a beat rather than pay a remote read); otherwise the best
-    /// free worker, un-blamed before blamed, resident before remote,
-    /// ties toward the lower party id. `avoid` excludes the worker
-    /// already running the attempt (a speculative duplicate must use a
-    /// different machine).
-    fn place(
-        &self,
-        block: u64,
-        blamed: &BTreeSet<PartyId>,
-        avoid: Option<PartyId>,
-        wait_for_local: bool,
-    ) -> Option<PartyId> {
-        let free: Vec<(PartyId, &RemoteWorker)> = self
-            .workers
-            .iter()
-            .filter(|(p, w)| w.alive && Some(**p) != avoid && w.inflight == 0)
-            .map(|(p, w)| (*p, w))
-            .collect();
-        if let Some(p) = free
-            .iter()
-            .filter(|(p, w)| w.resident.contains(&block) && !blamed.contains(p))
-            .map(|(p, _)| *p)
-            .min()
-        {
-            return Some(p);
-        }
-        let holder_alive = self.workers.iter().any(|(p, w)| {
-            w.alive && Some(*p) != avoid && w.resident.contains(&block) && !blamed.contains(p)
-        });
-        if wait_for_local && holder_alive {
-            return None;
-        }
-        free.iter()
-            .min_by_key(|(p, w)| (blamed.contains(p), !w.resident.contains(&block), *p))
-            .map(|(p, _)| *p)
-    }
-
-    /// Dispatches one attempt of `block` and records the accounting.
-    /// Returns false when the send failed (worker declared dead; caller
-    /// re-places on the next loop).
-    fn dispatch(
-        &mut self,
-        worker: PartyId,
-        block: u64,
-        attempt: u32,
-        broadcast: &[u8],
-        tasks: &mut BTreeMap<u64, TaskState>,
-    ) -> bool {
-        let msg = Message::TaskDispatch {
-            iteration: self.iteration,
-            block,
-            attempt,
-            broadcast: broadcast.to_vec(),
-        };
-        if self.courier.send_reliable(worker, &msg).is_err() {
-            self.declare_dead(worker, tasks);
-            return false;
-        }
-        let local = self.workers[&worker].resident.contains(&block);
-        if local {
-            self.metrics.locality_hits += 1;
-        } else {
-            self.metrics.remote_reads += 1;
-        }
-        self.metrics.bytes_broadcast += broadcast.len();
-        self.workers
-            .get_mut(&worker)
-            .expect("placed worker")
-            .inflight += 1;
-        emit(
-            self.courier.party(),
-            EventKind::TaskAttempt {
-                block,
-                node: worker,
-                attempt,
-                local,
-            },
-        );
-        if Self::registry_enabled() {
-            ClusterRegistry::global().fold_task_attempt(worker);
-        }
-        let task = tasks.entry(block).or_default();
-        task.inflight.push(Inflight {
-            worker,
-            attempt,
-            started: Instant::now(),
-        });
-        true
-    }
-
-    /// Runs one round: maps every block in `blocks` under `broadcast`
-    /// and reduces the outputs in block order. Bit-identical to
-    /// [`crate::job::run_local`] for the same job/seed/blocks/broadcast,
-    /// whatever faults occur on the way.
-    ///
-    /// # Errors
-    ///
-    /// [`MapReduceError::QuorumLost`] when worker deaths leave fewer
-    /// than `policy.quorum` alive; [`MapReduceError::TaskFailed`] when
-    /// a task burns its whole `max_attempts` retry budget;
-    /// [`MapReduceError::NoBlocks`] for an empty block list.
-    pub fn run_round(
-        &mut self,
-        blocks: &[u64],
-        broadcast: &[u8],
-    ) -> Result<Vec<u8>, MapReduceError> {
-        if blocks.is_empty() {
-            return Err(MapReduceError::NoBlocks);
-        }
-        self.iteration += 1;
-        let round_start = Instant::now();
-        let mut tasks: BTreeMap<u64, TaskState> = blocks
-            .iter()
-            .map(|&b| {
-                let t = TaskState {
-                    queued_at: Some(round_start),
-                    ..TaskState::default()
-                };
-                (b, t)
-            })
-            .collect();
-        // Driver-observed durations of completed attempts this round
-        // (dispatch → winning result), the speculation baseline.
-        let mut durations: Vec<Duration> = Vec::new();
-
-        loop {
-            let alive = self.alive_workers();
-            if alive < self.policy.quorum {
-                return Err(MapReduceError::QuorumLost {
-                    alive,
-                    needed: self.policy.quorum,
-                });
-            }
-            let done = tasks.values().filter(|t| t.output.is_some()).count();
-            if done == tasks.len() {
-                break;
-            }
-
-            // 1. Dispatch every queued task whose backoff has expired.
-            let now = Instant::now();
-            let queued: Vec<u64> = tasks
-                .iter()
-                .filter(|(_, t)| {
-                    t.output.is_none()
-                        && t.inflight.is_empty()
-                        && t.retry_at.is_none_or(|at| at <= now)
-                })
-                .map(|(&b, _)| b)
-                .collect();
-            for block in queued {
-                let task = &tasks[&block];
-                if task.failures >= self.policy.max_attempts {
-                    return Err(MapReduceError::TaskFailed {
-                        block: BlockId(block),
-                        attempts: task.failures,
-                    });
-                }
-                let blamed = task.blamed.clone();
-                let wait_for_local = task
-                    .queued_at
-                    .is_some_and(|q| now.duration_since(q) < self.policy.locality_wait);
-                let Some(worker) = self.place(block, &blamed, None, wait_for_local) else {
-                    continue; // all slots busy, or worth waiting for locality
-                };
-                let attempt = tasks
-                    .get_mut(&block)
-                    .map(|t| {
-                        t.attempts_started += 1;
-                        t.retry_at = None;
-                        t.queued_at = None;
-                        t.attempts_started
-                    })
-                    .expect("queued task exists");
-                self.dispatch(worker, block, attempt, broadcast, &mut tasks);
-            }
-
-            // 2. Collect results for one slice.
-            if let Ok(env) = self.courier.recv(RECV_SLICE) {
-                if let Message::TaskResult {
-                    iteration,
-                    block,
-                    attempt,
-                    ok,
-                    elapsed_ns: _,
-                    output,
-                } = env.msg
-                {
-                    // A zombie's late result frees its slot whatever
-                    // round it belongs to.
-                    self.free_zombie(env.from, block, attempt);
-                    if iteration == self.iteration {
-                        self.absorb_result(
-                            env.from,
-                            block,
-                            attempt,
-                            ok,
-                            output,
-                            &mut tasks,
-                            &mut durations,
-                        );
-                    }
-                }
-            }
-
-            // 3. Liveness sweep: an attempt past its timeout means a
-            //    dead (or wedged) worker, not a slow task. Zombie slots
-            //    expire on the same clock.
-            let now = Instant::now();
-            let overdue: Vec<PartyId> = tasks
-                .values()
-                .flat_map(|t| t.inflight.iter())
-                .filter(|f| now.duration_since(f.started) > self.policy.attempt_timeout)
-                .map(|f| f.worker)
-                .chain(
-                    self.zombies
-                        .iter()
-                        .filter(|z| now.duration_since(z.started) > self.policy.attempt_timeout)
-                        .map(|z| z.worker),
-                )
-                .collect();
-            for worker in overdue {
-                self.declare_dead(worker, &mut tasks);
-            }
-
-            // 4. Speculation: duplicate the straggling attempt once most
-            //    of the round is home and a baseline exists.
-            if self.policy.speculate && durations.len() >= 2 && 2 * done >= tasks.len() {
-                let mut sorted: Vec<Duration> = durations.clone();
-                sorted.sort_unstable();
-                let median = sorted[(sorted.len() - 1) / 2];
-                let threshold = median.mul_f64(self.policy.speculation_factor);
-                let candidates: Vec<(u64, PartyId, Duration)> = tasks
-                    .iter()
-                    .filter(|(_, t)| t.output.is_none() && !t.speculated && t.inflight.len() == 1)
-                    .filter_map(|(&b, t)| {
-                        let f = &t.inflight[0];
-                        let elapsed = now.duration_since(f.started);
-                        (elapsed > threshold).then_some((b, f.worker, elapsed))
-                    })
-                    .collect();
-                for (block, running_on, elapsed) in candidates {
-                    let blamed = tasks[&block].blamed.clone();
-                    let Some(worker) = self.place(block, &blamed, Some(running_on), false) else {
-                        continue; // nowhere else to run it
-                    };
-                    let attempt = tasks
-                        .get_mut(&block)
-                        .map(|t| {
-                            t.attempts_started += 1;
-                            t.speculated = true;
-                            t.attempts_started
-                        })
-                        .expect("candidate task exists");
-                    if self.dispatch(worker, block, attempt, broadcast, &mut tasks) {
-                        self.metrics.task_speculations += 1;
-                        emit(
-                            self.courier.party(),
-                            EventKind::TaskSpeculated {
-                                block,
-                                node: worker,
-                                attempt,
-                                elapsed_ns: elapsed.as_nanos() as u64,
-                            },
-                        );
-                        if Self::registry_enabled() {
-                            ClusterRegistry::global().fold_task_speculation(worker);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Reduce in block order — completion order cannot leak into the
-        // result, so faulted and fault-free runs agree byte-for-byte.
-        let outputs: Vec<(u64, Vec<u8>)> = tasks
-            .iter_mut()
-            .map(|(&b, t)| (b, t.output.take().expect("round complete")))
-            .collect();
-        let reduce_start = Instant::now();
-        let result = self.job.reduce(&outputs);
-        self.metrics.reduce_time += reduce_start.elapsed();
-        self.metrics.map_time += reduce_start.duration_since(round_start);
-        self.metrics.iterations += 1;
-
-        // Score the round's attempt lags and surface slow-worker
-        // verdicts (the MapReduce twin of the learner straggler scorer).
-        if Self::registry_enabled() {
-            for v in ClusterRegistry::global().score_task_round(self.iteration) {
-                if v.is_slow() {
-                    emit(
-                        self.courier.party(),
-                        EventKind::SlowWorker {
-                            node: v.party,
-                            iteration: v.iteration,
-                            lag_ns: v.lag_ns,
-                            median_ns: v.median_ns,
-                            score: v.score,
-                        },
-                    );
-                }
-            }
-        }
-        Ok(result)
-    }
-
-    /// Folds one `TaskResult` into the round state.
-    #[allow(clippy::too_many_arguments)]
-    fn absorb_result(
-        &mut self,
-        from: PartyId,
-        block: u64,
-        attempt: u32,
-        ok: bool,
-        output: Vec<u8>,
-        tasks: &mut BTreeMap<u64, TaskState>,
-        durations: &mut Vec<Duration>,
-    ) {
-        let Some(task) = tasks.get_mut(&block) else {
-            return;
-        };
-        let Some(pos) = task
-            .inflight
-            .iter()
-            .position(|f| f.attempt == attempt && f.worker == from)
-        else {
-            // Stale: a cancelled loser's late result (already freed via
-            // the zombie list) or an attempt of a dead-declared worker.
-            return;
-        };
-        let flight = task.inflight.swap_remove(pos);
-        if let Some(w) = self.workers.get_mut(&from) {
-            w.inflight = w.inflight.saturating_sub(1);
-        }
-        if ok {
-            let elapsed = flight.started.elapsed();
-            if task.output.is_none() {
-                task.output = Some(output);
-                self.metrics.bytes_shuffled += task.output.as_ref().map_or(0, Vec::len);
-                durations.push(elapsed);
-                if Self::registry_enabled() {
-                    ClusterRegistry::global().observe_task_lag(
-                        from,
-                        self.iteration,
-                        elapsed.as_nanos() as u64,
-                    );
-                }
-                // First result wins; tell every sibling attempt to
-                // stand down. Best-effort: the loser's late result is
-                // de-duplicated here anyway. The loser's slot stays
-                // occupied (zombie) until that late result surfaces.
-                let losers: Vec<Inflight> = task.inflight.drain(..).collect();
-                for loser in losers {
-                    self.zombies.push(Zombie {
-                        worker: loser.worker,
-                        block,
-                        attempt: loser.attempt,
-                        started: loser.started,
-                    });
-                    let _ = self.courier.send_unreliable(
-                        loser.worker,
-                        &Message::TaskCancel {
-                            iteration: self.iteration,
-                            block,
-                            attempt: loser.attempt,
-                        },
-                    );
-                    self.cancels_sent += 1;
-                }
-            }
-        } else {
-            task.failures += 1;
-            task.blamed.insert(from);
-            self.metrics.task_retries += 1;
-            let now = Instant::now();
-            task.queued_at = Some(now);
-            task.retry_at = Some(now + self.policy.retry.backoff(task.failures as u32));
-        }
-    }
-
-    /// Sends an orderly [`Message::Shutdown`] to every live worker,
-    /// retrying for a grace period: a straggler may still be busy with a
-    /// (cancelled) attempt and unable to acknowledge anything until it
-    /// surfaces — the retry loop keeps pumping the courier, which also
-    /// acks the straggler's late result so it can drain its cancel and
-    /// exit cleanly.
-    pub fn shutdown(&mut self) {
-        let deadline = Instant::now() + Duration::from_secs(2);
-        let mut pending: Vec<PartyId> = self
-            .workers
-            .iter()
-            .filter(|(_, w)| w.alive)
-            .map(|(p, _)| *p)
-            .collect();
-        while !pending.is_empty() && Instant::now() < deadline {
-            pending.retain(|&worker| {
-                self.courier
-                    .send_reliable(worker, &Message::Shutdown)
-                    .is_err()
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -878,253 +183,5 @@ mod tests {
         let plan = Scheduler::new(4).assign(&s, &ids[..1], &[(ids[0], reps[0])]);
         assert!(plan[0].data_local);
         assert_eq!(plan[0].node, reps[1]);
-    }
-}
-
-#[cfg(test)]
-mod task_scheduler_tests {
-    use std::thread::JoinHandle;
-
-    use ppml_transport::{LoopbackHub, TransportError};
-
-    use super::*;
-    use crate::job::{process_job, run_local};
-    use crate::worker::{serve, WorkerOptions, WorkerReport};
-
-    const SEED: u64 = 42;
-
-    /// Blocks resident on worker `party` (1-based) out of `workers`.
-    fn resident(blocks: &[u64], party: u32, workers: usize) -> Vec<u64> {
-        blocks
-            .iter()
-            .copied()
-            .filter(|b| 1 + (b % workers as u64) as u32 == party)
-            .collect()
-    }
-
-    /// Spins up `opts.len()` worker threads on a loopback hub and a
-    /// registered driver-side scheduler over them.
-    fn pool(
-        blocks: &[u64],
-        opts: Vec<WorkerOptions>,
-        policy: TaskPolicy,
-    ) -> (
-        TaskScheduler<ppml_transport::LoopbackTransport>,
-        Vec<JoinHandle<Result<WorkerReport, TransportError>>>,
-    ) {
-        let workers = opts.len();
-        let hub = LoopbackHub::new(workers + 1);
-        let mut handles = Vec::new();
-        for (i, opt) in opts.into_iter().enumerate() {
-            let party = (i + 1) as u32;
-            let mine = resident(blocks, party, workers);
-            let endpoint = hub.endpoint(party);
-            handles.push(std::thread::spawn(move || {
-                let mut courier = Courier::new(endpoint, RetryPolicy::fast_local());
-                let job = process_job("wordcount").unwrap();
-                serve(&mut courier, 0, job.as_ref(), SEED, &mine, &opt)
-            }));
-        }
-        let courier = Courier::new(hub.endpoint(0), RetryPolicy::fast_local());
-        let mut sched = TaskScheduler::new(courier, process_job("wordcount").unwrap(), policy);
-        sched
-            .register_workers(workers, Duration::from_secs(5))
-            .expect("registration");
-        (sched, handles)
-    }
-
-    fn reference(blocks: &[u64]) -> Vec<u8> {
-        let job = process_job("wordcount").unwrap();
-        run_local(job.as_ref(), SEED, blocks, &[])
-    }
-
-    #[test]
-    fn fault_free_round_matches_run_local_and_stays_local() {
-        let blocks = [0u64, 1, 2, 3, 4, 5];
-        // A generous delay-scheduling budget and no speculation: no
-        // block may run off its (healthy) holder just because the test
-        // host hiccuped — this test pins down the pure locality path.
-        let policy = TaskPolicy {
-            locality_wait: Duration::from_secs(5),
-            speculate: false,
-            ..TaskPolicy::default()
-        };
-        let (mut sched, handles) = pool(&blocks, vec![WorkerOptions::default(); 3], policy);
-        let out = sched.run_round(&blocks, &[]).expect("round");
-        assert_eq!(out, reference(&blocks));
-        // Every block had its holder free: placement should be all-local.
-        assert_eq!(sched.metrics.remote_reads, 0);
-        assert_eq!(sched.metrics.locality_hits, blocks.len());
-        sched.shutdown();
-        for h in handles {
-            assert!(!h.join().unwrap().unwrap().died);
-        }
-    }
-
-    #[test]
-    fn failed_attempts_retry_elsewhere_bit_identically() {
-        let blocks = [0u64, 1, 2, 3];
-        let mut opts = vec![WorkerOptions::default(); 2];
-        // Worker 1 (holder of even blocks) refuses block 2: the retry
-        // must land on worker 2 and still produce the reference bytes.
-        // The long locality wait pins the first attempt to the holder.
-        opts[0].fail_blocks = vec![2];
-        let policy = TaskPolicy {
-            locality_wait: Duration::from_secs(5),
-            ..TaskPolicy::default()
-        };
-        let (mut sched, handles) = pool(&blocks, opts, policy);
-        let out = sched.run_round(&blocks, &[]).expect("round");
-        assert_eq!(out, reference(&blocks));
-        assert!(sched.metrics.task_retries >= 1);
-        sched.shutdown();
-        for h in handles {
-            h.join().unwrap().unwrap();
-        }
-    }
-
-    #[test]
-    fn dead_worker_requeues_inflight_on_survivors() {
-        let blocks = [0u64, 1];
-        let mut opts = vec![WorkerOptions::default(); 2];
-        // Worker 2 dies mid-task on its first dispatch, never replying.
-        opts[1].die_on_task = Some(1);
-        let policy = TaskPolicy {
-            attempt_timeout: Duration::from_millis(750),
-            ..TaskPolicy::default()
-        };
-        let (mut sched, handles) = pool(&blocks, opts, policy);
-        let out = sched.run_round(&blocks, &[]).expect("round");
-        assert_eq!(out, reference(&blocks));
-        assert_eq!(sched.metrics.workers_lost, 1);
-        // The re-queued block ran away from its (dead) holder.
-        assert!(sched.metrics.remote_reads >= 1);
-        assert_eq!(sched.alive_workers(), 1);
-        sched.shutdown();
-        let reports: Vec<WorkerReport> = handles
-            .into_iter()
-            .map(|h| h.join().unwrap().unwrap())
-            .collect();
-        assert_eq!(reports.iter().filter(|r| r.died).count(), 1);
-    }
-
-    #[test]
-    fn retry_exhaustion_is_a_typed_error_not_a_hang() {
-        let blocks = [0u64, 1];
-        let mut opts = vec![WorkerOptions::default(); 2];
-        // Block 0 fails everywhere: the budget must burn out quickly.
-        opts[0].fail_blocks = vec![0];
-        opts[1].fail_blocks = vec![0];
-        let policy = TaskPolicy {
-            max_attempts: 2,
-            ..TaskPolicy::default()
-        };
-        let (mut sched, handles) = pool(&blocks, opts, policy);
-        let err = sched.run_round(&blocks, &[]).expect_err("must exhaust");
-        assert_eq!(
-            err,
-            MapReduceError::TaskFailed {
-                block: BlockId(0),
-                attempts: 2,
-            }
-        );
-        sched.shutdown();
-        for h in handles {
-            h.join().unwrap().unwrap();
-        }
-    }
-
-    #[test]
-    fn quorum_loss_is_a_typed_error() {
-        let blocks = [0u64];
-        let opts = vec![WorkerOptions {
-            die_on_task: Some(1),
-            ..WorkerOptions::default()
-        }];
-        let policy = TaskPolicy {
-            attempt_timeout: Duration::from_millis(100),
-            ..TaskPolicy::default()
-        };
-        let (mut sched, handles) = pool(&blocks, opts, policy);
-        let err = sched.run_round(&blocks, &[]).expect_err("must lose quorum");
-        assert_eq!(
-            err,
-            MapReduceError::QuorumLost {
-                alive: 0,
-                needed: 1
-            }
-        );
-        for h in handles {
-            assert!(h.join().unwrap().unwrap().died);
-        }
-    }
-
-    #[test]
-    fn speculation_beats_the_straggler_and_cancels_the_loser() {
-        let blocks = [0u64, 1, 2, 3];
-        let mut opts = vec![WorkerOptions::default(); 2];
-        // Worker 2 (holder of odd blocks) is pathologically slow; the
-        // duplicate attempts on worker 1 must win the race.
-        opts[1].lag = Duration::from_millis(400);
-        let policy = TaskPolicy {
-            speculation_factor: 1.5,
-            ..TaskPolicy::default()
-        };
-        let started = Instant::now();
-        let (mut sched, handles) = pool(&blocks, opts, policy);
-        let out = sched.run_round(&blocks, &[]).expect("round");
-        assert_eq!(out, reference(&blocks));
-        assert!(sched.metrics.task_speculations >= 1, "no speculation fired");
-        assert!(sched.cancels_sent >= 1, "winner never cancelled the loser");
-        // Two straggling tasks at 400ms each would serialise to 800ms on
-        // the slow worker; speculation must beat that comfortably.
-        assert!(
-            started.elapsed() < Duration::from_millis(700),
-            "speculation did not shorten the round: {:?}",
-            started.elapsed()
-        );
-        sched.shutdown();
-        // The slow worker saw at least one cancel (late or pre-empting).
-        let mut cancels = 0;
-        for h in handles {
-            // The straggler may still be blocked re-sending a result the
-            // driver no longer waits for; tolerate its timeout.
-            if let Ok(report) = h.join().unwrap() {
-                cancels += report.cancels_seen;
-            }
-        }
-        assert!(cancels >= 1, "loser never learned it lost");
-    }
-
-    #[test]
-    fn mismatched_job_name_is_rejected_at_registration() {
-        let hub = LoopbackHub::new(2);
-        let endpoint = hub.endpoint(1);
-        let handle = std::thread::spawn(move || {
-            let mut courier = Courier::new(endpoint, RetryPolicy::fast_local());
-            let job = process_job("spin").unwrap();
-            serve(
-                &mut courier,
-                0,
-                job.as_ref(),
-                SEED,
-                &[0],
-                &WorkerOptions {
-                    idle_timeout: Duration::from_millis(200),
-                    ..WorkerOptions::default()
-                },
-            )
-        });
-        let courier = Courier::new(hub.endpoint(0), RetryPolicy::fast_local());
-        let mut sched = TaskScheduler::new(
-            courier,
-            process_job("wordcount").unwrap(),
-            TaskPolicy::default(),
-        );
-        let err = sched
-            .register_workers(1, Duration::from_secs(2))
-            .expect_err("job mismatch");
-        assert!(matches!(err, MapReduceError::BadWorker { .. }), "{err:?}");
-        let _ = handle.join().unwrap();
     }
 }

@@ -153,13 +153,12 @@ struct LearnerSeries {
 }
 
 /// Everything the driver knows about one MapReduce worker (ISSUE 10):
-/// attempt/speculation/death counters plus the task-attempt half of the
+/// attempt/death counters plus the task-attempt half of the
 /// straggler scorer. Kept separate from [`LearnerSeries`] because the
 /// id spaces differ — a worker node id is not a protocol party.
 #[derive(Clone, Default)]
 struct WorkerSeries {
     attempts: u64,
-    speculations: u64,
     deaths: u64,
     /// Most recent task [`StragglerVerdict::score`]; 0 until first scored.
     straggler_score: f64,
@@ -274,12 +273,6 @@ impl ClusterRegistry {
         inner.workers.entry(worker).or_default().attempts += 1;
     }
 
-    /// Counts one speculative duplicate attempt dispatched to `worker`.
-    pub fn fold_task_speculation(&self, worker: u32) {
-        let mut inner = self.inner.lock().expect("cluster registry");
-        inner.workers.entry(worker).or_default().speculations += 1;
-    }
-
     /// Counts `worker` dying mid-job.
     pub fn fold_worker_death(&self, worker: u32) {
         let mut inner = self.inner.lock().expect("cluster registry");
@@ -347,7 +340,7 @@ impl ClusterRegistry {
             .collect()
     }
 
-    /// Workers with at least one counted attempt, speculation, death or
+    /// Workers with at least one counted attempt, death or
     /// observed task lag.
     #[must_use]
     pub fn workers(&self) -> Vec<u32> {
@@ -444,7 +437,6 @@ impl ClusterRegistry {
             }
         };
         worker_counter(&mut out, "task_attempts_total", &|s| s.attempts);
-        worker_counter(&mut out, "task_speculations_total", &|s| s.speculations);
         worker_counter(&mut out, "worker_deaths_total", &|s| s.deaths);
         let _ = writeln!(out, "# TYPE ppml_task_straggler_score gauge");
         for (worker, series) in &inner.workers {
@@ -604,7 +596,6 @@ mod tests {
         reg.fold_task_attempt(1);
         reg.fold_task_attempt(1);
         reg.fold_task_attempt(2);
-        reg.fold_task_speculation(2);
         reg.fold_worker_death(1);
         assert_eq!(reg.workers(), vec![1, 2]);
         let text = reg.render();
@@ -614,10 +605,6 @@ mod tests {
         );
         assert!(
             text.contains("ppml_task_attempts_total{worker=\"2\"} 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains("ppml_task_speculations_total{worker=\"2\"} 1"),
             "{text}"
         );
         assert!(

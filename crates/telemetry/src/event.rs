@@ -333,24 +333,9 @@ pub enum EventKind {
         /// construction (1.0 means exactly median).
         score: f64,
     },
-    /// The task scheduler launched a speculative duplicate of a map
-    /// attempt whose elapsed time exceeded the round's lower-median by
-    /// the speculation factor. First result wins; the loser is
-    /// cancelled.
-    TaskSpeculated {
-        /// Block id of the straggling task.
-        block: u64,
-        /// Node/worker the duplicate attempt was dispatched to.
-        node: u32,
-        /// Attempt number of the duplicate (the original keeps its own).
-        attempt: u32,
-        /// How long the original attempt had been running when the
-        /// duplicate launched.
-        elapsed_ns: u64,
-    },
-    /// A MapReduce worker died mid-job (process crash, SIGKILL, or a
-    /// send to it failed); its in-flight tasks were re-queued on the
-    /// survivors.
+    /// A MapReduce worker died mid-job (its channel closed or an
+    /// attempt outlived the task timeout); its in-flight tasks were
+    /// re-queued on the survivors.
     WorkerDead {
         /// The dead worker's node id.
         node: u32,
@@ -714,18 +699,6 @@ impl Event {
                 u(&mut out, "median_ns", median_ns);
                 push_f64(&mut out, "score", score);
             }
-            EventKind::TaskSpeculated {
-                block,
-                node,
-                attempt,
-                elapsed_ns,
-            } => {
-                kind(&mut out, "task_speculated");
-                u(&mut out, "block", block);
-                u(&mut out, "node", node.into());
-                u(&mut out, "attempt", attempt.into());
-                u(&mut out, "elapsed_ns", elapsed_ns);
-            }
             EventKind::WorkerDead { node, inflight } => {
                 kind(&mut out, "worker_dead");
                 u(&mut out, "node", node.into());
@@ -955,12 +928,6 @@ impl Event {
                 lag_ns: get_u("lag_ns")?,
                 median_ns: get_u("median_ns")?,
                 score: get_f("score")?,
-            },
-            "task_speculated" => EventKind::TaskSpeculated {
-                block: get_u("block")?,
-                node: get_u32("node")?,
-                attempt: get_u32("attempt")?,
-                elapsed_ns: get_u("elapsed_ns")?,
             },
             "worker_dead" => EventKind::WorkerDead {
                 node: get_u32("node")?,
@@ -1210,12 +1177,6 @@ mod tests {
                 lag_ns: 8_400_000,
                 median_ns: 2_100_000,
                 score: 4.0,
-            },
-            EventKind::TaskSpeculated {
-                block: 4,
-                node: 2,
-                attempt: 2,
-                elapsed_ns: 6_200_000,
             },
             EventKind::WorkerDead {
                 node: 1,

@@ -334,9 +334,6 @@ pub struct MetricsRegistry {
     /// Collect lag of the last flagged straggler.
     pub straggler_lag_ns: Histogram,
     // ---- fault-tolerant scheduling (ISSUE 10)
-    /// Speculative duplicate attempts launched
-    /// ([`EventKind::TaskSpeculated`]).
-    pub task_speculations_total: Counter,
     /// Workers declared dead mid-job ([`EventKind::WorkerDead`]).
     pub worker_deaths_total: Counter,
     /// Task-attempt straggler verdicts emitted
@@ -506,7 +503,6 @@ impl MetricsRegistry {
                 self.slow_learners_total.inc();
                 self.straggler_lag_ns.observe(lag_ns);
             }
-            EventKind::TaskSpeculated { .. } => self.task_speculations_total.inc(),
             EventKind::WorkerDead { .. } => {
                 self.worker_deaths_total.inc();
                 self.workers.add(-1);
@@ -777,11 +773,6 @@ impl MetricsRegistry {
         );
         h(&mut out, "straggler_lag_ns", "", &self.straggler_lag_ns);
 
-        c(
-            &mut out,
-            "task_speculations_total",
-            self.task_speculations_total.get(),
-        );
         c(
             &mut out,
             "worker_deaths_total",

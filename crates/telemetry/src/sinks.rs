@@ -106,7 +106,6 @@ fn is_barrier(kind: &EventKind) -> bool {
             | EventKind::ResumeFromCheckpoint { .. }
             | EventKind::Rejoin { .. }
             | EventKind::SlowLearner { .. }
-            | EventKind::TaskSpeculated { .. }
             | EventKind::WorkerDead { .. }
             | EventKind::SlowWorker { .. }
     )
@@ -198,7 +197,6 @@ struct Totals {
     telemetry_deltas: u64,
     /// `(t_ns, party, iteration, score)` per straggler verdict.
     slow_learners: Vec<(u64, u32, u64, f64)>,
-    task_speculations: u64,
     /// `(t_ns, node, inflight)` per worker death.
     worker_deaths: Vec<(u64, u32, u32)>,
     slow_workers: u64,
@@ -274,12 +272,8 @@ impl SummarySink {
                 t.task_attempts, t.local_tasks
             );
         }
-        if t.task_speculations + t.slow_workers > 0 {
-            let _ = writeln!(
-                out,
-                "  speculation: {} duplicate attempts launched, {} slow-worker verdicts",
-                t.task_speculations, t.slow_workers
-            );
+        if t.slow_workers > 0 {
+            let _ = writeln!(out, "  slow-worker verdicts: {}", t.slow_workers);
         }
         for &(t_ns, node, inflight) in &t.worker_deaths {
             let rel = t.first_t_ns.map_or(0, |f| t_ns.saturating_sub(f));
@@ -471,7 +465,6 @@ impl Sink for SummarySink {
                 score,
                 ..
             } => t.slow_learners.push((event.t_ns, party, iteration, score)),
-            EventKind::TaskSpeculated { .. } => t.task_speculations += 1,
             EventKind::WorkerDead { node, inflight } => {
                 t.worker_deaths.push((event.t_ns, node, inflight));
             }

@@ -25,10 +25,10 @@ use crate::wire::{Reader, Wire, WireError};
 /// [`Message::Rekey`] frame for dropout recovery. [`Message::Score`] and
 /// [`Message::ScoreReply`] are additive within version 2: new kind bytes,
 /// no layout change to any existing frame. The secure-aggregation kinds
-/// ([`Message::ShamirDist`] through [`Message::CipherSum`]), the
-/// observability kind ([`Message::Telemetry`]) and the MapReduce task
-/// lifecycle kinds ([`Message::TaskDispatch`] through
-/// [`Message::TaskCancel`]) follow the same additive rule.
+/// ([`Message::ShamirDist`] through [`Message::CipherSum`]) and the
+/// observability kind ([`Message::Telemetry`]) follow the same additive
+/// rule. Kind bytes 5, 9 and 24–26 belonged to retired messages and
+/// stay reserved.
 pub const WIRE_VERSION: u8 = 2;
 
 /// Fixed bytes around every payload: 4 (length prefix) + 20 (version, kind,
@@ -74,10 +74,9 @@ const fn crc32_table() -> [u32; 256] {
 
 /// Every message the protocol exchanges.
 ///
-/// The first four are control frames; the middle group carries the secure
-/// summation / consensus protocol of the paper's §V; [`Message::Blob`] is
-/// the escape hatch for application payloads (the MapReduce layer ships its
-/// `Wire`-encoded job data through it).
+/// The first four are control frames; the rest carry the secure
+/// summation / consensus protocol of the paper's §V, membership, scoring
+/// and telemetry.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// Connection opener: announces the sender's party id.
@@ -99,14 +98,6 @@ pub enum Message {
     Ack {
         /// Sequence number being acknowledged.
         of_seq: u64,
-    },
-    /// Pairwise mask exchange (§V): the `Sed`/`Rev` vector one party sends
-    /// its pair partner for one iteration.
-    MaskExchange {
-        /// ADMM iteration the masks belong to.
-        iteration: u64,
-        /// Mask words over `Z_{2^64}`.
-        masks: Vec<u64>,
     },
     /// A learner's masked, fixed-point local model for one iteration.
     MaskedShare {
@@ -151,13 +142,6 @@ pub enum Message {
         iteration: u64,
         /// Share words over GF(2⁶¹−1).
         values: Vec<u64>,
-    },
-    /// Application payload: opaque `Wire`-encoded bytes plus a caller tag.
-    Blob {
-        /// Application-defined discriminator.
-        tag: u16,
-        /// Encoded body.
-        bytes: Vec<u8>,
     },
     /// Orderly teardown.
     Shutdown,
@@ -324,58 +308,6 @@ pub enum Message {
         /// The sender's local wall clock for the round, nanoseconds.
         elapsed_ns: u64,
     },
-    /// MapReduce task dispatch (driver → worker): one map attempt over a
-    /// block the worker already holds. Carries only the task descriptor
-    /// and the round's broadcast — never the block's raw data, which is
-    /// resident on (or deterministically rematerialised by) the worker.
-    /// That asymmetry is the locality argument of DESIGN.md §13.
-    /// Additive in wire version 2.
-    TaskDispatch {
-        /// Iteration (round) the attempt belongs to.
-        iteration: u64,
-        /// Block id the map task covers.
-        block: u64,
-        /// 1-based attempt number (retries and speculative copies get
-        /// fresh numbers; results are matched on it).
-        attempt: u32,
-        /// Encoded broadcast payload for the round (shared read-only
-        /// input, e.g. the ADMM consensus state).
-        broadcast: Vec<u8>,
-    },
-    /// MapReduce task result (worker → driver): the encoded map output
-    /// for one attempt, or a failure report. Deterministic map functions
-    /// make `output` bit-identical across attempts, which is what lets
-    /// the scheduler accept whichever attempt lands first. Additive in
-    /// wire version 2.
-    TaskResult {
-        /// Iteration the attempt belonged to.
-        iteration: u64,
-        /// Block id the map task covered.
-        block: u64,
-        /// Attempt number this result answers.
-        attempt: u32,
-        /// Whether the map function succeeded; on `false`, `output`
-        /// holds the UTF-8 failure reason instead of map output.
-        ok: bool,
-        /// Worker-side wall clock for the attempt, nanoseconds.
-        elapsed_ns: u64,
-        /// Encoded map output (or failure reason when `ok` is false).
-        output: Vec<u8>,
-    },
-    /// MapReduce attempt cancellation (driver → worker): best-effort
-    /// notice that an attempt's result is no longer wanted — the task
-    /// was completed by a sibling attempt (speculation race) or the
-    /// round was abandoned. Sent unreliably; a worker that already
-    /// replied just has its result deduplicated driver-side. Additive
-    /// in wire version 2.
-    TaskCancel {
-        /// Iteration of the cancelled attempt.
-        iteration: u64,
-        /// Block id of the cancelled attempt.
-        block: u64,
-        /// Attempt number to cancel.
-        attempt: u32,
-    },
 }
 
 impl Message {
@@ -386,11 +318,9 @@ impl Message {
             Message::HelloAck { .. } => 2,
             Message::Heartbeat { .. } => 3,
             Message::Ack { .. } => 4,
-            Message::MaskExchange { .. } => 5,
             Message::MaskedShare { .. } => 6,
             Message::Consensus { .. } => 7,
             Message::Shares { .. } => 8,
-            Message::Blob { .. } => 9,
             Message::Shutdown => 10,
             Message::Rekey { .. } => 11,
             Message::TimeProbe { .. } => 12,
@@ -405,9 +335,6 @@ impl Message {
             Message::CipherAgg { .. } => 21,
             Message::CipherSum { .. } => 22,
             Message::Telemetry { .. } => 23,
-            Message::TaskDispatch { .. } => 24,
-            Message::TaskResult { .. } => 25,
-            Message::TaskCancel { .. } => 26,
         }
     }
 
@@ -417,7 +344,6 @@ impl Message {
             Message::Hello { party } | Message::HelloAck { party } => party.byte_len(),
             Message::Heartbeat { nonce } => nonce.byte_len(),
             Message::Ack { of_seq } => of_seq.byte_len(),
-            Message::MaskExchange { iteration, masks } => iteration.byte_len() + masks.byte_len(),
             Message::MaskedShare {
                 iteration,
                 epoch,
@@ -436,7 +362,6 @@ impl Message {
                 done,
             } => iteration.byte_len() + z.byte_len() + s.byte_len() + done.byte_len(),
             Message::Shares { iteration, values } => iteration.byte_len() + values.byte_len(),
-            Message::Blob { tag, bytes } => tag.byte_len() + bytes.byte_len(),
             Message::Shutdown => 0,
             Message::TimeProbe { nonce, run_id } => nonce.byte_len() + run_id.byte_len(),
             Message::TimeReply { nonce, t_ns } => nonce.byte_len() + t_ns.byte_len(),
@@ -510,34 +435,6 @@ impl Message {
                     + retransmits.byte_len()
                     + elapsed_ns.byte_len()
             }
-            Message::TaskDispatch {
-                iteration,
-                block,
-                attempt,
-                broadcast,
-            } => {
-                iteration.byte_len() + block.byte_len() + attempt.byte_len() + broadcast.byte_len()
-            }
-            Message::TaskResult {
-                iteration,
-                block,
-                attempt,
-                ok,
-                elapsed_ns,
-                output,
-            } => {
-                iteration.byte_len()
-                    + block.byte_len()
-                    + attempt.byte_len()
-                    + ok.byte_len()
-                    + elapsed_ns.byte_len()
-                    + output.byte_len()
-            }
-            Message::TaskCancel {
-                iteration,
-                block,
-                attempt,
-            } => iteration.byte_len() + block.byte_len() + attempt.byte_len(),
         }
     }
 
@@ -546,10 +443,6 @@ impl Message {
             Message::Hello { party } | Message::HelloAck { party } => party.encode_into(out),
             Message::Heartbeat { nonce } => nonce.encode_into(out),
             Message::Ack { of_seq } => of_seq.encode_into(out),
-            Message::MaskExchange { iteration, masks } => {
-                iteration.encode_into(out);
-                masks.encode_into(out);
-            }
             Message::MaskedShare {
                 iteration,
                 epoch,
@@ -584,10 +477,6 @@ impl Message {
             Message::Shares { iteration, values } => {
                 iteration.encode_into(out);
                 values.encode_into(out);
-            }
-            Message::Blob { tag, bytes } => {
-                tag.encode_into(out);
-                bytes.encode_into(out);
             }
             Message::Shutdown => {}
             Message::TimeProbe { nonce, run_id } => {
@@ -698,41 +587,6 @@ impl Message {
                 retransmits.encode_into(out);
                 elapsed_ns.encode_into(out);
             }
-            Message::TaskDispatch {
-                iteration,
-                block,
-                attempt,
-                broadcast,
-            } => {
-                iteration.encode_into(out);
-                block.encode_into(out);
-                attempt.encode_into(out);
-                broadcast.encode_into(out);
-            }
-            Message::TaskResult {
-                iteration,
-                block,
-                attempt,
-                ok,
-                elapsed_ns,
-                output,
-            } => {
-                iteration.encode_into(out);
-                block.encode_into(out);
-                attempt.encode_into(out);
-                ok.encode_into(out);
-                elapsed_ns.encode_into(out);
-                output.encode_into(out);
-            }
-            Message::TaskCancel {
-                iteration,
-                block,
-                attempt,
-            } => {
-                iteration.encode_into(out);
-                block.encode_into(out);
-                attempt.encode_into(out);
-            }
         }
     }
 
@@ -742,10 +596,6 @@ impl Message {
             2 => Message::HelloAck { party: r.u32()? },
             3 => Message::Heartbeat { nonce: r.u64()? },
             4 => Message::Ack { of_seq: r.u64()? },
-            5 => Message::MaskExchange {
-                iteration: r.u64()?,
-                masks: r.vec_u64()?,
-            },
             6 => Message::MaskedShare {
                 iteration: r.u64()?,
                 epoch: r.u64()?,
@@ -761,10 +611,6 @@ impl Message {
             8 => Message::Shares {
                 iteration: r.u64()?,
                 values: r.vec_u64()?,
-            },
-            9 => Message::Blob {
-                tag: r.u16()?,
-                bytes: r.byte_vec()?,
             },
             10 => Message::Shutdown,
             11 => Message::Rekey {
@@ -837,25 +683,6 @@ impl Message {
                 bytes_recv: r.u64()?,
                 retransmits: r.u64()?,
                 elapsed_ns: r.u64()?,
-            },
-            24 => Message::TaskDispatch {
-                iteration: r.u64()?,
-                block: r.u64()?,
-                attempt: r.u32()?,
-                broadcast: r.byte_vec()?,
-            },
-            25 => Message::TaskResult {
-                iteration: r.u64()?,
-                block: r.u64()?,
-                attempt: r.u32()?,
-                ok: r.bool()?,
-                elapsed_ns: r.u64()?,
-                output: r.byte_vec()?,
-            },
-            26 => Message::TaskCancel {
-                iteration: r.u64()?,
-                block: r.u64()?,
-                attempt: r.u32()?,
             },
             _ => return Err(WireError::Malformed("unknown message kind")),
         })
@@ -1022,10 +849,6 @@ mod tests {
             Message::HelloAck { party: 0 },
             Message::Heartbeat { nonce: 0xDEAD_BEEF },
             Message::Ack { of_seq: 42 },
-            Message::MaskExchange {
-                iteration: 7,
-                masks: vec![1, u64::MAX, 3],
-            },
             Message::MaskedShare {
                 iteration: 9,
                 epoch: 1,
@@ -1046,10 +869,6 @@ mod tests {
             Message::Shares {
                 iteration: 1,
                 values: vec![99, 100],
-            },
-            Message::Blob {
-                tag: 77,
-                bytes: vec![1, 2, 3, 4, 5],
             },
             Message::Shutdown,
             Message::TimeProbe {
@@ -1117,25 +936,6 @@ mod tests {
                 bytes_recv: 9_000,
                 retransmits: 1,
                 elapsed_ns: 870_000,
-            },
-            Message::TaskDispatch {
-                iteration: 12,
-                block: 5,
-                attempt: 2,
-                broadcast: vec![9, 8, 7, 6],
-            },
-            Message::TaskResult {
-                iteration: 12,
-                block: 5,
-                attempt: 2,
-                ok: true,
-                elapsed_ns: 1_250_000,
-                output: vec![0xEE; 17],
-            },
-            Message::TaskCancel {
-                iteration: 12,
-                block: 5,
-                attempt: 1,
             },
         ]
     }
@@ -1425,68 +1225,31 @@ mod tests {
     }
 
     #[test]
-    fn mapreduce_truncated_payloads_rejected() {
-        // Every strict prefix of a valid task-lifecycle payload must fail
-        // structurally (BadPayload), never decode to garbage, and trailing
-        // junk must be caught by the trailing-bytes check.
-        for msg in [
-            Message::TaskDispatch {
-                iteration: 3,
-                block: 1,
-                attempt: 1,
-                broadcast: vec![4, 5, 6],
-            },
-            Message::TaskResult {
-                iteration: 3,
-                block: 1,
-                attempt: 1,
-                ok: false,
-                elapsed_ns: 77_000,
-                output: b"mapper failed".to_vec(),
-            },
-            Message::TaskCancel {
-                iteration: 3,
-                block: 1,
-                attempt: 2,
-            },
-        ] {
-            let mut full = Vec::new();
-            msg.encode_payload(&mut full);
-            for cut in 0..full.len() {
-                let framed = reframe_with_payload(&msg, &full[..cut]);
-                match Frame::decode(&framed) {
-                    Err(FrameError::BadPayload(_)) => {}
-                    other => panic!("truncation at {cut} of {msg:?} gave {other:?}"),
-                }
-            }
-            let mut padded = full.clone();
-            padded.extend_from_slice(&[0xEE; 2]);
-            let framed = reframe_with_payload(&msg, &padded);
-            assert_eq!(Frame::decode(&framed), Err(FrameError::TrailingBytes(2)));
-        }
-    }
-
-    #[test]
     fn unknown_kind_above_telemetry_is_rejected_not_misparsed() {
         // Forward compatibility: a frame from a future build using kind 27
         // must come back as an unknown-kind error, exactly like the
-        // pre-secagg builds treat kinds 18..=23 and pre-mapreduce builds
-        // treat kinds 24..=26.
+        // pre-secagg builds treat kinds 18..=23 — and so must the
+        // reserved gaps the retired kinds 5, 9 and 24..=26 left behind.
         let msg = Message::Join { party: 1, nonce: 7 };
-        let mut enc = reframe_with_payload(&msg, &{
-            let mut p = Vec::new();
-            msg.encode_payload(&mut p);
-            p
-        });
-        enc[5] = 27; // kind byte
-        let crc = crc32(&enc[4..enc.len() - 4]);
-        let n = enc.len();
-        enc[n - 4..].copy_from_slice(&crc.to_le_bytes());
-        assert!(matches!(
-            Frame::decode(&enc),
-            Err(FrameError::BadPayload(WireError::Malformed(
-                "unknown message kind"
-            )))
-        ));
+        for kind in [5, 9, 24, 25, 26, 27] {
+            let mut enc = reframe_with_payload(&msg, &{
+                let mut p = Vec::new();
+                msg.encode_payload(&mut p);
+                p
+            });
+            enc[5] = kind; // kind byte
+            let crc = crc32(&enc[4..enc.len() - 4]);
+            let n = enc.len();
+            enc[n - 4..].copy_from_slice(&crc.to_le_bytes());
+            assert!(
+                matches!(
+                    Frame::decode(&enc),
+                    Err(FrameError::BadPayload(WireError::Malformed(
+                        "unknown message kind"
+                    )))
+                ),
+                "kind {kind}"
+            );
+        }
     }
 }

@@ -24,7 +24,9 @@ use std::process::{Child, Command, Stdio};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use ppml::core::Checkpoint;
+use ppml::core::jobs::{train_linear_on_cluster, ClusterTuning};
+use ppml::core::{AdmmConfig, Checkpoint};
+use ppml::data::{synth, Partition};
 use ppml::trace::{Stream, Timeline};
 
 const COORDINATOR: &str = env!("CARGO_BIN_EXE_ppml-coordinator");
@@ -124,20 +126,15 @@ fn finish(mut child: Child, drain: JoinHandle<String>) -> (bool, String, String)
     (status.success(), stdout, stderr)
 }
 
-fn model_text(coordinator_stdout: &str) -> String {
-    coordinator_stdout
-        .lines()
-        .find_map(|l| l.strip_prefix("model: "))
-        .unwrap_or_else(|| panic!("no model line in:\n{coordinator_stdout}"))
-        .to_string()
-}
-
-fn learner_model_text(learner_stdout: &str) -> String {
-    learner_stdout
-        .lines()
-        .find_map(|l| l.strip_prefix("consensus model: "))
-        .unwrap_or_else(|| panic!("no consensus model line in:\n{learner_stdout}"))
-        .to_string()
+/// The model a coordinator (`model: `) or learner (`consensus model: `)
+/// printed: `LinearSvm::to_text` is several lines (header, bias,
+/// weights), closed by a blank line.
+fn model_text(stdout: &str) -> String {
+    let at = stdout
+        .find("model: ")
+        .unwrap_or_else(|| panic!("no model line in:\n{stdout}"));
+    let text = &stdout[at + "model: ".len()..];
+    text[..text.find("\n\n").map_or(text.len(), |end| end + 1)].to_string()
 }
 
 fn rounds_completed(coordinator_stdout: &str) -> u64 {
@@ -214,6 +211,20 @@ fn coordinator_crash_and_resume_across_processes() {
         let out = child.wait_with_output().expect("reference learner");
         assert!(out.status.success());
     }
+
+    // Real processes == the cluster job, bit for bit: the same
+    // partition, seed and iteration cap on the in-process `Cluster`
+    // (the binaries' defaults are c 50, rho 100, part-seed 1).
+    let parts = Partition::horizontal(&synth::blobs(512, 5), 3, 1).expect("partition");
+    let cfg = AdmmConfig::default()
+        .with_max_iter(120)
+        .with_c(50.0)
+        .with_rho(100.0)
+        .with_seed(11)
+        .with_tol(1e-12);
+    let (on_cluster, _) =
+        train_linear_on_cluster(&parts, &cfg, None, ClusterTuning::default()).expect("cluster run");
+    assert_eq!(on_cluster.model.to_text(), want_model);
 
     // Crash run, act one: checkpoint every round, then die by SIGKILL as
     // soon as the snapshot shows round 2 was accepted.
@@ -301,7 +312,7 @@ fn coordinator_crash_and_resume_across_processes() {
         let out = child.wait_with_output().expect("crash-run learner");
         assert!(out.status.success(), "learner died during the outage");
         let text = String::from_utf8(out.stdout).expect("utf-8 learner stdout");
-        assert_eq!(learner_model_text(&text), want_model);
+        assert_eq!(model_text(&text), want_model);
     }
 
     // The resumed incarnation's telemetry tells the story on its own:
@@ -417,12 +428,12 @@ fn learner_death_and_rejoin_across_processes() {
     assert!(out.status.success(), "rejoined learner failed");
     let text = String::from_utf8(out.stdout).expect("utf-8 rejoiner stdout");
     assert!(text.contains("asking to rejoin the run"), "{text}");
-    assert_eq!(learner_model_text(&text), want_model);
+    assert_eq!(model_text(&text), want_model);
     for child in survivors {
         let out = child.wait_with_output().expect("survivor learner");
         assert!(out.status.success());
         let text = String::from_utf8(out.stdout).expect("utf-8 survivor stdout");
-        assert_eq!(learner_model_text(&text), want_model);
+        assert_eq!(model_text(&text), want_model);
     }
 
     // The coordinator's stream alone carries the whole arc:
@@ -669,7 +680,7 @@ fn shamir_mid_collect_sigkill_across_processes() {
         let out = child.wait_with_output().expect("reference survivor");
         assert!(out.status.success());
         let text = String::from_utf8(out.stdout).expect("utf-8 survivor stdout");
-        assert_eq!(learner_model_text(&text), want_model);
+        assert_eq!(model_text(&text), want_model);
     }
 
     // The shamir run. The victim distributes round-2 shares and then
@@ -748,7 +759,7 @@ fn shamir_mid_collect_sigkill_across_processes() {
         let out = child.wait_with_output().expect("shamir survivor");
         assert!(out.status.success(), "a shamir survivor failed");
         let text = String::from_utf8(out.stdout).expect("utf-8 survivor stdout");
-        assert_eq!(learner_model_text(&text), want_model);
+        assert_eq!(model_text(&text), want_model);
     }
 
     // The telemetry must show the dropout, a shamir label on every
