@@ -1710,27 +1710,7 @@ pub(crate) mod tests {
         let features = feature_count(&parts).expect("partitions");
         let cfg = AdmmConfig::default().with_max_iter(4).with_seed(5);
 
-        let consensus_kind = Message::Consensus {
-            iteration: 0,
-            z: Vec::new(),
-            s: Vec::new(),
-            done: false,
-        }
-        .kind();
-        // Hold back the coordinator's second consensus frame (the stale
-        // duplicate of round 0, sent unreliably at seq 2) until one later
-        // frame has been delivered — the learner then sees round 1 first
-        // and the round-0 duplicate afterwards.
-        let faults = NetFaultPlan::none().delay_frames(
-            LinkFilter::any()
-                .from(1)
-                .to(0)
-                .kind(consensus_kind)
-                .seq_at_least(2),
-            1,
-            1,
-        );
-        let hub = LoopbackHub::with_faults(2, faults);
+        let hub = LoopbackHub::new(2);
         let mut learner_courier = Courier::new(hub.endpoint(0), RetryPolicy::fast_local());
         let timing = calm();
         let cfg_l = cfg;
@@ -1758,14 +1738,17 @@ pub(crate) mod tests {
         c.send_reliable(0, &consensus(0, vec![0.0; features], 0.0, false))
             .expect("round 0");
         assert_eq!(recv_share(&mut c), (0, 0));
-        // A stale re-broadcast of round 0 with a fresh sequence number —
-        // the ARQ dedup cannot flag it, only the learner's own iteration
-        // tracking can. The delay fault reorders it past round 1.
-        c.send_unreliable(0, &consensus(0, vec![0.0; features], 0.0, false))
-            .expect("stale duplicate");
         c.send_reliable(0, &consensus(1, vec![0.1; features], 0.05, false))
             .expect("round 1");
         assert_eq!(recv_share(&mut c), (1, 0));
+        // A stale re-broadcast of round 0 with a fresh sequence number —
+        // the ARQ dedup cannot flag it, only the learner's own iteration
+        // tracking can. Sent only once share (1, 0) is in hand: while
+        // round 0 is still the learner's last computed round a duplicate
+        // of it is answered from the cache by design (the resumed-
+        // coordinator path), so the order must be causal, not timed.
+        c.send_unreliable(0, &consensus(0, vec![0.0; features], 0.0, false))
+            .expect("stale duplicate");
         // The ignored duplicate must not produce a third share. Heartbeats
         // may arrive while we listen (a loaded host stretches the learner's
         // wait past its heartbeat interval); only a share is a failure.

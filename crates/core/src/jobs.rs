@@ -496,6 +496,38 @@ mod tests {
         }
     }
 
+    /// The case above never runs a solve long enough for the box QP's
+    /// Newton steps to join in (a few dozen cancer-like rows converge in
+    /// a handful of sweeps). This is the benchmark's first `train_compute`
+    /// dataset, where `ppml_qp`'s `first_round_hl_dual_sweep_counts` and
+    /// `warm_started_hl_round_passes_the_engagement_point` pin that the
+    /// cold first-round solve and the warm-started second-round one pass
+    /// the engagement point — so the three deployments must agree to the
+    /// bit on a model the Newton steps shaped.
+    #[test]
+    fn deployments_agree_to_the_bit_where_the_newton_step_is_engaged() {
+        let (rows, seed, m) = (300usize, 4u64, 2usize);
+        let data = synth::higgs_like(rows + 4000, seed);
+        let (train, _) = data
+            .split(rows as f64 / data.len() as f64, seed ^ 0x51)
+            .unwrap();
+        let parts = Partition::horizontal(&train, m, seed ^ 0x9a).unwrap();
+        let cfg = AdmmConfig::default().with_max_iter(3).with_seed(seed);
+
+        let in_process = HorizontalLinearSvm::train(&parts, &cfg, None).unwrap();
+        let (on_cluster, _) =
+            train_linear_on_cluster(&parts, &cfg, None, ClusterTuning::default()).unwrap();
+        let (on_wire, finals) = run_distributed(&parts, &cfg, NetFaultPlan::none());
+
+        // The coordinator's model, the whole trace and every learner.
+        assert_eq!(on_cluster.model, in_process.model);
+        assert_eq!(on_cluster.history.z_delta, in_process.history.z_delta);
+        assert_eq!(on_cluster.local_models, in_process.local_models);
+        assert_eq!(on_wire.model, in_process.model);
+        assert_eq!(on_wire.history.z_delta, in_process.history.z_delta);
+        assert!(finals.iter().all(|f| *f == in_process.model));
+    }
+
     #[test]
     fn a_sweep_capped_solve_is_the_same_typed_error_in_all_three_deployments() {
         let (parts, _, _) = parts4();
