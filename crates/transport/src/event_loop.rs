@@ -13,29 +13,37 @@
 //!   ([`EventLoopConfig::idle_timeout`]): a peer that stops producing
 //!   bytes is reaped and its resources reclaimed, instead of pinning a
 //!   blocked thread;
-//! * per-connection state (buffers, pending-send watermarks) is owned
-//!   exclusively by the I/O thread — no shared mutex exists to poison —
-//!   and per-frame handling is panic-isolated, so a defect triggered by
-//!   one peer's traffic closes that connection only;
+//! * per-connection read state and parked write bytes are owned by the
+//!   I/O thread; the one lock senders share with it (the registry of
+//!   *lanes*, below) is held only around a map update or a socket
+//!   write, never while a frame is decoded or delivered, and per-frame
+//!   handling is panic-isolated, so a defect triggered by one peer's
+//!   traffic closes that connection only;
 //! * connection lifecycle is observable: `conn_open` / `conn_close` /
 //!   `conn_reaped` telemetry events.
 //!
-//! Senders talk to the I/O thread over a command channel. While the
+//! The sending thread writes its own frame. Every registered connection
+//! has a *lane* — its socket's write side, shared with the loop, plus a
+//! count of the frames the loop still holds for it — in one registry
+//! under one lock. While the loop holds none of a lane's bytes and the
 //! endpoint's total write backlog sits below `SEND_HIGH_WATER`, a send
-//! completes as soon as the frame is queued — one channel push, no
-//! thread round-trip — which is what lets a coordinator broadcast to a
-//! hundred learners in one loop wakeup. Past the high-water mark the
-//! sender falls back to blocking on the per-connection flush watermark,
-//! with the same bounded `io_timeout` the legacy backend applied to
-//! blocking writes; a frame stuck past that deadline fails its
-//! connection either way. On Linux the loop parks in a raw `ppoll`
-//! over every socket plus a loopback wake connection — a queued command
+//! is one non-blocking `write` from the caller's thread: no channel, no
+//! wake byte, no thread hand-off. A short write hands only the unsent
+//! remainder to the loop (a `Cmd::Send`), and the lane stays closed to
+//! direct writes until the loop has flushed every byte it holds, so the
+//! frames of one link can neither interleave nor reorder. Past the
+//! high-water mark the sender falls back to blocking on the
+//! per-connection flush watermark, with the same bounded `io_timeout`
+//! the legacy backend applied to blocking writes; a frame stuck past
+//! that deadline fails its connection either way. On Linux the loop
+//! parks in a raw `ppoll` over every socket plus a loopback wake
+//! connection — a queued command (overflow, registration, shutdown)
 //! writes one wake byte, so commands and socket traffic both interrupt
 //! the wait instantly and only ready sockets are touched. On targets
 //! without the raw syscall the command channel's `recv_timeout` doubles
 //! as the idle sleep and sockets are scanned with non-blocking reads.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -72,8 +80,6 @@ pub struct EventLoopConfig {
     /// Best-effort core to pin the I/O thread to (see
     /// [`pin_current_thread`]); `None` leaves scheduling to the OS.
     pub pin_core: Option<usize>,
-    /// Shard count for the connected-party registry readers query.
-    pub shards: usize,
     /// Scan sleep bounds for `IdleBackoff`: the loop wakes at least
     /// this often when active / at most this rarely when idle.
     pub min_scan_wait: Duration,
@@ -86,7 +92,6 @@ impl Default for EventLoopConfig {
         EventLoopConfig {
             idle_timeout: Duration::from_secs(60),
             pin_core: None,
-            shards: 8,
             min_scan_wait: Duration::from_micros(50),
             max_scan_wait: Duration::from_millis(2),
         }
@@ -102,46 +107,18 @@ struct AtomicStats {
     retries: AtomicU64,
 }
 
-/// Party ids with a live registered connection, sharded so senders on
-/// different threads never contend on one lock (and a poisoned shard —
-/// impossible to brick, see [`lock_recover`] — would cost one shard,
-/// not the registry).
-struct ShardedSet {
-    shards: Vec<Mutex<HashSet<PartyId>>>,
-}
-
-impl ShardedSet {
-    fn new(n: usize) -> ShardedSet {
-        let n = n.max(1);
-        ShardedSet {
-            shards: (0..n).map(|_| Mutex::new(HashSet::new())).collect(),
-        }
-    }
-
-    fn shard(&self, party: PartyId) -> &Mutex<HashSet<PartyId>> {
-        &self.shards[party as usize % self.shards.len()]
-    }
-
-    fn insert(&self, party: PartyId) {
-        lock_recover(self.shard(party)).insert(party);
-    }
-
-    fn remove(&self, party: PartyId) {
-        lock_recover(self.shard(party)).remove(&party);
-    }
-
-    fn contains(&self, party: PartyId) -> bool {
-        lock_recover(self.shard(party)).contains(&party)
-    }
-
-    fn snapshot(&self) -> Vec<PartyId> {
-        let mut all: Vec<PartyId> = Vec::new();
-        for shard in &self.shards {
-            all.extend(lock_recover(shard).iter().copied());
-        }
-        all.sort_unstable();
-        all
-    }
+/// One registered connection's write side, as a sender sees it.
+struct Lane {
+    /// [`Conn::id`] of the connection behind the lane.
+    conn: u64,
+    /// The connection's socket, shared with its [`ConnIo`].
+    stream: Arc<TcpStream>,
+    /// Frames the loop holds for this lane: handed over by `Cmd::Send`
+    /// (or queued by the loop itself, a `HelloAck`) and not yet fully
+    /// flushed. A sender writes directly only while this is zero; the
+    /// loop lowers it, under the registry lock, once its write buffer
+    /// for the connection is empty.
+    held: u32,
 }
 
 /// Total unflushed write-buffer bytes below which sends complete at
@@ -150,18 +127,28 @@ const SEND_HIGH_WATER: u64 = 1 << 20;
 
 struct Shared {
     party: PartyId,
-    connected: ShardedSet,
+    /// Lanes by party: the connected set, and the lock every direct
+    /// write holds. Held only around a map update or a socket write,
+    /// never while a frame is decoded or delivered.
+    lanes: Mutex<HashMap<PartyId, Lane>>,
+    /// Source of [`Conn::id`]s; a dialer takes one before the loop
+    /// adopts its stream.
+    next_conn: AtomicU64,
     stats: AtomicStats,
     shutdown: AtomicBool,
     /// Unflushed bytes across all connections, refreshed by the loop
     /// each iteration. Advisory: senders read it to pick the fast
     /// (queue-and-return) or blocking send path.
     backlog: AtomicU64,
-    /// True while the I/O thread is parked in `ppoll`. Senders check it
-    /// after pushing a command: only then is a wake byte worth a
-    /// syscall. The loop re-checks the command queue *after* setting
-    /// this (both ends use `SeqCst`), so a command can never be missed.
+    /// True while the I/O thread is parked in `ppoll`. A thread that
+    /// pushed a command (an overflowing send, a registration, shutdown)
+    /// checks it: only then is a wake byte worth a syscall. The loop
+    /// re-checks the command queue *after* setting this (both ends use
+    /// `SeqCst`), so a command can never be missed.
     io_sleeping: AtomicBool,
+    /// Sends handed to the loop instead of written directly.
+    #[cfg(test)]
+    handed_to_loop: AtomicU64,
 }
 
 /// How one queued send ended, reported back to the sending thread.
@@ -175,17 +162,25 @@ enum SendOutcome {
 }
 
 enum Cmd {
-    /// Queue an encoded frame for `to`. With `done` set, answer on it
-    /// when flushed or failed (the blocking, backpressured path); with
-    /// `done` empty the sender already returned and failures surface
-    /// through the connection lifecycle instead.
+    /// Queue the unsent bytes of a frame on connection `lane`, which
+    /// counted it in [`Lane::held`]; `bytes` is the whole frame's size,
+    /// charged to stats once it is flushed. With `done` set, answer on
+    /// it when flushed or failed (the blocking, backpressured path);
+    /// with `done` empty the sender already returned and failures
+    /// surface through the connection lifecycle instead.
     Send {
-        to: PartyId,
+        lane: u64,
         encoded: Vec<u8>,
+        bytes: u64,
         done: Option<mpsc::Sender<SendOutcome>>,
     },
-    /// Adopt a freshly dialed (hello already written) outbound stream.
-    Register { party: PartyId, stream: TcpStream },
+    /// Adopt a freshly dialed (hello already written) outbound stream,
+    /// whose lane the dialer already registered as connection `id`.
+    Register {
+        party: PartyId,
+        id: u64,
+        stream: Arc<TcpStream>,
+    },
     /// Test hook: panic inside the next frame handled for `party`.
     PanicOnNextFrame { party: PartyId },
     /// Stop the loop.
@@ -223,12 +218,34 @@ enum CloseReason {
 }
 
 struct Conn {
+    /// Unique within the endpoint; ties a [`Lane`] to this connection.
+    id: u64,
     io: ConnIo,
     party: Option<PartyId>,
     inbound: bool,
+    /// Frames this connection took on for its lane since the lane was
+    /// last released (see [`Lane::held`]).
+    held: u32,
     pending: VecDeque<Pending>,
     panic_next: bool,
     close: Option<CloseReason>,
+}
+
+impl Conn {
+    /// An accepted connection (anonymous until its hello) or, with
+    /// `party` set, a dialed one.
+    fn new(id: u64, io: ConnIo, party: Option<PartyId>) -> Conn {
+        Conn {
+            id,
+            io,
+            party,
+            inbound: party.is_none(),
+            held: 0,
+            pending: VecDeque::new(),
+            panic_next: false,
+            close: None,
+        }
+    }
 }
 
 enum FrameFlow {
@@ -291,7 +308,6 @@ fn drain_frames(
             Message::Hello { party } => {
                 conn.party = Some(party);
                 registered = Some(party);
-                shared.connected.insert(party);
                 telemetry::emit(
                     shared.party,
                     EventKind::ConnOpen {
@@ -310,6 +326,18 @@ fn drain_frames(
                 }
                 .encode();
                 conn.io.queue(&ack);
+                conn.held += 1;
+                // The lane opens closed: the loop holds the ack's bytes.
+                let mut lanes = lock_recover(&shared.lanes);
+                match lanes.get_mut(&party) {
+                    Some(lane) if lane.conn == conn.id => lane.held += 1,
+                    _ => {
+                        let stream = Arc::clone(conn.io.stream());
+                        let (conn, held) = (conn.id, conn.held);
+                        lanes.insert(party, Lane { conn, stream, held });
+                    }
+                }
+                drop(lanes);
                 shared
                     .stats
                     .bytes_sent
@@ -344,9 +372,9 @@ struct IoLoop {
     /// here to interrupt a parked `ppoll`. `None` when the wake pair
     /// could not be set up — the loop then falls back to scanning.
     wake: Option<TcpStream>,
-    /// Where the last `Cmd::Send` found its connection. A coordinator
-    /// broadcast addresses parties in registration order, so starting
-    /// the next lookup here makes the scan O(1) amortized.
+    /// Where the last `Cmd::Send` found its connection. Overflow from a
+    /// coordinator broadcast addresses parties in registration order,
+    /// so starting the next lookup here makes the scan O(1) amortized.
     send_hint: usize,
     /// Reused across `poll_ready` calls to keep the hot loop
     /// allocation-free.
@@ -479,10 +507,8 @@ impl IoLoop {
         }
         // Shutdown: deregister everything so `connected_parties` empties
         // and blocked senders learn the endpoint is gone.
+        lock_recover(&self.shared.lanes).clear();
         for mut conn in std::mem::take(&mut self.conns) {
-            if let Some(party) = conn.party {
-                self.shared.connected.remove(party);
-            }
             for pending in conn.pending.drain(..) {
                 if let Some(done) = pending.done {
                     let _ = done.send(SendOutcome::NotConnected);
@@ -494,14 +520,20 @@ impl IoLoop {
     /// Returns `true` when the loop must stop.
     fn handle_cmd(&mut self, cmd: Cmd) -> bool {
         match cmd {
-            Cmd::Send { to, encoded, done } => {
-                match self.find_conn(to) {
+            Cmd::Send {
+                lane,
+                encoded,
+                bytes,
+                done,
+            } => {
+                match self.find_conn(lane) {
                     Some(idx) => {
                         let conn = &mut self.conns[idx];
                         let watermark = conn.io.queue(&encoded);
+                        conn.held += 1;
                         conn.pending.push_back(Pending {
                             watermark,
-                            bytes: encoded.len() as u64,
+                            bytes,
                             deadline: Instant::now() + self.io_timeout,
                             done,
                         });
@@ -514,28 +546,22 @@ impl IoLoop {
                 }
                 false
             }
-            Cmd::Register { party, stream } => {
-                if let Ok(io) = ConnIo::new(stream) {
-                    for old in self.conns.iter_mut().filter(|c| c.party == Some(party)) {
-                        old.close.get_or_insert(CloseReason::Replaced);
-                    }
-                    self.conns.push(Conn {
-                        io,
-                        party: Some(party),
-                        inbound: false,
-                        pending: VecDeque::new(),
-                        panic_next: false,
-                        close: None,
-                    });
-                    self.shared.connected.insert(party);
-                    telemetry::emit(
-                        self.shared.party,
-                        EventKind::ConnOpen {
-                            peer: party,
-                            inbound: false,
-                        },
-                    );
+            Cmd::Register { party, id, stream } => {
+                let Ok(io) = ConnIo::new(stream) else {
+                    lock_recover(&self.shared.lanes).retain(|_, lane| lane.conn != id);
+                    return false;
+                };
+                for old in self.conns.iter_mut().filter(|c| c.party == Some(party)) {
+                    old.close.get_or_insert(CloseReason::Replaced);
                 }
+                self.conns.push(Conn::new(id, io, Some(party)));
+                telemetry::emit(
+                    self.shared.party,
+                    EventKind::ConnOpen {
+                        peer: party,
+                        inbound: false,
+                    },
+                );
                 false
             }
             Cmd::PanicOnNextFrame { party } => {
@@ -548,15 +574,15 @@ impl IoLoop {
         }
     }
 
-    /// Finds the live connection for `to`, starting at (and updating)
-    /// the rotating send hint so in-order broadcasts resolve without a
-    /// full scan.
-    fn find_conn(&mut self, to: PartyId) -> Option<usize> {
+    /// Finds live connection `id`, starting at (and updating) the
+    /// rotating send hint so in-order broadcasts resolve without a full
+    /// scan.
+    fn find_conn(&mut self, id: u64) -> Option<usize> {
         let n = self.conns.len();
         for step in 0..n {
             let idx = (self.send_hint + step) % n;
             let conn = &self.conns[idx];
-            if conn.party == Some(to) && conn.close.is_none() {
+            if conn.id == id && conn.close.is_none() {
                 self.send_hint = (idx + 1) % n;
                 return Some(idx);
             }
@@ -571,15 +597,9 @@ impl IoLoop {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    if let Ok(io) = ConnIo::new(stream) {
-                        self.conns.push(Conn {
-                            io,
-                            party: None,
-                            inbound: true,
-                            pending: VecDeque::new(),
-                            panic_next: false,
-                            close: None,
-                        });
+                    if let Ok(io) = ConnIo::new(Arc::new(stream)) {
+                        let id = self.shared.next_conn.fetch_add(1, Ordering::Relaxed);
+                        self.conns.push(Conn::new(id, io, None));
                         progress = true;
                     }
                 }
@@ -744,7 +764,8 @@ impl IoLoop {
         progress
     }
 
-    /// Flushes one connection and settles its pending sends. Returns
+    /// Flushes one connection, settles its pending sends and, once it
+    /// holds no bytes, reopens its lane to direct writes. Returns
     /// whether bytes moved.
     fn flush_conn(&mut self, idx: usize) -> bool {
         let conn = &mut self.conns[idx];
@@ -770,6 +791,15 @@ impl IoLoop {
             if let Some(done) = settled.done {
                 let _ = done.send(SendOutcome::Sent);
             }
+        }
+        if conn.held > 0 && conn.io.backlog() == 0 {
+            if let Some(party) = conn.party {
+                let mut lanes = lock_recover(&self.shared.lanes);
+                if let Some(lane) = lanes.get_mut(&party).filter(|l| l.conn == conn.id) {
+                    lane.held -= conn.held;
+                }
+            }
+            conn.held = 0;
         }
         if let Some(front) = conn.pending.front() {
             if conn.io.backlog() > 0 && Instant::now() > front.deadline {
@@ -797,7 +827,8 @@ impl IoLoop {
     }
 
     /// Removes every connection marked for close: fails its pending
-    /// sends, deregisters its party, emits the lifecycle event.
+    /// sends, drops its lane (and with it the socket), emits the
+    /// lifecycle event.
     fn cleanup(&mut self) {
         if self.conns.iter().all(|c| c.close.is_none()) {
             return;
@@ -826,12 +857,8 @@ impl IoLoop {
                     });
                 }
             }
-            if let Some(party) = conn.party {
-                // Deregister only if no newer connection owns the id.
-                if !self.conns.iter().any(|c| c.party == Some(party)) {
-                    self.shared.connected.remove(party);
-                }
-            }
+            // A newer connection for the same party keeps its lane.
+            lock_recover(&self.shared.lanes).retain(|_, lane| lane.conn != conn.id);
             let peer = conn.party.unwrap_or(telemetry::NO_PARTY);
             match reason {
                 CloseReason::Idle(idle_ms) => {
@@ -929,25 +956,22 @@ impl EventTransport {
         };
         let conns: Vec<Conn> = early
             .into_iter()
-            .filter_map(|s| ConnIo::new(s).ok())
-            .map(|io| Conn {
-                io,
-                party: None,
-                inbound: true,
-                pending: VecDeque::new(),
-                panic_next: false,
-                close: None,
-            })
+            .filter_map(|s| ConnIo::new(Arc::new(s)).ok())
+            .zip(0..)
+            .map(|(io, id)| Conn::new(id, io, None))
             .collect();
         let (inbox_tx, inbox) = mpsc::channel();
         let (cmd_tx, cmd_rx) = mpsc::channel();
         let shared = Arc::new(Shared {
             party,
-            connected: ShardedSet::new(cfg.shards),
+            lanes: Mutex::new(HashMap::new()),
+            next_conn: AtomicU64::new(conns.len() as u64),
             stats: AtomicStats::default(),
             shutdown: AtomicBool::new(false),
             backlog: AtomicU64::new(0),
             io_sleeping: AtomicBool::new(false),
+            #[cfg(test)]
+            handed_to_loop: AtomicU64::new(0),
         });
         let io_thread = {
             let shared = Arc::clone(&shared);
@@ -994,13 +1018,16 @@ impl EventTransport {
     /// Parties with a registered live connection (dialed out or dialed
     /// in and hello-handshaken), sorted.
     pub fn connected_parties(&self) -> Vec<PartyId> {
-        self.shared.connected.snapshot()
+        let mut parties: Vec<PartyId> = lock_recover(&self.shared.lanes).keys().copied().collect();
+        parties.sort_unstable();
+        parties
     }
 
-    /// Wakes a parked I/O loop after pushing a command. Skipped (and
-    /// free) while the loop is awake; a full or dead wake socket is
-    /// also fine — the loop is then guaranteed to drain the queue on
-    /// its own.
+    /// Wakes a parked I/O loop after pushing a command — an overflowing
+    /// send, a registration, shutdown; a direct write needs no wake.
+    /// Skipped (and free) while the loop is awake; a full or dead wake
+    /// socket is also fine — the loop is then guaranteed to drain the
+    /// queue on its own.
     fn nudge(&self) {
         if self.shared.io_sleeping.load(Ordering::SeqCst) {
             if let Some(wake) = &self.wake_tx {
@@ -1017,10 +1044,11 @@ impl EventTransport {
         self.nudge();
     }
 
-    /// Dials `to`, writes the hello (blocking, bounded by `io_timeout`)
-    /// and hands the stream to the I/O loop. Command-channel FIFO
-    /// guarantees the registration lands before any send this thread
-    /// queues afterwards.
+    /// Dials `to`, writes the hello (blocking, bounded by `io_timeout`),
+    /// registers the lane — open at once to direct writes — and hands
+    /// the stream to the I/O loop. Command-channel FIFO guarantees the
+    /// registration lands before any send this thread hands over
+    /// afterwards.
     fn dial(&self, to: PartyId, addr: SocketAddr) -> Result<(), TransportError> {
         let stream = TcpStream::connect_timeout(&addr, self.io_timeout)?;
         stream.set_nodelay(true)?;
@@ -1036,19 +1064,102 @@ impl EventTransport {
         }
         .encode();
         (&stream).write_all(&hello)?;
-        self.shared
-            .stats
-            .bytes_sent
-            .fetch_add(hello.len() as u64, Ordering::Relaxed);
-        self.shared
-            .stats
-            .frames_sent
-            .fetch_add(1, Ordering::Relaxed);
+        stream.set_nonblocking(true)?;
+        self.charge_sent(hello.len());
+        let stream = Arc::new(stream);
+        let id = self.shared.next_conn.fetch_add(1, Ordering::Relaxed);
+        let lane = Lane {
+            conn: id,
+            stream: Arc::clone(&stream),
+            held: 0,
+        };
+        lock_recover(&self.shared.lanes).insert(to, lane);
         self.cmd_tx
-            .send(Cmd::Register { party: to, stream })
+            .send(Cmd::Register {
+                party: to,
+                id,
+                stream,
+            })
             .map_err(|_| TransportError::Closed)?;
         self.nudge();
         Ok(())
+    }
+
+    fn charge_sent(&self, bytes: usize) {
+        let stats = &self.shared.stats;
+        stats.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
+        stats.frames_sent.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// One attempt to put `encoded` on `to`'s lane. A free lane below
+    /// the high-water mark takes one non-blocking `write` from this
+    /// thread; whatever that leaves unsent, or the whole frame when the
+    /// loop still holds bytes for the lane, is handed to the loop and
+    /// charged to the lane, so the link's bytes stay in send order.
+    /// Past the high-water mark the call blocks on the flush watermark.
+    fn send_once(&self, to: PartyId, encoded: &[u8]) -> Result<(), TransportError> {
+        let done_rx = {
+            let mut lanes = lock_recover(&self.shared.lanes);
+            let lane = lanes.get_mut(&to).ok_or(TransportError::Unreachable(to))?;
+            let fast = self.shared.backlog.load(Ordering::Relaxed) < SEND_HIGH_WATER;
+            let mut written = 0;
+            if fast && lane.held == 0 {
+                written = loop {
+                    match (&*lane.stream).write(encoded) {
+                        Ok(n) => break n,
+                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                        // `WouldBlock`, or a hard error the loop's flush
+                        // meets again and fails the connection on.
+                        Err(_) => break 0,
+                    }
+                };
+                if written == encoded.len() {
+                    self.charge_sent(written);
+                    return Ok(());
+                }
+            }
+            lane.held += 1;
+            #[cfg(test)]
+            self.shared.handed_to_loop.fetch_add(1, Ordering::Relaxed);
+            let (done, done_rx) = if fast {
+                (None, None)
+            } else {
+                let (tx, rx) = mpsc::channel();
+                (Some(tx), Some(rx))
+            };
+            let cmd = Cmd::Send {
+                lane: lane.conn,
+                encoded: encoded[written..].to_vec(),
+                bytes: encoded.len() as u64,
+                done,
+            };
+            self.cmd_tx.send(cmd).map_err(|_| TransportError::Closed)?;
+            done_rx
+        };
+        self.nudge();
+        // Fast path: the loop owns the remainder and the send is
+        // complete. A frame lost to a connection dying in flight is
+        // indistinguishable from one lost on the wire just after a
+        // blocking write returned, and the same recovery applies: the
+        // courier retransmits, later sends see `NotConnected`, and the
+        // receive-side deadlines still bound every wait.
+        let Some(done_rx) = done_rx else {
+            return Ok(());
+        };
+        // Backpressured: a peer that stops draining its socket pushes
+        // back on the sender (and eventually fails the connection via
+        // the write deadline). The loop always answers first: its
+        // per-frame deadline is `io_timeout` and its scan tick is
+        // bounded by `max_scan_wait`, both well inside this wait.
+        match done_rx.recv_timeout(self.io_timeout + Duration::from_secs(1)) {
+            Ok(SendOutcome::Sent) => Ok(()),
+            Ok(SendOutcome::NotConnected) => Err(TransportError::Unreachable(to)),
+            Ok(SendOutcome::Io(kind)) => Err(TransportError::Io(std::io::Error::from(kind))),
+            Err(mpsc::RecvTimeoutError::Timeout) => Err(TransportError::Io(std::io::Error::from(
+                std::io::ErrorKind::TimedOut,
+            ))),
+            Err(mpsc::RecvTimeoutError::Disconnected) => Err(TransportError::Closed),
+        }
     }
 }
 
@@ -1070,27 +1181,28 @@ impl Transport for EventTransport {
         seq: u64,
         flags: u16,
     ) -> Result<usize, TransportError> {
-        // `Option` so the fast path below can hand the buffer to the
-        // loop without a copy: every branch past the `take` returns.
-        let mut encoded = Some(
-            Frame {
-                flags,
-                from: self.shared.party,
-                to,
-                seq,
-                msg: msg.clone(),
-            }
-            .encode(),
-        );
-        let len = encoded.as_ref().map_or(0, Vec::len);
+        let encoded = Frame {
+            flags,
+            from: self.shared.party,
+            to,
+            seq,
+            msg: msg.clone(),
+        }
+        .encode();
+        // An ack is attempted once, on a lane that already exists: it
+        // never dials and never backs off. Dropping one is always safe
+        // under stop-and-wait (see `Courier`), and waiting out a
+        // schedule for a peer that just left stalls the receiver.
+        let ack = matches!(msg, Message::Ack { .. });
         let mut last_err: Option<TransportError> = None;
         for attempt in 0..self.retry.max_attempts {
             if attempt > 0 {
                 self.shared.stats.retries.fetch_add(1, Ordering::Relaxed);
                 std::thread::sleep(self.retry.backoff(attempt - 1));
             }
-            if !self.shared.connected.contains(to) {
+            if !lock_recover(&self.shared.lanes).contains_key(&to) {
                 match self.peers.get(&to) {
+                    _ if ack => return Err(TransportError::Unreachable(to)),
                     Some(&addr) => {
                         if let Err(e) = self.dial(to, addr) {
                             last_err = Some(e);
@@ -1099,91 +1211,24 @@ impl Transport for EventTransport {
                     }
                     // We cannot dial this party; it must dial us. Give
                     // the handshake time to land before retrying.
-                    None => {
-                        std::thread::sleep(self.retry.backoff(attempt));
-                        if !self.shared.connected.contains(to) {
-                            last_err = Some(TransportError::Unreachable(to));
-                            continue;
-                        }
-                    }
+                    None => std::thread::sleep(self.retry.backoff(attempt)),
                 }
             }
-            // Fast path: below the high-water mark the frame is handed
-            // to the loop and the send is complete — no thread
-            // round-trip. A frame lost to a connection dying in flight
-            // is indistinguishable from one lost on the wire just after
-            // a blocking write returned, and the same recovery applies:
-            // the courier retransmits, later sends see `NotConnected`,
-            // and the receive-side deadlines still bound every wait.
-            if self.shared.backlog.load(Ordering::Relaxed) < SEND_HIGH_WATER {
-                if self
-                    .cmd_tx
-                    .send(Cmd::Send {
-                        to,
-                        encoded: encoded.take().expect("fast path always returns"),
-                        done: None,
-                    })
-                    .is_err()
-                {
-                    return Err(TransportError::Closed);
-                }
-                self.nudge();
-                telemetry::emit(
-                    self.shared.party,
-                    EventKind::FrameSent {
-                        to,
-                        bytes: len as u64,
-                        retransmit: flags & crate::frame::FLAG_RETRANSMIT != 0,
-                    },
-                );
-                return Ok(len);
-            }
-            // Backpressured: block on the flush watermark so a peer that
-            // stops draining its socket pushes back on the sender (and
-            // eventually fails the connection via the write deadline).
-            let (done_tx, done_rx) = mpsc::channel();
-            let bytes = encoded.clone().expect("taken only on the fast path");
-            if self
-                .cmd_tx
-                .send(Cmd::Send {
-                    to,
-                    encoded: bytes,
-                    done: Some(done_tx),
-                })
-                .is_err()
-            {
-                return Err(TransportError::Closed);
-            }
-            self.nudge();
-            // The loop always answers first: its per-frame deadline is
-            // `io_timeout` and its scan tick is bounded by
-            // `max_scan_wait`, both well inside this wait.
-            match done_rx.recv_timeout(self.io_timeout + Duration::from_secs(1)) {
-                Ok(SendOutcome::Sent) => {
+            match self.send_once(to, &encoded) {
+                Ok(()) => {
                     telemetry::emit(
                         self.shared.party,
                         EventKind::FrameSent {
                             to,
-                            bytes: len as u64,
+                            bytes: encoded.len() as u64,
                             retransmit: flags & crate::frame::FLAG_RETRANSMIT != 0,
                         },
                     );
-                    return Ok(len);
+                    return Ok(encoded.len());
                 }
-                Ok(SendOutcome::NotConnected) => {
-                    last_err = Some(TransportError::Unreachable(to));
-                }
-                Ok(SendOutcome::Io(kind)) => {
-                    last_err = Some(TransportError::Io(std::io::Error::from(kind)));
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    last_err = Some(TransportError::Io(std::io::Error::from(
-                        std::io::ErrorKind::TimedOut,
-                    )));
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err(TransportError::Closed);
-                }
+                Err(TransportError::Closed) => return Err(TransportError::Closed),
+                Err(e) if ack => return Err(e),
+                Err(e) => last_err = Some(e),
             }
         }
         telemetry::emit(
@@ -1412,5 +1457,198 @@ mod tests {
         server.send(2, &Message::Heartbeat { nonce: 5 }).unwrap();
         let env = healthy.recv(Duration::from_secs(5)).expect("healthy reply");
         assert_eq!(env.from, 0);
+    }
+
+    fn handed_to_loop(t: &EventTransport) -> u64 {
+        t.shared.handed_to_loop.load(Ordering::Relaxed)
+    }
+
+    fn lane_held(t: &EventTransport, party: PartyId) -> u32 {
+        lock_recover(&t.shared.lanes)
+            .get(&party)
+            .map_or(0, |lane| lane.held)
+    }
+
+    fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Decodes frames off a blocking socket until EOF, counting them in
+    /// `count` as they arrive.
+    fn read_frames(mut rx: TcpStream, count: Arc<AtomicU64>) -> Vec<Frame> {
+        let mut frames = Vec::new();
+        let mut prefix = [0u8; 4];
+        while rx.read_exact(&mut prefix).is_ok() {
+            let mut buf = prefix.to_vec();
+            buf.resize(4 + u32::from_le_bytes(prefix) as usize, 0);
+            rx.read_exact(&mut buf[4..]).expect("frame body");
+            frames.push(Frame::decode(&buf).expect("well-formed frame"));
+            count.fetch_add(1, Ordering::Relaxed);
+        }
+        frames
+    }
+
+    fn share(i: u64) -> Message {
+        Message::MaskedShare {
+            iteration: i,
+            epoch: 0,
+            party: 0,
+            payload: vec![i; 8],
+        }
+    }
+
+    /// Sends the next share in sequence, recording its encoded size.
+    fn send_share(sender: &mut EventTransport, sizes: &mut Vec<u64>) {
+        let receipt = sender.send(1, &share(sizes.len() as u64)).expect("send");
+        sizes.push(receipt.bytes as u64);
+    }
+
+    #[test]
+    fn frames_keep_send_order_across_the_overflow_boundary() {
+        let peer = TcpListener::bind(loopback_addr()).expect("peer");
+        let mut sender = EventTransport::bind(
+            0,
+            loopback_addr(),
+            HashMap::from([(1, peer.local_addr().expect("peer addr"))]),
+            RetryPolicy::fast_local(),
+            Duration::from_secs(30),
+        )
+        .expect("bind");
+        let mut sizes = Vec::new();
+        send_share(&mut sender, &mut sizes);
+        // The peer accepts and does not read: direct writes fill the
+        // socket until one comes back short.
+        let (rx, _) = peer.accept().expect("accept");
+        while handed_to_loop(&sender) == 0 {
+            send_share(&mut sender, &mut sizes);
+        }
+        // A first short write can be transient (the kernel was still
+        // moving bytes toward the peer), and the loop may flush the
+        // remainder and reopen the lane. Keep sending until the loop
+        // itself parks bytes it cannot flush: the peer's window is shut.
+        while sender.shared.backlog.load(Ordering::Relaxed) < 64 * 1024 {
+            assert!(sizes.len() < 1_000_000, "the socket never filled");
+            send_share(&mut sender, &mut sizes);
+        }
+        // Every later frame must now queue behind the parked bytes.
+        const N: u64 = 100;
+        let handed = handed_to_loop(&sender);
+        for _ in 0..N {
+            send_share(&mut sender, &mut sizes);
+        }
+        assert_eq!(handed_to_loop(&sender), handed + N);
+        assert!(lane_held(&sender, 1) > 0, "the lane must stay closed");
+        // Let the peer drain; once the loop has flushed the backlog the
+        // lane reopens and the next frames go direct again.
+        let received = Arc::new(AtomicU64::new(0));
+        let reader = {
+            let received = Arc::clone(&received);
+            std::thread::spawn(move || read_frames(rx, received))
+        };
+        let parked = sizes.len() as u64;
+        wait_for("the peer to drain", || {
+            received.load(Ordering::Relaxed) == 1 + parked && lane_held(&sender, 1) == 0
+        });
+        for _ in 0..N {
+            send_share(&mut sender, &mut sizes);
+        }
+        assert_eq!(
+            handed_to_loop(&sender),
+            handed + N,
+            "a free lane writes directly"
+        );
+        let sent = sizes.len() as u64;
+        wait_for("the last frames", || {
+            received.load(Ordering::Relaxed) == 1 + sent
+        });
+        let hello = Frame::encoded_len_of(&Message::Hello { party: 0 }) as u64;
+        assert_eq!(sender.stats().bytes_sent, hello + sizes.iter().sum::<u64>());
+        drop(sender);
+        let frames = reader.join().expect("reader");
+        assert_eq!(frames[0].msg, Message::Hello { party: 0 });
+        let order: Vec<u64> = frames[1..]
+            .iter()
+            .map(|f| match f.msg {
+                Message::MaskedShare { iteration, .. } => iteration,
+                ref other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(order, (0..sent).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn steady_sends_to_a_draining_peer_bypass_the_loop() {
+        let peer = TcpListener::bind(loopback_addr()).expect("peer");
+        let mut sender = bind(0, HashMap::from([(1, peer.local_addr().expect("addr"))]));
+        sender.send(1, &share(0)).expect("dial");
+        let (rx, _) = peer.accept().expect("accept");
+        let received = Arc::new(AtomicU64::new(0));
+        let reader = {
+            let received = Arc::clone(&received);
+            std::thread::spawn(move || read_frames(rx, received))
+        };
+        for i in 1..1_000 {
+            sender.send(1, &share(i)).expect("send");
+        }
+        assert_eq!(handed_to_loop(&sender), 0);
+        wait_for("the peer", || received.load(Ordering::Relaxed) == 1_001);
+        drop(sender);
+        assert_eq!(reader.join().expect("reader").len(), 1_001);
+    }
+
+    #[test]
+    fn an_ack_to_a_departed_peer_is_dropped_without_retries() {
+        use telemetry::RingSink;
+        let sink = RingSink::new(1 << 16);
+        telemetry::install(sink.clone());
+        // The coordinator cannot dial the learner: it only knows it as a
+        // dial-in, exactly as `ppml-coordinator` does.
+        let coordinator = EventTransport::bind(
+            70,
+            loopback_addr(),
+            HashMap::new(),
+            RetryPolicy::tcp_link(),
+            Duration::from_secs(2),
+        )
+        .expect("bind");
+        let mut learner = bind(71, HashMap::from([(70, coordinator.local_addr())]));
+        // A data frame, which the coordinator's courier must ack.
+        learner
+            .send(70, &Message::Heartbeat { nonce: 1 })
+            .expect("send");
+        wait_for("the learner to register", || {
+            coordinator.connected_parties() == vec![71]
+        });
+        drop(learner);
+        wait_for("the learner to deregister", || {
+            coordinator.connected_parties().is_empty()
+        });
+        let mut courier = Courier::new(coordinator, RetryPolicy::tcp_default());
+        let retries = courier.transport().stats().retries;
+        let env = courier.recv(Duration::from_secs(5)).expect("frame");
+        assert_eq!(env.msg, Message::Heartbeat { nonce: 1 });
+        assert_eq!(courier.transport().stats().retries, retries);
+        telemetry::uninstall();
+        let events: Vec<EventKind> = sink
+            .snapshot()
+            .into_iter()
+            .filter(|e| e.party == 70)
+            .map(|e| e.kind)
+            .collect();
+        let dropped = events
+            .iter()
+            .filter(|k| matches!(k, EventKind::AckDropped { to: 71, .. }))
+            .count();
+        assert_eq!(dropped, 1, "{events:?}");
+        assert!(
+            !events
+                .iter()
+                .any(|k| matches!(k, EventKind::SendTimeout { .. })),
+            "{events:?}"
+        );
     }
 }

@@ -20,13 +20,18 @@
 //! read/write buffer ownership" rule: bytes read off the socket land in
 //! a private reassembly buffer until a whole length-prefixed frame is
 //! available, and writes the socket would block on are parked in a
-//! private write buffer the loop flushes on later sweeps. Nothing is
+//! private write buffer the loop flushes on later sweeps. The loop owns
+//! reads and parked bytes; the socket's write side is shared with
+//! senders, who write whole frames into it directly while the loop holds
+//! none of that connection's bytes (the lane lock of
+//! [`crate::event_loop`] decides which side may write). Nothing is
 //! shared between connections, so a connection that fails (or whose
 //! handler panics) can be dropped without touching any other peer's
 //! state.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Whether this build can block on kernel readiness ([`ppoll`]) instead
@@ -178,10 +183,10 @@ pub(crate) enum ReadSweep {
 /// Buffered non-blocking I/O for one connection.
 ///
 /// The event loop is the only code that touches a `ConnIo`; senders
-/// reach it through the loop's command channel. See the module docs for
+/// share only its socket, for direct writes. See the module docs for
 /// the ownership rule this encodes.
 pub(crate) struct ConnIo {
-    stream: TcpStream,
+    stream: Arc<TcpStream>,
     /// Reassembly buffer: raw bytes read but not yet consumed as frames.
     rbuf: Vec<u8>,
     /// Bytes queued for the peer that the socket has not accepted yet.
@@ -201,7 +206,7 @@ pub(crate) struct ConnIo {
 
 impl ConnIo {
     /// Wraps `stream`, switching it to non-blocking mode.
-    pub(crate) fn new(stream: TcpStream) -> std::io::Result<ConnIo> {
+    pub(crate) fn new(stream: Arc<TcpStream>) -> std::io::Result<ConnIo> {
         stream.set_nonblocking(true)?;
         let _ = stream.set_nodelay(true);
         Ok(ConnIo {
@@ -219,7 +224,7 @@ impl ConnIo {
     pub(crate) fn read_sweep(&mut self, scratch: &mut [u8; READ_CHUNK]) -> ReadSweep {
         let mut progressed = false;
         loop {
-            match self.stream.read(scratch) {
+            match (&*self.stream).read(scratch) {
                 Ok(0) => return ReadSweep::Closed,
                 Ok(n) => {
                     self.rbuf.extend_from_slice(&scratch[..n]);
@@ -283,7 +288,7 @@ impl ConnIo {
     /// Any socket error other than `WouldBlock` — the connection is dead.
     pub(crate) fn flush(&mut self) -> std::io::Result<()> {
         while self.wpos < self.wbuf.len() {
-            match self.stream.write(&self.wbuf[self.wpos..]) {
+            match (&*self.stream).write(&self.wbuf[self.wpos..]) {
                 Ok(0) => {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::WriteZero,
@@ -304,6 +309,11 @@ impl ConnIo {
             self.wpos = 0;
         }
         Ok(())
+    }
+
+    /// The socket, for a sender's lane.
+    pub(crate) fn stream(&self) -> &Arc<TcpStream> {
+        &self.stream
     }
 
     /// Raw fd for readiness registration (`-1` off unix, where the
@@ -415,7 +425,7 @@ mod tests {
     #[test]
     fn frames_reassemble_across_arbitrary_chunk_boundaries() {
         let (tx, rx) = socket_pair();
-        let mut conn = ConnIo::new(rx).expect("conn");
+        let mut conn = ConnIo::new(Arc::new(rx)).expect("conn");
         let mut scratch = read_scratch();
 
         // Two frames, written in awkward slices (including a split
@@ -447,7 +457,7 @@ mod tests {
     #[test]
     fn oversized_length_prefix_is_an_error() {
         let (tx, rx) = socket_pair();
-        let mut conn = ConnIo::new(rx).expect("conn");
+        let mut conn = ConnIo::new(Arc::new(rx)).expect("conn");
         let mut scratch = read_scratch();
         let mut tx = tx;
         tx.write_all(&u32::MAX.to_le_bytes()).expect("write");
@@ -460,7 +470,7 @@ mod tests {
     #[test]
     fn eof_surfaces_as_closed() {
         let (tx, rx) = socket_pair();
-        let mut conn = ConnIo::new(rx).expect("conn");
+        let mut conn = ConnIo::new(Arc::new(rx)).expect("conn");
         let mut scratch = read_scratch();
         drop(tx);
         std::thread::sleep(Duration::from_millis(5));
@@ -470,7 +480,7 @@ mod tests {
     #[test]
     fn queued_writes_flush_and_watermark_advances() {
         let (rx, tx) = socket_pair();
-        let mut conn = ConnIo::new(tx).expect("conn");
+        let mut conn = ConnIo::new(Arc::new(tx)).expect("conn");
         let watermark = conn.queue(&[1, 2, 3, 4]);
         assert_eq!(watermark, 4);
         conn.flush().expect("flush");
