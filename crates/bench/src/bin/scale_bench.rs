@@ -1,13 +1,11 @@
 //! Coordinator scaling: round latency and coordinator CPU as the
-//! learner count grows, old (thread-per-connection) versus new
-//! (event-loop) transport backend (ISSUE 7 bench).
+//! learner count grows, over the `EventTransport` TCP backend.
 //!
 //! ```text
 //! cargo run -p ppml-bench --bin scale_bench --release
 //! ```
 //!
-//! For each backend × m in {8, 32, 64, 128, 256, 512}, the parent
-//! process binds a
+//! For each m in {8, 32, 64, 128, 256, 512}, the parent process binds a
 //! coordinator transport, spawns m echo children (separate OS processes,
 //! so the coordinator's CPU is measured alone), and drives R
 //! consensus-shaped rounds: broadcast a `Consensus` iterate to every
@@ -16,10 +14,8 @@
 //! (nanosecond-resolution `sum_exec_runtime` from
 //! `/proc/self/task/*/schedstat`, summed over every thread), and the
 //! coordinator's thread count mid-run. Results go to stdout and to
-//! `BENCH_scale.json` in the working directory.
-//!
-//! The children always run the event-loop backend, so the only variable
-//! across cells is the coordinator's side of the fabric.
+//! `BENCH_scale.json` in the working directory; every row carries
+//! `"backend": "event"`.
 //!
 //! `PPML_BENCH_QUICK=1` shrinks the grid to m in {8, 32} and fewer
 //! rounds for CI smoke runs. `PPML_BENCH_M=64,256` overrides the m grid
@@ -32,9 +28,7 @@ use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use ppml_transport::{
-    EventTransport, Message, PartyId, RetryPolicy, TcpTransport, Transport, TransportError,
-};
+use ppml_transport::{EventTransport, Message, PartyId, RetryPolicy, Transport, TransportError};
 
 /// The coordinator's party id; children learn it from their argv.
 const COORD: PartyId = 10_000;
@@ -58,9 +52,6 @@ fn learner_counts() -> Vec<usize> {
     if quick() {
         vec![8, 32]
     } else {
-        // 8..128 are the required comparison rows; 256 and 512 chart
-        // the legacy backend past its breaking point (at 512 it cannot
-        // even form the cluster on a small host).
         vec![8, 32, 64, 128, 256, 512]
     }
 }
@@ -73,16 +64,8 @@ fn rounds() -> usize {
     }
 }
 
-/// CPU time this process has consumed, in microseconds.
-///
-/// Prefers the scheduler's nanosecond-resolution `sum_exec_runtime`
-/// (`/proc/self/task/*/schedstat`, summed over every thread — reader
-/// threads included, which is the whole point of the comparison); falls
-/// back to `utime + stime` jiffies from `/proc/self/stat` where
-/// schedstats are compiled out. Returns 0 off Linux — the bench still
-/// runs, the CPU column is just meaningless there.
 /// Debug aid (`PPML_BENCH_THREADPROF=1`): per-thread (tid, comm,
-/// cpu-ns). Keyed by tid — reader-pool threads all share one comm.
+/// cpu-ns). Keyed by tid, since threads may share one comm.
 fn thread_cpu_snapshot() -> Vec<(u64, String, u64)> {
     let mut out = Vec::new();
     if let Ok(tasks) = std::fs::read_dir("/proc/self/task") {
@@ -112,6 +95,14 @@ fn thread_cpu_snapshot() -> Vec<(u64, String, u64)> {
     out
 }
 
+/// CPU time this process has consumed, in microseconds.
+///
+/// Prefers the scheduler's nanosecond-resolution `sum_exec_runtime`
+/// (`/proc/self/task/*/schedstat`, summed over every thread, the I/O
+/// thread included); falls back to `utime + stime` jiffies from
+/// `/proc/self/stat` where schedstats are compiled out. Returns 0 off
+/// Linux — the bench still runs, the CPU column is just meaningless
+/// there.
 fn self_cpu_us() -> u64 {
     if let Ok(tasks) = std::fs::read_dir("/proc/self/task") {
         let mut total_ns: u64 = 0;
@@ -196,7 +187,6 @@ fn child(party: PartyId, coordinator: SocketAddr) {
 }
 
 struct Row {
-    backend: &'static str,
     m: usize,
     rounds_completed: usize,
     round_ms_p50: f64,
@@ -214,42 +204,19 @@ fn percentile_ms(sorted: &[Duration], p: f64) -> f64 {
     sorted[idx].as_nanos() as f64 / 1e6
 }
 
-/// The few inherent accessors the phase driver needs on top of the
-/// `Transport` trait, present on both backends.
-trait CoordinatorSide: Transport {
-    fn addr(&self) -> SocketAddr;
-    fn connected(&self) -> usize;
-}
-
-impl CoordinatorSide for EventTransport {
-    fn addr(&self) -> SocketAddr {
-        self.local_addr()
-    }
-    fn connected(&self) -> usize {
-        self.connected_parties().len()
-    }
-}
-
-impl CoordinatorSide for TcpTransport {
-    fn addr(&self) -> SocketAddr {
-        self.local_addr()
-    }
-    fn connected(&self) -> usize {
-        self.connected_parties().len()
-    }
-}
-
-/// Drives R rounds against m spawned echo children and tears everything
-/// down. A round that cannot complete (send failure or a reply missing
-/// past the deadline) ends the phase with `ok: false` — at the biggest
-/// m the legacy backend is *expected* to be the one that breaks first.
-fn run_phase<T: CoordinatorSide>(
-    backend: &'static str,
-    mut transport: T,
-    m: usize,
-    exe: &std::path::Path,
-) -> Row {
-    let addr = transport.addr();
+/// Binds a coordinator, drives R rounds against m spawned echo children
+/// and tears everything down. A round that cannot complete (send failure
+/// or a reply missing past the deadline) ends the phase with `ok: false`.
+fn run_phase(m: usize, exe: &std::path::Path) -> Row {
+    let mut transport = EventTransport::bind(
+        COORD,
+        "127.0.0.1:0".parse().expect("loopback"),
+        HashMap::new(),
+        RetryPolicy::tcp_link(),
+        Duration::from_secs(5),
+    )
+    .expect("bind coordinator");
+    let addr = transport.local_addr();
     let mut children: Vec<Child> = (0..m)
         .map(|party| {
             Command::new(exe)
@@ -263,14 +230,13 @@ fn run_phase<T: CoordinatorSide>(
 
     let deadline = Instant::now() + Duration::from_secs(60);
     let mut connected = true;
-    while transport.connected() < m {
+    while transport.connected_parties().len() < m {
         if Instant::now() >= deadline {
-            // The backend could not even form the cluster — the
-            // qualitative failure this bench exists to expose. Record
-            // the cell as incomplete instead of aborting the sweep.
+            // The cluster never formed. Record the cell as incomplete
+            // instead of aborting the sweep.
             eprintln!(
-                "scale/{backend}/m={m}: only {}/{m} children connected within 60s",
-                transport.connected()
+                "scale/event/m={m}: only {}/{m} children connected within 60s",
+                transport.connected_parties().len()
             );
             connected = false;
             break;
@@ -338,7 +304,7 @@ fn run_phase<T: CoordinatorSide>(
         }
         for (comm, (count, ns)) in rollup {
             eprintln!(
-                "threadprof {backend}/m={m}: {comm} x{count} {:.2}ms",
+                "threadprof event/m={m}: {comm} x{count} {:.2}ms",
                 ns as f64 / 1e6
             );
         }
@@ -369,7 +335,6 @@ fn run_phase<T: CoordinatorSide>(
     latencies.sort_unstable();
     let completed = latencies.len();
     let row = Row {
-        backend,
         m,
         rounds_completed: completed,
         round_ms_p50: percentile_ms(&latencies, 0.50),
@@ -383,8 +348,7 @@ fn run_phase<T: CoordinatorSide>(
         ok: ok && completed == total,
     };
     println!(
-        "scale/{}/m={:<4} rounds {:>3}/{}  p50 {:>8.2}ms  p99 {:>8.2}ms  cpu {:>7.2}ms/round  threads {:>4}  {}",
-        row.backend,
+        "scale/event/m={:<4} rounds {:>3}/{}  p50 {:>8.2}ms  p99 {:>8.2}ms  cpu {:>7.2}ms/round  threads {:>4}  {}",
         row.m,
         row.rounds_completed,
         total,
@@ -407,37 +371,10 @@ fn main() -> std::io::Result<()> {
     }
 
     let exe = std::env::current_exe().expect("current exe");
-    let loopback: SocketAddr = "127.0.0.1:0".parse().expect("loopback");
-    let mut rows = Vec::new();
-    for &m in &learner_counts() {
-        for backend in ["threads", "event"] {
-            let row = match backend {
-                "threads" => {
-                    let t = TcpTransport::bind(
-                        COORD,
-                        loopback,
-                        HashMap::new(),
-                        RetryPolicy::tcp_link(),
-                        Duration::from_secs(5),
-                    )
-                    .expect("bind threads coordinator");
-                    run_phase("threads", t, m, &exe)
-                }
-                _ => {
-                    let t = EventTransport::bind(
-                        COORD,
-                        loopback,
-                        HashMap::new(),
-                        RetryPolicy::tcp_link(),
-                        Duration::from_secs(5),
-                    )
-                    .expect("bind event coordinator");
-                    run_phase("event", t, m, &exe)
-                }
-            };
-            rows.push(row);
-        }
-    }
+    let rows: Vec<Row> = learner_counts()
+        .into_iter()
+        .map(|m| run_phase(m, &exe))
+        .collect();
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"bench\": \"scale\",");
@@ -448,10 +385,9 @@ fn main() -> std::io::Result<()> {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "    {{\"backend\": \"{}\", \"m\": {}, \"rounds_completed\": {}, \
+            "    {{\"backend\": \"event\", \"m\": {}, \"rounds_completed\": {}, \
              \"round_ms_p50\": {:.3}, \"round_ms_p99\": {:.3}, \
              \"coord_cpu_ms_per_round\": {:.3}, \"coord_threads\": {}, \"ok\": {}}}{comma}",
-            r.backend,
             r.m,
             r.rounds_completed,
             r.round_ms_p50,

@@ -18,15 +18,15 @@ use ppml_core::{AdmmConfig, DistributedTiming, SeededMasker};
 use ppml_data::{synth, Partition};
 use ppml_telemetry as telemetry;
 use ppml_telemetry::{Event, EventKind, FanoutSink, JsonlSink, RingSink, Sink};
-use ppml_transport::{Courier, Message, PartyId, RetryPolicy, TcpTransport};
+use ppml_transport::{Courier, EventTransport, Message, PartyId, RetryPolicy};
 
 const LEARNERS: usize = 3;
 
 fn tcp_courier(
     party: PartyId,
     peers: HashMap<PartyId, std::net::SocketAddr>,
-) -> Courier<TcpTransport> {
-    let transport = TcpTransport::bind(
+) -> Courier<EventTransport> {
+    let transport = EventTransport::bind(
         party,
         "127.0.0.1:0".parse().expect("loopback addr"),
         peers,

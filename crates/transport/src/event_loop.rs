@@ -1,18 +1,15 @@
-//! Event-driven TCP backend: one I/O thread drives every connection.
+//! The TCP backend: one I/O thread drives every connection.
 //!
-//! The legacy [`crate::TcpTransport`] spawns two blocking threads per
-//! connection (reader + accept), so a coordinator's thread count grows
-//! O(peers) and each half-open peer parks a thread forever. This backend
-//! keeps the same wire protocol, handshake and [`Transport`] semantics
-//! but multiplexes **all** sockets onto a single I/O thread (see
-//! [`crate::poll`] for the readiness model):
+//! An endpoint dials peers lazily, greets each connection with a
+//! `Hello`/`HelloAck` handshake and replies to a dialed-in peer on the
+//! socket it arrived on. **All** sockets are multiplexed onto a single
+//! I/O thread (see [`crate::poll`] for the readiness model):
 //!
 //! * thread budget is O(1) — the I/O thread plus whatever the caller
 //!   already had, regardless of peer count;
-//! * every connection carries an idle-read deadline
-//!   ([`EventLoopConfig::idle_timeout`]): a peer that stops producing
-//!   bytes is reaped and its resources reclaimed, instead of pinning a
-//!   blocked thread;
+//! * every connection carries an idle-read deadline (`IDLE_TIMEOUT`):
+//!   a peer that stops producing bytes is reaped and its resources
+//!   reclaimed, so a half-open peer costs nothing past the deadline;
 //! * per-connection read state and parked write bytes are owned by the
 //!   I/O thread; the one lock senders share with it (the registry of
 //!   *lanes*, below) is held only around a map update or a socket
@@ -33,15 +30,15 @@
 //! direct writes until the loop has flushed every byte it holds, so the
 //! frames of one link can neither interleave nor reorder. Past the
 //! high-water mark the sender falls back to blocking on the
-//! per-connection flush watermark, with the same bounded `io_timeout`
-//! the legacy backend applied to blocking writes; a frame stuck past
-//! that deadline fails its connection either way. On Linux the loop
-//! parks in a raw `ppoll` over every socket plus a loopback wake
-//! connection — a queued command (overflow, registration, shutdown)
-//! writes one wake byte, so commands and socket traffic both interrupt
-//! the wait instantly and only ready sockets are touched. On targets
-//! without the raw syscall the command channel's `recv_timeout` doubles
-//! as the idle sleep and sockets are scanned with non-blocking reads.
+//! per-connection flush watermark, bounded by the endpoint's
+//! `io_timeout`; a frame stuck past that deadline fails its connection
+//! either way. On Linux the loop parks in a raw `ppoll` over every
+//! socket plus a loopback wake connection — a queued command (overflow,
+//! registration, shutdown) writes one wake byte, so commands and socket
+//! traffic both interrupt the wait instantly and only ready sockets are
+//! touched. On targets without the raw syscall the command channel's
+//! `recv_timeout` doubles as the idle sleep and sockets are scanned with
+//! non-blocking reads.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -55,7 +52,7 @@ use ppml_telemetry as telemetry;
 use telemetry::EventKind;
 
 use crate::frame::{Frame, Message, PartyId};
-use crate::poll::{pin_current_thread, read_scratch, ConnIo, IdleBackoff, ReadSweep};
+use crate::poll::{read_scratch, ConnIo, IdleBackoff, ReadSweep};
 use crate::retry::RetryPolicy;
 use crate::transport::{Envelope, LinkStats, Transport, TransportError};
 
@@ -66,37 +63,19 @@ pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Tuning for the event loop. The defaults suit localhost protocol
-/// traffic; tests shrink `idle_timeout` to exercise reaping.
-#[derive(Debug, Clone, Copy)]
-pub struct EventLoopConfig {
-    /// A connection that produces no inbound bytes for this long is
-    /// reaped (closed and deregistered). Writes do not refresh the
-    /// deadline — a half-open peer absorbs writes into a dead kernel
-    /// buffer, so only inbound bytes prove liveness. Learners heartbeat
-    /// every 500 ms and the coordinator broadcasts every round, so live
-    /// links refresh constantly; the default is deliberately generous.
-    pub idle_timeout: Duration,
-    /// Best-effort core to pin the I/O thread to (see
-    /// [`pin_current_thread`]); `None` leaves scheduling to the OS.
-    pub pin_core: Option<usize>,
-    /// Scan sleep bounds for `IdleBackoff`: the loop wakes at least
-    /// this often when active / at most this rarely when idle.
-    pub min_scan_wait: Duration,
-    /// See [`EventLoopConfig::min_scan_wait`].
-    pub max_scan_wait: Duration,
-}
+/// A connection that produces no inbound bytes for this long is reaped
+/// (closed and deregistered). Writes do not refresh the deadline — a
+/// half-open peer absorbs writes into a dead kernel buffer, so only
+/// inbound bytes prove liveness. Learners heartbeat every 500 ms and the
+/// coordinator broadcasts every round, so live links refresh constantly;
+/// the deadline is deliberately generous.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(60);
 
-impl Default for EventLoopConfig {
-    fn default() -> Self {
-        EventLoopConfig {
-            idle_timeout: Duration::from_secs(60),
-            pin_core: None,
-            min_scan_wait: Duration::from_micros(50),
-            max_scan_wait: Duration::from_millis(2),
-        }
-    }
-}
+/// Scan sleep bounds for `IdleBackoff`: the loop wakes at least this
+/// often when active / at most [`MAX_SCAN_WAIT`] rarely when idle.
+const MIN_SCAN_WAIT: Duration = Duration::from_micros(50);
+/// See [`MIN_SCAN_WAIT`]; also the `ppoll` housekeeping tick.
+const MAX_SCAN_WAIT: Duration = Duration::from_millis(2);
 
 #[derive(Default)]
 struct AtomicStats {
@@ -195,7 +174,7 @@ struct Pending {
     /// Encoded frame size, charged to stats on completion.
     bytes: u64,
     /// Past this instant an unflushed frame fails the connection (the
-    /// event-loop analogue of the legacy blocking write timeout).
+    /// bound a blocking write would have).
     deadline: Instant,
     /// Present only for blocking sends; fast-path frames settle their
     /// stats here but answer no one.
@@ -362,7 +341,8 @@ fn drain_frames(
 
 struct IoLoop {
     shared: Arc<Shared>,
-    cfg: EventLoopConfig,
+    /// [`IDLE_TIMEOUT`] outside tests that exercise reaping.
+    idle_timeout: Duration,
     listener: TcpListener,
     cmd_rx: mpsc::Receiver<Cmd>,
     inbox_tx: mpsc::Sender<Envelope>,
@@ -395,14 +375,11 @@ struct Ready {
 
 impl IoLoop {
     fn run(mut self) {
-        if let Some(core) = self.cfg.pin_core {
-            let _ = pin_current_thread(core);
-        }
         if self.listener.set_nonblocking(true).is_err() {
             return;
         }
         let use_ppoll = crate::poll::PPOLL_SUPPORTED && self.wake.is_some();
-        let mut backoff = IdleBackoff::new(self.cfg.min_scan_wait, self.cfg.max_scan_wait);
+        let mut backoff = IdleBackoff::new(MIN_SCAN_WAIT, MAX_SCAN_WAIT);
         let mut scratch = read_scratch();
         loop {
             let mut progress = false;
@@ -424,7 +401,7 @@ impl IoLoop {
                         // the scan fallback there is no latency reason
                         // to wake early: the timeout only paces
                         // housekeeping (deadlines, reaping).
-                        let r = self.poll_ready(self.cfg.max_scan_wait);
+                        let r = self.poll_ready(MAX_SCAN_WAIT);
                         self.shared.io_sleeping.store(false, Ordering::SeqCst);
                         progress |= r.any;
                         ready = Some(r);
@@ -812,14 +789,14 @@ impl IoLoop {
     }
 
     /// Closes connections whose peers have produced no bytes within the
-    /// idle deadline — the fix for the legacy backend's forever-parked
-    /// readers on half-open peers.
+    /// idle deadline, so a half-open peer cannot hold its connection
+    /// forever.
     fn reap_idle(&mut self) {
         let now = Instant::now();
         for conn in &mut self.conns {
             if conn.close.is_none() {
                 let idle = now.saturating_duration_since(conn.io.last_rx);
-                if idle > self.cfg.idle_timeout {
+                if idle > self.idle_timeout {
                     conn.close = Some(CloseReason::Idle(idle.as_millis() as u64));
                 }
             }
@@ -872,9 +849,9 @@ impl IoLoop {
     }
 }
 
-/// The event-driven TCP endpoint. Same wire protocol, handshake and
-/// error mapping as [`crate::TcpTransport`]; O(1) threads instead of
-/// O(peers). See the module docs.
+/// The TCP endpoint: lazy dialing with a bounded [`RetryPolicy`],
+/// per-message `io_timeout`, reconnection after a peer restarts, and
+/// O(1) threads for any number of peers. See the module docs.
 pub struct EventTransport {
     shared: Arc<Shared>,
     inbox: mpsc::Receiver<Envelope>,
@@ -890,8 +867,11 @@ pub struct EventTransport {
 }
 
 impl EventTransport {
-    /// Binds `party`'s endpoint on `addr` with default
-    /// [`EventLoopConfig`]. Mirrors [`crate::TcpTransport::bind`].
+    /// Binds `party`'s endpoint on `addr` and starts its I/O thread.
+    /// `peers` lists the addresses this endpoint may dial; a peer that
+    /// dials in needs no entry, since replies reuse its connection.
+    /// `retry` is the dial schedule ([`RetryPolicy::tcp_link`]) and
+    /// `io_timeout` bounds each connect and each blocked write.
     pub fn bind(
         party: PartyId,
         addr: SocketAddr,
@@ -899,24 +879,17 @@ impl EventTransport {
         retry: RetryPolicy,
         io_timeout: Duration,
     ) -> Result<Self, TransportError> {
-        Self::bind_with(
-            party,
-            addr,
-            peers,
-            retry,
-            io_timeout,
-            EventLoopConfig::default(),
-        )
+        Self::bind_reaping(party, addr, peers, retry, io_timeout, IDLE_TIMEOUT)
     }
 
-    /// [`EventTransport::bind`] with explicit loop tuning.
-    pub fn bind_with(
+    /// [`EventTransport::bind`] with an explicit idle-reap deadline.
+    fn bind_reaping(
         party: PartyId,
         addr: SocketAddr,
         peers: HashMap<PartyId, SocketAddr>,
         retry: RetryPolicy,
         io_timeout: Duration,
-        cfg: EventLoopConfig,
+        idle_timeout: Duration,
     ) -> Result<Self, TransportError> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
@@ -980,7 +953,7 @@ impl EventTransport {
                 .spawn(move || {
                     IoLoop {
                         shared,
-                        cfg,
+                        idle_timeout,
                         listener,
                         cmd_rx,
                         inbox_tx,
@@ -1150,7 +1123,7 @@ impl EventTransport {
         // back on the sender (and eventually fails the connection via
         // the write deadline). The loop always answers first: its
         // per-frame deadline is `io_timeout` and its scan tick is
-        // bounded by `max_scan_wait`, both well inside this wait.
+        // bounded by `MAX_SCAN_WAIT`, both well inside this wait.
         match done_rx.recv_timeout(self.io_timeout + Duration::from_secs(1)) {
             Ok(SendOutcome::Sent) => Ok(()),
             Ok(SendOutcome::NotConnected) => Err(TransportError::Unreachable(to)),
@@ -1267,7 +1240,7 @@ impl Drop for EventTransport {
         let _ = self.cmd_tx.send(Cmd::Shutdown);
         self.nudge();
         if let Some(handle) = self.io_thread.take() {
-            // The loop wakes at least every `max_scan_wait`, so this
+            // The loop wakes at least every `MAX_SCAN_WAIT`, so this
             // join is bounded by milliseconds.
             let _ = handle.join();
         }
@@ -1388,20 +1361,15 @@ mod tests {
 
     #[test]
     fn half_open_peer_is_reaped_on_the_idle_deadline() {
-        // A raw socket that handshakes then stalls without closing: the
-        // legacy backend parked a reader thread on it forever; the event
-        // loop must reap it.
-        let cfg = EventLoopConfig {
-            idle_timeout: Duration::from_millis(150),
-            ..EventLoopConfig::default()
-        };
-        let server = EventTransport::bind_with(
+        // A raw socket that handshakes then stalls without closing must
+        // be reaped once the idle deadline passes.
+        let server = EventTransport::bind_reaping(
             0,
             loopback_addr(),
             HashMap::new(),
             RetryPolicy::fast_local(),
             Duration::from_secs(2),
-            cfg,
+            Duration::from_millis(150),
         )
         .expect("bind");
         let stalled = TcpStream::connect(server.local_addr()).expect("connect");

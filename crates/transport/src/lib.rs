@@ -15,9 +15,10 @@
 //!   gather, consensus broadcast, hello/heartbeat/ack control frames);
 //! * [`Transport`] — the backend trait, with two implementations:
 //!   [`LoopbackTransport`] (deterministic in-memory fabric with
-//!   [`NetFaultPlan`] drop/duplicate/delay injection) and [`TcpTransport`]
-//!   (`std::net`, per-message timeouts, exponential-backoff dialing,
-//!   reconnection);
+//!   [`NetFaultPlan`] drop/duplicate/delay injection) and
+//!   [`EventTransport`] (TCP over `std::net`, every socket on one
+//!   readiness-loop thread, per-message timeouts, exponential-backoff
+//!   dialing, reconnection);
 //! * [`Courier`] — reliability on top of any backend, stop-and-wait per
 //!   link and overlapped across links: acks, retransmission under
 //!   [`RetryPolicy`], and duplicate suppression.
@@ -51,12 +52,11 @@ pub mod frame;
 pub mod loopback;
 pub mod poll;
 pub mod retry;
-pub mod tcp;
 pub mod transport;
 pub mod wire;
 
 pub use courier::Courier;
-pub use event_loop::{EventLoopConfig, EventTransport};
+pub use event_loop::EventTransport;
 pub use fault::{FaultAction, LinkFilter, NetFaultPlan};
 pub use frame::{
     crc32, Frame, FrameError, Message, PartyId, FLAG_RETRANSMIT, FRAME_OVERHEAD, WIRE_VERSION,
@@ -64,6 +64,5 @@ pub use frame::{
 pub use loopback::{HubStats, LoopbackHub, LoopbackTransport};
 pub use poll::pin_current_thread;
 pub use retry::RetryPolicy;
-pub use tcp::TcpTransport;
 pub use transport::{Envelope, LinkStats, SendReceipt, Transport, TransportError};
 pub use wire::{Reader, Wire, WireError};

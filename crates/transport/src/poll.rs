@@ -160,8 +160,7 @@ pub(crate) fn ppoll(_fds: &mut [PollFd], _timeout: Duration) -> i32 {
     -38 // ENOSYS: callers must consult PPOLL_SUPPORTED first
 }
 
-/// Ceiling on a single frame (matches the legacy TCP backend): a model
-/// broadcast is far below this, so anything larger is a corrupt or
+/// Ceiling on a single frame: a model broadcast is far below this, so anything larger is a corrupt or
 /// hostile length prefix.
 pub(crate) const MAX_FRAME: usize = 1 << 28;
 

@@ -1,4 +1,4 @@
-//! Bounded exponential backoff shared by the TCP backend and the courier.
+//! Bounded exponential backoff shared by the TCP dialer and the courier.
 
 use std::time::Duration;
 
@@ -36,7 +36,7 @@ impl RetryPolicy {
         RetryPolicy::new(6, Duration::from_millis(50), Duration::from_secs(1))
     }
 
-    /// Link-level schedule for [`crate::TcpTransport`] itself: a short
+    /// Link-level dial schedule for [`crate::EventTransport`]: a short
     /// connection-establishment window, not an ARQ. The courier already
     /// retransmits end to end, and its schedule multiplies with this one
     /// (every courier attempt re-enters the transport's internal retry),

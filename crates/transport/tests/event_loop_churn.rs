@@ -1,5 +1,4 @@
-//! Connection churn on the event-loop transport at a scale the
-//! thread-per-connection backend cannot sustain cheaply: one I/O thread
+//! Connection churn on the event-loop transport: one I/O thread
 //! regardless of peer count, and no thread or file-descriptor leak when
 //! peers die mid-round.
 //!
@@ -69,9 +68,8 @@ fn wait_connected(transport: &EventTransport, want: usize, what: &str) {
 
 /// 32 ephemeral peers dial in, half are killed mid-round, and the
 /// survivors' round still completes — all on ONE coordinator I/O thread,
-/// with every descriptor of the dead half reclaimed. This is exactly the
-/// load shape that made the thread-per-connection backend accumulate
-/// parked reader threads.
+/// with every descriptor of the dead half reclaimed: dead peers must
+/// leave neither a parked thread nor an open socket behind.
 #[test]
 fn churn_32_peers_kill_half_without_thread_or_fd_leak() {
     const PEERS: usize = 32;

@@ -38,7 +38,7 @@ use ppml::data::{synth, Dataset, Partition};
 use ppml::telemetry::{
     self, Event, FanoutSink, JsonlSink, MetricsServer, MetricsSink, Sink, SummarySink,
 };
-use ppml::transport::{Courier, EventTransport, Message, PartyId, RetryPolicy, TcpTransport};
+use ppml::transport::{Courier, EventTransport, Message, PartyId, RetryPolicy};
 
 const LEARNERS: usize = 3;
 
@@ -69,7 +69,7 @@ fn learner_process(party: usize, coordinator: SocketAddr, telemetry_path: Option
         telemetry::install(jsonl);
     }
     let (parts, cfg) = shared_setup();
-    let transport = TcpTransport::bind(
+    let transport = EventTransport::bind(
         party as PartyId,
         "127.0.0.1:0".parse().expect("loopback addr"),
         HashMap::from([(LEARNERS as PartyId, coordinator)]),
@@ -143,9 +143,6 @@ fn main() {
     let (reference, _) =
         train_linear_on_cluster(&parts, &cfg, None, ClusterTuning::default()).expect("cluster run");
 
-    // The coordinator runs the event-loop backend (one I/O thread for
-    // all learners); the learner children stay on the thread-per-conn
-    // backend, demonstrating that the two interoperate on one wire.
     let transport = EventTransport::bind(
         LEARNERS as PartyId,
         "127.0.0.1:0".parse().expect("loopback addr"),

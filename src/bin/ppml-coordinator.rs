@@ -10,7 +10,6 @@
 //! ppml-coordinator --learners 3 [--port 7100] [--dataset blobs --n 96]
 //!                  [--data-seed 5] [--iters 12] [--c 50] [--rho 100]
 //!                  [--seed 11] [--tol T] [--round-timeout SECS]
-//!                  [--transport event|threads]
 //!                  [--secagg pairwise|shamir|paillier] [--secagg-threshold T]
 //!                  [--out model.txt] [--telemetry events.jsonl]
 //!                  [--metrics-addr 127.0.0.1:0]
@@ -28,11 +27,6 @@
 //! with learner 0 as key authority — the expensive baseline, kept live
 //! for comparison. All three produce bit-identical models on the same
 //! membership schedule, and `--checkpoint`/`--resume` work under each.
-//!
-//! `--transport` picks the socket backend: `event` (default) drives
-//! every connection from one readiness-loop thread and scales to ~100
-//! learners; `threads` is the legacy thread-per-connection backend,
-//! kept for comparison and fallback. Both speak the same wire format.
 //!
 //! `--telemetry PATH` streams structured events (round opens/closes,
 //! deadline misses, dropout declarations, re-key epochs, wire traffic) as
@@ -59,8 +53,9 @@
 //! `ppml-trace --live HOST:PORT`).
 //! ```
 //!
-//! Exit codes are typed (see `ppml::cli`): 2 usage/config, 3
-//! I/O/checkpoint, 4 transport/protocol, 5 all learners dropped.
+//! Every flag is parsed before the socket binds; an unknown flag is a
+//! usage error. Exit codes are typed (see `ppml::cli`): 2 usage/config,
+//! 3 I/O/checkpoint, 4 transport/protocol, 5 all learners dropped.
 //!
 //! Both sides regenerate the same synthetic dataset from
 //! `(--dataset, --n, --data-seed)` so the coordinator knows the feature
@@ -74,98 +69,44 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ppml::cli::{secagg_config, CliError};
+use ppml::cli::{admm_config, daemon_main, dataset, numeric, secagg_config, CliError};
 use ppml::core::distributed::feature_count;
 use ppml::core::secagg::coordinate_linear_secagg_with_recovery;
-use ppml::core::{AdmmConfig, Checkpoint, DistributedTiming, RecoveryOptions};
-use ppml::data::{synth, Dataset, Partition};
+use ppml::core::{Checkpoint, DistributedTiming, RecoveryOptions};
+use ppml::data::Partition;
 use ppml::telemetry::{self, FanoutSink, JsonlSink, MetricsServer, MetricsSink, Sink, SummarySink};
-use ppml::transport::{Courier, EventTransport, PartyId, RetryPolicy, TcpTransport, Transport};
+use ppml::transport::{Courier, EventTransport, PartyId, RetryPolicy};
 
-fn usage() -> String {
-    "usage:\n  ppml-coordinator --learners M [--port P] [--dataset <cancer|higgs|ocr|blobs|xor>]\n                   \
-     [--n N] [--data-seed S] [--iters T] [--c C] [--rho RHO] [--seed S]\n                   \
+/// Every flag this binary reads; any other is a usage error.
+const FLAGS: &[&str] = &[
+    "learners",
+    "port",
+    "dataset",
+    "n",
+    "data-seed",
+    "part-seed",
+    "iters",
+    "c",
+    "rho",
+    "seed",
+    "tol",
+    "connect-timeout",
+    "round-timeout",
+    "out",
+    "secagg",
+    "secagg-threshold",
+    "telemetry",
+    "metrics-addr",
+    "checkpoint",
+    "resume",
+];
+
+const USAGE: &str = "usage:\n  ppml-coordinator --learners M [--port P] [--dataset <cancer|higgs|ocr|blobs|xor>]\n                   \
+     [--n N] [--data-seed S] [--part-seed S] [--iters T] [--c C] [--rho RHO] [--seed S]\n                   \
      [--tol TOL] [--connect-timeout SECS] [--round-timeout SECS] [--out MODEL]\n                   \
-     [--transport <event|threads>]\n                   \
      [--secagg <pairwise|shamir|paillier>] [--secagg-threshold T]\n                   \
      [--telemetry EVENTS.jsonl] [--metrics-addr HOST:PORT]\n                   \
-     [--checkpoint RUN.ckpt] [--resume RUN.ckpt]"
-        .to_string()
-}
-
-/// Polls `connected` until it reaches `expect` or the timeout elapses.
-/// Shared by both transport backends so the wait logic (and its error
-/// message, which operators grep for) stays identical.
-fn wait_for_learners(
-    connected: &dyn Fn() -> usize,
-    expect: usize,
-    timeout_secs: u64,
-) -> Result<(), CliError> {
-    let deadline = Instant::now() + Duration::from_secs(timeout_secs);
-    loop {
-        let now = connected();
-        if now >= expect {
-            return Ok(());
-        }
-        if Instant::now() >= deadline {
-            return Err(CliError::transport(format!(
-                "only {now}/{expect} learners connected within {timeout_secs}s"
-            )));
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
-fn parse_flags(args: &[String]) -> Result<BTreeMap<String, String>, String> {
-    let mut map = BTreeMap::new();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let key = flag
-            .strip_prefix("--")
-            .ok_or_else(|| format!("expected --flag, got {flag}"))?;
-        let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
-        map.insert(key.to_string(), value.clone());
-    }
-    Ok(map)
-}
-
-fn numeric<T: std::str::FromStr>(
-    flags: &BTreeMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, String> {
-    match flags.get(key) {
-        Some(v) => v.parse().map_err(|_| format!("--{key}: bad value {v}")),
-        None => Ok(default),
-    }
-}
-
-/// Regenerates the shared synthetic dataset — must match `ppml-learner`.
-fn dataset(flags: &BTreeMap<String, String>) -> Result<Dataset, String> {
-    let n: usize = numeric(flags, "n", 96)?;
-    let seed: u64 = numeric(flags, "data-seed", 5)?;
-    let name = flags.get("dataset").map(String::as_str).unwrap_or("blobs");
-    Ok(match name {
-        "cancer" => synth::cancer_like(n, seed),
-        "higgs" => synth::higgs_like(n, seed),
-        "ocr" => synth::ocr_like(n, seed),
-        "blobs" => synth::blobs(n, seed),
-        "xor" => synth::xor_like(n, seed),
-        other => return Err(format!("unknown dataset {other}")),
-    })
-}
-
-fn config(flags: &BTreeMap<String, String>) -> Result<AdmmConfig, String> {
-    let mut cfg = AdmmConfig::default()
-        .with_max_iter(numeric(flags, "iters", 12)?)
-        .with_c(numeric(flags, "c", 50.0)?)
-        .with_rho(numeric(flags, "rho", 100.0)?)
-        .with_seed(numeric(flags, "seed", 11)?);
-    if let Some(tol) = flags.get("tol") {
-        cfg = cfg.with_tol(tol.parse().map_err(|_| format!("--tol: bad value {tol}"))?);
-    }
-    Ok(cfg)
-}
+     [--checkpoint RUN.ckpt] [--resume RUN.ckpt]";
 
 fn run(flags: BTreeMap<String, String>) -> Result<(), CliError> {
     let learners: usize = numeric(&flags, "learners", 0).map_err(CliError::usage)?;
@@ -174,37 +115,8 @@ fn run(flags: BTreeMap<String, String>) -> Result<(), CliError> {
     }
     let port: u16 = numeric(&flags, "port", 0).map_err(CliError::usage)?;
     let connect_timeout: u64 = numeric(&flags, "connect-timeout", 30).map_err(CliError::usage)?;
-    // Install telemetry before the transport binds so connection-phase
-    // frames are captured too. The JSONL/summary pair (--telemetry) and
-    // the live metrics registry (--metrics-addr) share one fanout.
-    let mut sinks: Vec<Arc<dyn Sink>> = Vec::new();
-    let telemetry_out = match flags.get("telemetry") {
-        Some(path) => {
-            let jsonl = JsonlSink::create(Path::new(path))
-                .map_err(|e| CliError::io(format!("--telemetry {path}: {e}")))?;
-            let summary = SummarySink::new();
-            sinks.push(jsonl);
-            sinks.push(summary.clone());
-            Some((summary, path.clone()))
-        }
-        None => None,
-    };
-    let _metrics_server = match flags.get("metrics-addr") {
-        Some(addr) => {
-            let sink = MetricsSink::new();
-            let server = MetricsServer::serve(addr, Arc::clone(sink.registry()))
-                .map_err(|e| CliError::io(format!("--metrics-addr {addr}: {e}")))?;
-            sinks.push(sink);
-            // Scrape scripts and the integration tests parse this line.
-            println!("metrics on {}", server.local_addr());
-            Some(server)
-        }
-        None => None,
-    };
-    if !sinks.is_empty() {
-        telemetry::install(FanoutSink::new(sinks));
-    }
-    let cfg = config(&flags).map_err(CliError::usage)?;
+    let round_timeout: u64 = numeric(&flags, "round-timeout", 30).map_err(CliError::usage)?;
+    let cfg = admm_config(&flags).map_err(CliError::usage)?;
     let secagg = secagg_config(&flags).map_err(CliError::usage)?;
     secagg
         .validate(learners)
@@ -245,63 +157,65 @@ fn run(flags: BTreeMap<String, String>) -> Result<(), CliError> {
     let addr: SocketAddr = format!("127.0.0.1:{port}")
         .parse()
         .map_err(|e| CliError::usage(format!("bad port: {e}")))?;
-    // `--transport` picks the socket backend: `event` (default) is the
-    // single-thread readiness loop that scales to ~100 learners;
-    // `threads` is the legacy thread-per-connection backend, kept for
-    // comparison benchmarks and as a fallback. Both speak the same wire
-    // format, so learners on either backend interoperate.
-    let backend = flags
-        .get("transport")
-        .map(String::as_str)
-        .unwrap_or("event");
-    let transport: Box<dyn Transport> = match backend {
-        "event" => {
-            let t = EventTransport::bind(
-                learners as PartyId,
-                addr,
-                HashMap::new(),
-                RetryPolicy::tcp_link(),
-                Duration::from_secs(5),
-            )
-            .map_err(|e| CliError::transport(e.to_string()))?;
-            // The learner scripts and the example parse this line.
-            println!("listening on {}", t.local_addr());
-            wait_for_learners(
-                &|| t.connected_parties().len(),
-                expect_connected,
-                connect_timeout,
-            )?;
-            Box::new(t)
+    // Install telemetry before the transport binds so connection-phase
+    // frames are captured too. The JSONL/summary pair (--telemetry) and
+    // the live metrics registry (--metrics-addr) share one fanout.
+    let mut sinks: Vec<Arc<dyn Sink>> = Vec::new();
+    let telemetry_out = match flags.get("telemetry") {
+        Some(path) => {
+            let jsonl = JsonlSink::create(Path::new(path))
+                .map_err(|e| CliError::io(format!("--telemetry {path}: {e}")))?;
+            let summary = SummarySink::new();
+            sinks.push(jsonl);
+            sinks.push(summary.clone());
+            Some((summary, path.clone()))
         }
-        "threads" => {
-            let t = TcpTransport::bind(
-                learners as PartyId,
-                addr,
-                HashMap::new(),
-                RetryPolicy::tcp_link(),
-                Duration::from_secs(5),
-            )
-            .map_err(|e| CliError::transport(e.to_string()))?;
-            println!("listening on {}", t.local_addr());
-            wait_for_learners(
-                &|| t.connected_parties().len(),
-                expect_connected,
-                connect_timeout,
-            )?;
-            Box::new(t)
-        }
-        other => {
-            return Err(CliError::usage(format!(
-                "--transport: unknown backend {other} (use event or threads)"
-            )))
-        }
+        None => None,
     };
+    let _metrics_server = match flags.get("metrics-addr") {
+        Some(addr) => {
+            let sink = MetricsSink::new();
+            let server = MetricsServer::serve(addr, Arc::clone(sink.registry()))
+                .map_err(|e| CliError::io(format!("--metrics-addr {addr}: {e}")))?;
+            sinks.push(sink);
+            // Scrape scripts and the integration tests parse this line.
+            println!("metrics on {}", server.local_addr());
+            Some(server)
+        }
+        None => None,
+    };
+    if !sinks.is_empty() {
+        telemetry::install(FanoutSink::new(sinks));
+    }
+
+    let transport = EventTransport::bind(
+        learners as PartyId,
+        addr,
+        HashMap::new(),
+        RetryPolicy::tcp_link(),
+        Duration::from_secs(5),
+    )
+    .map_err(|e| CliError::transport(e.to_string()))?;
+    // The learner scripts and the example parse this line.
+    println!("listening on {}", transport.local_addr());
+    let deadline = Instant::now() + Duration::from_secs(connect_timeout);
+    loop {
+        let now = transport.connected_parties().len();
+        if now >= expect_connected {
+            break;
+        }
+        if Instant::now() >= deadline {
+            return Err(CliError::transport(format!(
+                "only {now}/{expect_connected} learners connected within {connect_timeout}s"
+            )));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
     println!(
         "all {expect_connected} learners connected, training with {secagg_name} aggregation",
         secagg_name = secagg.kind
     );
 
-    let round_timeout: u64 = numeric(&flags, "round-timeout", 30).map_err(CliError::usage)?;
     let timing = DistributedTiming::default()
         .with_round_deadline(Duration::from_secs(round_timeout))
         .with_learner_patience(Duration::from_secs(round_timeout.max(1) * 4));
@@ -346,26 +260,5 @@ fn run(flags: BTreeMap<String, String>) -> Result<(), CliError> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flags = match parse_flags(&args) {
-        Ok(f) => f,
-        Err(e) => {
-            let e = CliError::usage(e);
-            eprintln!("ppml-coordinator: {}\n{}", e.msg, usage());
-            return e.exit_code();
-        }
-    };
-    match run(flags) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            // One line to stderr, typed exit code; usage errors also get
-            // the usage block since the fix is a different invocation.
-            if e.code == ppml::cli::EXIT_USAGE {
-                eprintln!("ppml-coordinator: {}\n{}", e.msg, usage());
-            } else {
-                eprintln!("ppml-coordinator: {}", e.msg);
-            }
-            e.exit_code()
-        }
-    }
+    daemon_main("ppml-coordinator", USAGE, FLAGS, run)
 }

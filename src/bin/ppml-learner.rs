@@ -10,7 +10,7 @@
 //! ppml-learner --party 0 --learners 3 --coordinator 127.0.0.1:7100
 //!              [--dataset blobs --n 96] [--data-seed 5] [--iters 12]
 //!              [--c 50] [--rho 100] [--seed 11] [--tol T]
-//!              [--patience SECS] [--transport event|threads]
+//!              [--patience SECS]
 //!              [--secagg pairwise|shamir|paillier] [--secagg-threshold T]
 //!              [--telemetry events.jsonl]
 //!              [--metrics-addr 127.0.0.1:0] [--defect-after R]
@@ -19,11 +19,6 @@
 //! `--patience` bounds how long the learner waits between coordinator
 //! protocol frames; when it expires the process exits with an error
 //! instead of waiting forever on a dead coordinator.
-//!
-//! `--transport` matches the coordinator's flag: `event` (default) is
-//! the single-thread readiness-loop backend, `threads` the legacy
-//! per-connection one. Either side may use either backend — the wire
-//! format is shared.
 //!
 //! `--secagg` and `--secagg-threshold` pick the secure-aggregation
 //! backend and must match the coordinator's flags exactly (see
@@ -62,8 +57,9 @@
 //! Every training flag must match the coordinator's, as both sides drive
 //! the same deterministic protocol from their own copy of the config.
 //!
-//! Exit codes are typed (see `ppml::cli`): 2 usage/config, 3
-//! I/O/checkpoint, 4 transport/protocol.
+//! Every flag is parsed before the socket binds; an unknown flag is a
+//! usage error. Exit codes are typed (see `ppml::cli`): 2 usage/config,
+//! 3 I/O/checkpoint, 4 transport/protocol.
 
 use std::collections::{BTreeMap, HashMap};
 use std::net::SocketAddr;
@@ -72,78 +68,45 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ppml::cli::{secagg_config, CliError};
+use ppml::cli::{admm_config, daemon_main, dataset, numeric, secagg_config, CliError};
 use ppml::core::secagg::{
     learn_linear_secagg, learn_linear_secagg_with_defect, rejoin_linear_secagg,
 };
-use ppml::core::{AdmmConfig, DistributedTiming};
-use ppml::data::{synth, Dataset, Partition};
+use ppml::core::DistributedTiming;
+use ppml::data::Partition;
 use ppml::telemetry::{self, FanoutSink, JsonlSink, MetricsServer, MetricsSink, Sink, SummarySink};
-use ppml::transport::{
-    Courier, EventTransport, Message, PartyId, RetryPolicy, TcpTransport, Transport,
-};
+use ppml::transport::{Courier, EventTransport, Message, PartyId, RetryPolicy};
 
-fn usage() -> String {
-    "usage:\n  ppml-learner --party I --learners M --coordinator HOST:PORT\n               \
-     [--dataset <cancer|higgs|ocr|blobs|xor>] [--n N] [--data-seed S]\n               \
+/// Every flag this binary reads; any other is a usage error.
+const FLAGS: &[&str] = &[
+    "party",
+    "learners",
+    "coordinator",
+    "dataset",
+    "n",
+    "data-seed",
+    "part-seed",
+    "iters",
+    "c",
+    "rho",
+    "seed",
+    "tol",
+    "patience",
+    "secagg",
+    "secagg-threshold",
+    "telemetry",
+    "metrics-addr",
+    "defect-after",
+    "lag-ms",
+    "rejoin",
+];
+
+const USAGE: &str = "usage:\n  ppml-learner --party I --learners M --coordinator HOST:PORT\n               \
+     [--dataset <cancer|higgs|ocr|blobs|xor>] [--n N] [--data-seed S] [--part-seed S]\n               \
      [--iters T] [--c C] [--rho RHO] [--seed S] [--tol TOL] [--patience SECS]\n               \
-     [--transport <event|threads>]\n               \
      [--secagg <pairwise|shamir|paillier>] [--secagg-threshold T]\n               \
      [--telemetry EVENTS.jsonl] [--metrics-addr HOST:PORT] [--defect-after R]\n               \
-     [--lag-ms N] [--rejoin true]"
-        .to_string()
-}
-
-fn parse_flags(args: &[String]) -> Result<BTreeMap<String, String>, String> {
-    let mut map = BTreeMap::new();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let key = flag
-            .strip_prefix("--")
-            .ok_or_else(|| format!("expected --flag, got {flag}"))?;
-        let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
-        map.insert(key.to_string(), value.clone());
-    }
-    Ok(map)
-}
-
-fn numeric<T: std::str::FromStr>(
-    flags: &BTreeMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, String> {
-    match flags.get(key) {
-        Some(v) => v.parse().map_err(|_| format!("--{key}: bad value {v}")),
-        None => Ok(default),
-    }
-}
-
-/// Regenerates the shared synthetic dataset — must match `ppml-coordinator`.
-fn dataset(flags: &BTreeMap<String, String>) -> Result<Dataset, String> {
-    let n: usize = numeric(flags, "n", 96)?;
-    let seed: u64 = numeric(flags, "data-seed", 5)?;
-    let name = flags.get("dataset").map(String::as_str).unwrap_or("blobs");
-    Ok(match name {
-        "cancer" => synth::cancer_like(n, seed),
-        "higgs" => synth::higgs_like(n, seed),
-        "ocr" => synth::ocr_like(n, seed),
-        "blobs" => synth::blobs(n, seed),
-        "xor" => synth::xor_like(n, seed),
-        other => return Err(format!("unknown dataset {other}")),
-    })
-}
-
-fn config(flags: &BTreeMap<String, String>) -> Result<AdmmConfig, String> {
-    let mut cfg = AdmmConfig::default()
-        .with_max_iter(numeric(flags, "iters", 12)?)
-        .with_c(numeric(flags, "c", 50.0)?)
-        .with_rho(numeric(flags, "rho", 100.0)?)
-        .with_seed(numeric(flags, "seed", 11)?);
-    if let Some(tol) = flags.get("tol") {
-        cfg = cfg.with_tol(tol.parse().map_err(|_| format!("--tol: bad value {tol}"))?);
-    }
-    Ok(cfg)
-}
+     [--lag-ms N] [--rejoin true]";
 
 fn run(flags: BTreeMap<String, String>) -> Result<(), CliError> {
     let learners: usize = numeric(&flags, "learners", 0).map_err(CliError::usage)?;
@@ -175,10 +138,19 @@ fn run(flags: BTreeMap<String, String>) -> Result<(), CliError> {
             )))
         }
     };
-    if rejoin && flags.contains_key("defect-after") {
+    let defect_after: Option<u64> = flags
+        .get("defect-after")
+        .map(|v| {
+            v.parse()
+                .map_err(|_| CliError::usage(format!("--defect-after: bad value {v}")))
+        })
+        .transpose()?;
+    if rejoin && defect_after.is_some() {
         return Err(CliError::usage("--rejoin and --defect-after are exclusive"));
     }
-    let cfg = config(&flags).map_err(CliError::usage)?;
+    let lag_ms: u64 = numeric(&flags, "lag-ms", 0).map_err(CliError::usage)?;
+    let patience: u64 = numeric(&flags, "patience", 60).map_err(CliError::usage)?;
+    let cfg = admm_config(&flags).map_err(CliError::usage)?;
     let secagg = secagg_config(&flags).map_err(CliError::usage)?;
     secagg
         .validate(learners)
@@ -221,43 +193,14 @@ fn run(flags: BTreeMap<String, String>) -> Result<(), CliError> {
         telemetry::install(FanoutSink::new(sinks));
     }
 
-    // `--transport` mirrors the coordinator's flag: `event` (default)
-    // runs all sockets on one readiness-loop thread, `threads` is the
-    // legacy per-connection backend. The wire format is identical, so
-    // the two sides may mix backends freely.
-    let backend = flags
-        .get("transport")
-        .map(String::as_str)
-        .unwrap_or("event");
-    let bind_addr: SocketAddr = "127.0.0.1:0".parse().expect("loopback addr");
-    let peers = HashMap::from([(learners as PartyId, coordinator)]);
-    let transport: Box<dyn Transport> = match backend {
-        "event" => Box::new(
-            EventTransport::bind(
-                party as PartyId,
-                bind_addr,
-                peers,
-                RetryPolicy::tcp_link(),
-                Duration::from_secs(5),
-            )
-            .map_err(|e| CliError::transport(e.to_string()))?,
-        ),
-        "threads" => Box::new(
-            TcpTransport::bind(
-                party as PartyId,
-                bind_addr,
-                peers,
-                RetryPolicy::tcp_link(),
-                Duration::from_secs(5),
-            )
-            .map_err(|e| CliError::transport(e.to_string()))?,
-        ),
-        other => {
-            return Err(CliError::usage(format!(
-                "--transport: unknown backend {other} (use event or threads)"
-            )))
-        }
-    };
+    let transport = EventTransport::bind(
+        party as PartyId,
+        "127.0.0.1:0".parse().expect("loopback addr"),
+        HashMap::from([(learners as PartyId, coordinator)]),
+        RetryPolicy::tcp_link(),
+        Duration::from_secs(5),
+    )
+    .map_err(|e| CliError::transport(e.to_string()))?;
     let mut courier = Courier::new(transport, RetryPolicy::tcp_default());
 
     println!(
@@ -274,12 +217,10 @@ fn run(flags: BTreeMap<String, String>) -> Result<(), CliError> {
             },
         )
         .map_err(|e| CliError::transport(e.to_string()))?;
-    let lag_ms: u64 = numeric(&flags, "lag-ms", 0).map_err(CliError::usage)?;
     if lag_ms > 0 {
         println!("learner {party}: straggler injection armed, +{lag_ms}ms per round");
         ppml::core::set_injected_lag(Duration::from_millis(lag_ms));
     }
-    let patience: u64 = numeric(&flags, "patience", 60).map_err(CliError::usage)?;
     let timing = DistributedTiming::default()
         .with_round_deadline(Duration::from_secs(patience.max(1)))
         .with_learner_patience(Duration::from_secs(patience.max(1)));
@@ -287,11 +228,8 @@ fn run(flags: BTreeMap<String, String>) -> Result<(), CliError> {
         println!("learner {party}: asking to rejoin the run at {coordinator}");
         rejoin_linear_secagg(&mut courier, learners, my_part, &cfg, timing, secagg)
     } else {
-        match flags.get("defect-after") {
-            Some(v) => {
-                let after: u64 = v
-                    .parse()
-                    .map_err(|_| CliError::usage(format!("--defect-after: bad value {v}")))?;
+        match defect_after {
+            Some(after) => {
                 println!("learner {party}: fault injection armed, defecting after round {after}");
                 learn_linear_secagg_with_defect(
                     &mut courier,
@@ -318,26 +256,5 @@ fn run(flags: BTreeMap<String, String>) -> Result<(), CliError> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flags = match parse_flags(&args) {
-        Ok(f) => f,
-        Err(e) => {
-            let e = CliError::usage(e);
-            eprintln!("ppml-learner: {}\n{}", e.msg, usage());
-            return e.exit_code();
-        }
-    };
-    match run(flags) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            // One line to stderr, typed exit code; usage errors also get
-            // the usage block since the fix is a different invocation.
-            if e.code == ppml::cli::EXIT_USAGE {
-                eprintln!("ppml-learner: {}\n{}", e.msg, usage());
-            } else {
-                eprintln!("ppml-learner: {}", e.msg);
-            }
-            e.exit_code()
-        }
-    }
+    daemon_main("ppml-learner", USAGE, FLAGS, run)
 }

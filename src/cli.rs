@@ -1,6 +1,8 @@
 //! Shared plumbing for the `ppml-*` binaries: typed exit codes with a
-//! one-line stderr reason, and the `--secagg` flag pair both ends of a
-//! distributed run must parse identically.
+//! one-line stderr reason, and the flag parsing both ends of a
+//! distributed run (`ppml-coordinator`, `ppml-learner`) must do
+//! identically — the `--flag value` parser, the synthetic dataset, the
+//! ADMM config and the `--secagg` flag pair.
 //!
 //! Scripts and CI drive these daemons and need to distinguish *why* a
 //! process died without parsing prose — a learner that exited because the
@@ -22,7 +24,8 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use ppml_core::{SecAggConfig, SecAggKind, TrainError};
+use ppml_core::{AdmmConfig, SecAggConfig, SecAggKind, TrainError};
+use ppml_data::{synth, Dataset};
 
 /// Usage or configuration error.
 pub const EXIT_USAGE: u8 = 2;
@@ -86,6 +89,113 @@ impl From<TrainError> for CliError {
         Self {
             code,
             msg: e.to_string(),
+        }
+    }
+}
+
+/// Parses `--flag value` pairs into a map. Any flag outside `known` is
+/// an error naming it, so a mistyped or retired flag fails the run
+/// instead of being silently ignored.
+///
+/// # Errors
+///
+/// A one-line usage message: a bare word, a flag with no value, or an
+/// unknown flag.
+pub fn parse_flags(args: &[String], known: &[&str]) -> Result<BTreeMap<String, String>, String> {
+    let mut map = BTreeMap::new();
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        let key = flag
+            .strip_prefix("--")
+            .ok_or_else(|| format!("expected --flag, got {flag}"))?;
+        if !known.contains(&key) {
+            return Err(format!("unknown flag --{key}"));
+        }
+        let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
+        map.insert(key.to_string(), value.clone());
+    }
+    Ok(map)
+}
+
+/// The value of `--key` parsed as `T`, or `default` when the flag is
+/// absent.
+///
+/// # Errors
+///
+/// A one-line usage message naming the flag and its unparsable value.
+pub fn numeric<T: std::str::FromStr>(
+    flags: &BTreeMap<String, String>,
+    key: &str,
+    default: T,
+) -> Result<T, String> {
+    match flags.get(key) {
+        Some(v) => v.parse().map_err(|_| format!("--{key}: bad value {v}")),
+        None => Ok(default),
+    }
+}
+
+/// Regenerates the synthetic dataset of a distributed run from
+/// `(--dataset, --n, --data-seed)`. Every process regenerates it
+/// locally, so no training data crosses the wire.
+///
+/// # Errors
+///
+/// A one-line usage message for a bad number or an unknown dataset.
+pub fn dataset(flags: &BTreeMap<String, String>) -> Result<Dataset, String> {
+    let n: usize = numeric(flags, "n", 96)?;
+    let seed: u64 = numeric(flags, "data-seed", 5)?;
+    let name = flags.get("dataset").map(String::as_str).unwrap_or("blobs");
+    Ok(match name {
+        "cancer" => synth::cancer_like(n, seed),
+        "higgs" => synth::higgs_like(n, seed),
+        "ocr" => synth::ocr_like(n, seed),
+        "blobs" => synth::blobs(n, seed),
+        "xor" => synth::xor_like(n, seed),
+        other => return Err(format!("unknown dataset {other}")),
+    })
+}
+
+/// The ADMM configuration from `--iters`, `--c`, `--rho`, `--seed` and
+/// `--tol`.
+///
+/// # Errors
+///
+/// A one-line usage message naming the offending flag.
+pub fn admm_config(flags: &BTreeMap<String, String>) -> Result<AdmmConfig, String> {
+    let mut cfg = AdmmConfig::default()
+        .with_max_iter(numeric(flags, "iters", 12)?)
+        .with_c(numeric(flags, "c", 50.0)?)
+        .with_rho(numeric(flags, "rho", 100.0)?)
+        .with_seed(numeric(flags, "seed", 11)?);
+    if let Some(tol) = flags.get("tol") {
+        cfg = cfg.with_tol(tol.parse().map_err(|_| format!("--tol: bad value {tol}"))?);
+    }
+    Ok(cfg)
+}
+
+/// The `main` of a daemon: parses the process arguments against
+/// `known`, runs `run` on the flags, and turns any failure into one
+/// `bin: reason` stderr line (plus the `usage` block for usage errors,
+/// since the fix is a different invocation) and its typed exit code.
+pub fn daemon_main(
+    bin: &str,
+    usage: &str,
+    known: &[&str],
+    run: impl FnOnce(BTreeMap<String, String>) -> Result<(), CliError>,
+) -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match parse_flags(&args, known)
+        .map_err(CliError::usage)
+        .and_then(run)
+    {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            if e.code == EXIT_USAGE {
+                eprintln!("{bin}: {}\n{usage}", e.msg);
+            } else {
+                eprintln!("{bin}: {}", e.msg);
+            }
+            e.exit_code()
         }
     }
 }

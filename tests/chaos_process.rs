@@ -57,20 +57,13 @@ fn args(list: &[&str]) -> Vec<String> {
     list.iter().map(|s| s.to_string()).collect()
 }
 
-/// Spawns a coordinator or learner child. `PPML_TRANSPORT=event|threads`
-/// appends `--transport` to every child so CI can run the whole drill
-/// matrix against either socket backend; unset, the binaries' default
-/// (the event loop) applies. `PPML_SECAGG=pairwise|shamir|paillier`
-/// does the same for `--secagg`, except for drills that pin a specific
-/// backend themselves (the SIGKILL drill below needs a pairwise
+/// Spawns a coordinator or learner child. `PPML_SECAGG=pairwise|shamir|paillier`
+/// appends `--secagg` to every child so CI can run the whole drill
+/// matrix against any aggregation backend, except for drills that pin
+/// a specific backend themselves (the SIGKILL drill below needs a pairwise
 /// reference next to a shamir run).
 fn spawn(bin: &str, argv: &[String]) -> Child {
     let mut argv = argv.to_vec();
-    if let Ok(backend) = std::env::var("PPML_TRANSPORT") {
-        if !backend.is_empty() {
-            argv.extend(["--transport".to_string(), backend]);
-        }
-    }
     if let Ok(backend) = std::env::var("PPML_SECAGG") {
         if !backend.is_empty() && !argv.iter().any(|a| a == "--secagg") {
             argv.extend(["--secagg".to_string(), backend]);
@@ -474,10 +467,12 @@ fn learner_death_and_rejoin_across_processes() {
     cleanup(&dir);
 }
 
-fn run_to_exit(bin: &str, argv: &[String]) -> (Option<i32>, String) {
+/// Runs a binary to completion: `(exit code, stdout, stderr)`.
+fn run_to_exit(bin: &str, argv: &[String]) -> (Option<i32>, String, String) {
     let out = Command::new(bin).args(argv).output().expect("run binary");
     (
         out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
     )
 }
@@ -489,15 +484,33 @@ fn typed_exit_codes_come_from_real_invocations() {
     let dir = scratch_dir("exit_codes");
 
     // 2 — usage: a flag missing its value (and the usage block).
-    let (code, stderr) = run_to_exit(COORDINATOR, &args(&["--learners"]));
+    let (code, _, stderr) = run_to_exit(COORDINATOR, &args(&["--learners"]));
     assert_eq!(code, Some(2), "{stderr}");
     assert!(
         stderr.contains("ppml-coordinator:") && stderr.contains("usage:"),
         "{stderr}"
     );
 
+    // 2 — usage: an unknown flag is named, never silently ignored.
+    let (code, _, stderr) = run_to_exit(
+        COORDINATOR,
+        &args(&["--learners", "2", "--transport", "threads"]),
+    );
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("--transport"), "{stderr}");
+
+    // 2 — usage: a bad value is rejected before the socket binds, so no
+    // connect wait precedes the error.
+    let (code, stdout, stderr) = run_to_exit(
+        COORDINATOR,
+        &args(&["--learners", "2", "--round-timeout", "abc"]),
+    );
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("--round-timeout"), "{stderr}");
+    assert!(!stdout.contains("listening on"), "{stdout}");
+
     // 2 — usage: mutually exclusive learner flags, caught before any I/O.
-    let (code, stderr) = run_to_exit(
+    let (code, _, stderr) = run_to_exit(
         LEARNER,
         &args(&[
             "--party",
@@ -518,7 +531,7 @@ fn typed_exit_codes_come_from_real_invocations() {
     // 3 — checkpoint: --resume pointing at a snapshot that does not
     // exist fails before the socket ever binds.
     let missing = dir.join("missing.ckpt");
-    let (code, stderr) = run_to_exit(
+    let (code, _, stderr) = run_to_exit(
         COORDINATOR,
         &args(&[
             "--learners",
@@ -532,7 +545,7 @@ fn typed_exit_codes_come_from_real_invocations() {
 
     // 4 — transport: nobody is listening on the discard port, and one
     // second of patience is not going to change that.
-    let (code, stderr) = run_to_exit(
+    let (code, _, stderr) = run_to_exit(
         LEARNER,
         &args(&[
             "--party",
