@@ -496,14 +496,14 @@ mod tests {
         }
     }
 
-    /// The case above never runs a solve long enough for the box QP's
-    /// Newton steps to join in (a few dozen cancer-like rows converge in
-    /// a handful of sweeps). This is the benchmark's first `train_compute`
+    /// The case above runs few solves long enough for the box QP's Newton
+    /// steps to join in (a few dozen cancer-like rows converge within a
+    /// few dozen sweeps). This is the benchmark's first `train_compute`
     /// dataset, where `ppml_qp`'s `first_round_hl_dual_sweep_counts` and
     /// `warm_started_hl_round_passes_the_engagement_point` pin that the
-    /// cold first-round solve and the warm-started second-round one pass
-    /// the engagement point — so the three deployments must agree to the
-    /// bit on a model the Newton steps shaped.
+    /// cold first-round solve and 39 of the 40 solves of a 20-round run
+    /// pass the engagement point — so the three deployments must agree to
+    /// the bit on a model the Newton steps shaped.
     #[test]
     fn deployments_agree_to_the_bit_where_the_newton_step_is_engaged() {
         let (rows, seed, m) = (300usize, 4u64, 2usize);

@@ -366,6 +366,16 @@ mod tests {
 
     const TICK: Duration = Duration::from_millis(500);
 
+    /// For tests that assert dedup and watermark semantics, not ARQ timing.
+    /// On `fast_local` (first retry after 2 ms, ≈ 0.11 s in all) a receiver
+    /// scheduled late draws a spurious retransmit — and a retransmitted
+    /// Join/Welcome is delivered twice by design — or outlasts the whole
+    /// schedule. Nothing is dropped in these tests, so a retry 2 s out
+    /// only ever covers a slow scheduler.
+    fn patient() -> RetryPolicy {
+        RetryPolicy::new(6, Duration::from_secs(2), Duration::from_secs(2))
+    }
+
     fn pair(
         plan: NetFaultPlan,
     ) -> (
@@ -592,8 +602,8 @@ mod tests {
     #[test]
     fn reset_peer_lets_a_restarted_sender_start_over_at_seq_one() {
         let hub = LoopbackHub::new(2);
-        let mut a = Courier::new(hub.endpoint(0), RetryPolicy::fast_local());
-        let mut b = Courier::new(hub.endpoint(1), RetryPolicy::fast_local());
+        let mut a = Courier::new(hub.endpoint(0), patient());
+        let mut b = Courier::new(hub.endpoint(1), patient());
         // First incarnation of party 0 delivers seqs 1..=3.
         let rx = std::thread::spawn(move || {
             for _ in 0..3 {
@@ -607,7 +617,7 @@ mod tests {
         let mut b = rx.join().unwrap();
         drop(a);
         // "Restarted" party 0: fresh endpoint, sequence counter back at 1.
-        let mut a2 = Courier::new(hub.endpoint(0), RetryPolicy::fast_local());
+        let mut a2 = Courier::new(hub.endpoint(0), patient());
         b.reset_peer(0);
         let rx = std::thread::spawn(move || b.recv(TICK).expect("post-restart delivery"));
         a2.send_reliable(1, &Message::Heartbeat { nonce: 99 })
@@ -648,8 +658,8 @@ mod tests {
         // Welcome, so the Welcome itself must re-sync the dedup watermark
         // at absorb time — no reset_peer involved.
         let hub = LoopbackHub::new(2);
-        let mut a = Courier::new(hub.endpoint(0), RetryPolicy::fast_local());
-        let mut b = Courier::new(hub.endpoint(1), RetryPolicy::fast_local());
+        let mut a = Courier::new(hub.endpoint(0), patient());
+        let mut b = Courier::new(hub.endpoint(1), patient());
         let rx = std::thread::spawn(move || {
             for _ in 0..3 {
                 b.recv(TICK).expect("delivery");
@@ -663,7 +673,7 @@ mod tests {
         drop(a);
         // Restarted incarnation: Welcome at seq 1, data frame at seq 2 —
         // both below the watermark (3) the dead incarnation left behind.
-        let mut a2 = Courier::new(hub.endpoint(0), RetryPolicy::fast_local());
+        let mut a2 = Courier::new(hub.endpoint(0), patient());
         let rx = std::thread::spawn(move || {
             let first = b.recv(TICK).expect("welcome delivery").msg;
             let second = b.recv(TICK).expect("follow-up delivery").msg;
