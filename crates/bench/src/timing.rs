@@ -6,7 +6,7 @@
 //! median/min/max. Output is one line per case, grep-friendly:
 //!
 //! ```text
-//! securesum/pairwise-masking/256        median 12.84µs  min 12.31µs  max 14.02µs  (n=50)
+//! cluster_rounds/learners/4             median 41.20ms  min 39.87ms  max 44.05ms  (n=10)
 //! ```
 
 use std::time::{Duration, Instant};

@@ -203,14 +203,13 @@ mod tests {
 
     #[test]
     fn private_training_pipeline_retains_utility_at_modest_epsilon() {
-        // End-to-end: standardize securely, train distributed with small C
-        // (the DP-friendly regime), release with ε = 2.
+        // End-to-end: standardize, train distributed with small C (the
+        // DP-friendly regime), release with ε = 2.
         let ds = synth::cancer_like(400, 23);
         let (train, test) = ds.split(0.5, 24).unwrap();
-        let parts = Partition::horizontal(&train, 4, 25).unwrap();
-        let scaler = crate::preprocessing::SecureStandardizer::fit(&parts, 26).unwrap();
-        let scaled: Vec<_> = parts.iter().map(|p| scaler.transform(p).unwrap()).collect();
-        let test_scaled = scaler.transform(&test).unwrap();
+        let (train_scaled, stats) = train.standardize().unwrap();
+        let test_scaled = test.apply_scaling(&stats).unwrap();
+        let scaled = Partition::horizontal(&train_scaled, 4, 25).unwrap();
         let cfg = crate::AdmmConfig::default().with_c(0.05).with_max_iter(60);
         let out = crate::HorizontalLinearSvm::train(&scaled, &cfg, None).unwrap();
         let clean_acc = out.model.accuracy(&test_scaled);

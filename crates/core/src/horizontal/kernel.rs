@@ -16,10 +16,9 @@
 //! * discriminant: `f(x) = K(x,X)·α + K(x,X_g)·η + b` with
 //!   `α = M·Yλ`, `η = ρM·K_g⁻¹(z−r) − ρM²·K_g⁻¹K(X_g,X)·Yλ`.
 //!
-//! The Reduce step again only averages `[G·w_m + r_m ; b_m + β_m]` through a
-//! [`SecureSum`] protocol.
+//! The Reduce step again only averages `[G·w_m + r_m ; b_m + β_m]` through
+//! the §V secure sum ([`crate::secagg`]).
 
-use ppml_crypto::SecureSum;
 use ppml_data::Dataset;
 use ppml_kernel::{Kernel, LandmarkSet, LandmarkStrategy};
 use ppml_linalg::{vecops, Cholesky, Matrix};
@@ -27,6 +26,7 @@ use ppml_qp::QpConfig;
 
 use crate::horizontal::linear::{solve_local_dual, validate_parts};
 use crate::round::{self, split_consensus, Averaging, Learner};
+use crate::secagg::{self, SecAggConfig};
 use crate::{AdmmConfig, ConvergenceHistory, Result, TrainError};
 
 /// The nonlinear consensus classifier of one learner after training.
@@ -321,20 +321,21 @@ impl HorizontalKernelSvm {
         cfg: &AdmmConfig,
         eval: Option<&Dataset>,
     ) -> Result<KernelOutcome> {
-        let masking = ppml_crypto::PairwiseMasking::new(cfg.seed);
-        Self::train_with(parts, cfg, eval, &masking)
+        Self::train_with(parts, cfg, eval, SecAggConfig::pairwise())
     }
 
-    /// Trains with an explicit secure-aggregation backend.
+    /// Trains with an explicit secure-aggregation backend (see
+    /// [`crate::HorizontalLinearSvm::train_with`]).
     ///
     /// # Errors
     ///
-    /// As [`HorizontalKernelSvm::train`].
+    /// As [`HorizontalKernelSvm::train`], plus [`TrainError::BadConfig`]
+    /// for a Shamir threshold outside `1..=parts.len()`.
     pub fn train_with(
         parts: &[Dataset],
         cfg: &AdmmConfig,
         eval: Option<&Dataset>,
-        aggregator: &dyn SecureSum,
+        secagg: SecAggConfig,
     ) -> Result<KernelOutcome> {
         cfg.validate()?;
         let k = validate_parts(parts)?;
@@ -349,7 +350,7 @@ impl HorizontalKernelSvm {
             &mut learners,
             &mut consensus,
             cfg,
-            aggregator,
+            secagg::in_memory(secagg, cfg),
             |learners, consensus, iteration, delta| {
                 // Aggregate norms in the reduced consensus space only.
                 let locals = learners.iter().map(|l| (&l.gw[..], l.b));

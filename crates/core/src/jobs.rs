@@ -18,9 +18,13 @@
 //! worker lost.
 //!
 //! Given the same seed, the cluster execution and the in-process trainer
-//! produce identical iterates at every learner count: the fixed-point
-//! sums are mask-independent and both call the same step and the same
-//! update.
+//! produce identical iterates at every learner count: the in-process
+//! trainer sums through [`crate::secagg`]'s `pairwise` halves, which wrap
+//! this same masker, the fixed-point sums are mask-independent, and both
+//! call the same step and the same update. The cluster speaks pairwise
+//! only: the `shamir` and `paillier` backends need a second,
+//! coordinator-to-learner phase per round, which one map-and-reduce pass
+//! does not have.
 //!
 //! On a fault-free cluster every map runs on its data node
 //! (`remote_reads == 0`). When a node dies the runtime re-derives its
@@ -407,7 +411,8 @@ mod tests {
     use super::*;
     use crate::distributed::tests::{reference_with_membership, run_distributed, run_with_faults};
     use crate::{
-        DistributedTiming, HorizontalLinearSvm, TrainError, VerticalKernelSvm, VerticalLinearSvm,
+        DistributedTiming, HorizontalLinearSvm, SecAggConfig, TrainError, VerticalKernelSvm,
+        VerticalLinearSvm,
     };
     use ppml_data::{synth, Partition};
     use ppml_kernel::Kernel;
@@ -526,6 +531,54 @@ mod tests {
         assert_eq!(on_wire.model, in_process.model);
         assert_eq!(on_wire.history.z_delta, in_process.history.z_delta);
         assert!(finals.iter().all(|f| *f == in_process.model));
+    }
+
+    /// All three backends in every trainer: the in-process trainers sum
+    /// through the shipped halves, so Shamir and Paillier train the
+    /// pairwise model to the bit — trace and held-out decisions alike —
+    /// in HL, HK, VL and VK. (Paillier at one learner count: its big-int
+    /// work dominates a debug build.)
+    #[test]
+    fn every_backend_trains_every_trainer_to_the_pairwise_bit() {
+        let ds = synth::cancer_like(200, 7);
+        let (train, test) = ds.split(0.6, 8).unwrap();
+        let cases = [
+            (3, SecAggConfig::shamir()),
+            (4, SecAggConfig::shamir()),
+            (3, SecAggConfig::paillier()),
+        ];
+        for (m, secagg) in cases {
+            let cfg = AdmmConfig::default()
+                .with_max_iter(10)
+                .with_landmarks(10)
+                .with_kernel(Kernel::Rbf { gamma: 1.0 / 9.0 })
+                .with_seed(m as u64);
+            let parts = Partition::horizontal(&train, m, 9).unwrap();
+            let view = Partition::vertical(&train, m, 10).unwrap();
+            let at = |what: &str| format!("{what}, {secagg:?}, m = {m}");
+
+            let hl =
+                |o: LinearOutcome| fingerprint(&o.history, &test, |x| o.model.decision(x).unwrap());
+            let pairwise = HorizontalLinearSvm::train(&parts, &cfg, None).unwrap();
+            let other = HorizontalLinearSvm::train_with(&parts, &cfg, None, secagg).unwrap();
+            assert_eq!(hl(other), hl(pairwise), "{}", at("HL"));
+
+            let hk = |o: KernelOutcome| fingerprint(&o.history, &test, |x| o.model.decision(x));
+            let pairwise = HorizontalKernelSvm::train(&parts, &cfg, None).unwrap();
+            let other = HorizontalKernelSvm::train_with(&parts, &cfg, None, secagg).unwrap();
+            assert_eq!(hk(other), hk(pairwise), "{}", at("HK"));
+
+            let vl = |o: VerticalOutcome| fingerprint(&o.history, &test, |x| o.model.decision(x));
+            let pairwise = VerticalLinearSvm::train(&view, &cfg, None).unwrap();
+            let other = VerticalLinearSvm::train_with(&view, &cfg, None, secagg).unwrap();
+            assert_eq!(vl(other), vl(pairwise), "{}", at("VL"));
+
+            let vk =
+                |o: VerticalKernelOutcome| fingerprint(&o.history, &test, |x| o.model.decision(x));
+            let pairwise = VerticalKernelSvm::train(&view, &cfg, None).unwrap();
+            let other = VerticalKernelSvm::train_with(&view, &cfg, None, secagg).unwrap();
+            assert_eq!(vk(other), vk(pairwise), "{}", at("VK"));
+        }
     }
 
     #[test]

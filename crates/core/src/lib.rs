@@ -12,17 +12,18 @@
 //! | [`VerticalKernelSvm`] | by columns | kernel | §IV-C end |
 //!
 //! Each trainer decomposes the joint SVM into per-learner subproblems
-//! (Map), reaches consensus through a [`SecureSum`] protocol at the reducer
-//! (the paper's §V pairwise-masking protocol by default), and iterates to
+//! (Map), reaches consensus through a secure sum at the reducer (the
+//! paper's §V pairwise-masking protocol by default; [`secagg`] also ships
+//! Shamir threshold sharing and Paillier aggregation), and iterates to
 //! the centralized optimum (Lemmas 4.1/4.2). Raw training data never leaves
 //! its learner; only the per-iteration local models move, and those only as
 //! masked shares.
 //!
 //! Every trainer is one learner step and one consensus update, and the
 //! same pair runs under each deployment's driver:
-//! * **in-process** (`train`) — learners simulated in one address space,
-//!   aggregation through any [`SecureSum`] backend; this is what the
-//!   benchmarks sweep;
+//! * **in-process** (`train`, `train_with`) — learners simulated in one
+//!   address space, summing through the [`secagg`] backend's coordinator
+//!   and learner halves with their frames handed over in memory;
 //! * **MapReduce** ([`jobs`]`::train_*_on_cluster`) — learners are data
 //!   nodes of a [`ppml_mapreduce::Cluster`]; the mask exchange rides on
 //!   pre-agreed pairwise seeds so each mapper masks independently and the
@@ -60,7 +61,6 @@ pub mod jobs;
 mod masks;
 pub mod multiclass;
 mod observe;
-pub mod preprocessing;
 mod round;
 pub mod secagg;
 
@@ -88,12 +88,6 @@ pub use secagg::{
 };
 pub use vertical::kernel::{VerticalKernelModel, VerticalKernelOutcome, VerticalKernelSvm};
 pub use vertical::linear::{VerticalLinearModel, VerticalLinearSvm, VerticalOutcome};
-
-// Re-exported so callers can pick an aggregation backend without importing
-// ppml-crypto directly.
-pub use ppml_crypto::{
-    AdditiveSharing, PaillierAggregation, PairwiseMasking, SecureSum, ThresholdSharing,
-};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, TrainError>;

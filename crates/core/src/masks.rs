@@ -1,9 +1,11 @@
-//! Seed-agreed pairwise masking for the MapReduce deployment.
+//! Seed-agreed pairwise masking: the §V protocol in every deployment.
 //!
-//! In the in-process trainers, the mask exchange of §V's protocol is routed
-//! directly ([`ppml_crypto::MaskingParty`]). On a real cluster, a
-//! mapper-to-mapper channel inside an iteration is awkward, so the standard
-//! deployment trick (as in secure-aggregation systems) is used instead:
+//! The paper has each mapper send random masks to every other mapper
+//! inside each iteration. A mapper-to-mapper channel inside an iteration
+//! is awkward on a cluster and a wire, so the standard deployment trick
+//! (as in secure-aggregation systems) is used instead, in process, on
+//! the MapReduce cluster and over the wire alike (the `pairwise` backend
+//! of [`crate::secagg`] wraps this masker):
 //! every *pair* of learners agrees on a seed once, up front, and both
 //! re-derive the pair's mask for iteration `t` locally. Learner `i` adds
 //! the pair mask for every `j > i` and subtracts it for every `j < i`, so

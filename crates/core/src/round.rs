@@ -23,14 +23,14 @@
 //!
 //! A **driver** owns what is left — how the shares are summed, the
 //! iteration count, the `tol` exit and the history — and there is one per
-//! deployment: [`train`] below (in-process, over any [`SecureSum`]),
-//! [`crate::jobs`]' cluster driver, and the wire pair
+//! deployment: [`train`] below (in-process, summing through
+//! [`crate::secagg`]'s halves routed in memory), [`crate::jobs`]' cluster
+//! driver, and the wire pair
 //! `coordinate`/`learn` in [`crate::distributed`]. No driver knows which
 //! trainer it serves; what differs per trainer (validation, building the
 //! pair, per-iteration evaluation and diagnostics, assembling the
 //! outcome) is supplied by the eight public entry points.
 
-use ppml_crypto::SecureSum;
 use ppml_linalg::vecops;
 use ppml_qp::QpConfig;
 use ppml_svm::LinearSvm;
@@ -137,16 +137,17 @@ impl ConsensusUpdate for Averaging {
     }
 }
 
-/// The in-process driver: learners simulated in one address space, shares
-/// summed by any [`SecureSum`] backend. `observe(learners, update,
-/// iteration, ‖Δz‖²)` runs after every update — the entry point's
-/// telemetry diagnostics — and returns the round's accuracy when the
-/// caller evaluates.
+/// The in-process driver: learners simulated in one address space, each
+/// round's shares summed by `sum(iteration, shares)` — the trainers pass
+/// [`crate::secagg::in_memory`]. `observe(learners, update, iteration,
+/// ‖Δz‖²)` runs after every update — the entry point's telemetry
+/// diagnostics — and returns the round's accuracy when the caller
+/// evaluates.
 pub(crate) fn train<L: Learner, U: ConsensusUpdate>(
     learners: &mut [L],
     update: &mut U,
     cfg: &AdmmConfig,
-    aggregator: &dyn SecureSum,
+    mut sum: impl FnMut(u64, &[Vec<f64>]) -> Result<Vec<f64>>,
     mut observe: impl FnMut(&[L], &U, u64, f64) -> Result<Option<f64>>,
 ) -> Result<ConvergenceHistory> {
     let mut history = ConvergenceHistory::default();
@@ -155,7 +156,7 @@ pub(crate) fn train<L: Learner, U: ConsensusUpdate>(
             .iter_mut()
             .map(|l| l.step(update.broadcast(), &cfg.qp))
             .collect::<Result<Vec<_>>>()?;
-        let delta = update.update(&aggregator.aggregate(&shares)?, shares.len())?;
+        let delta = update.update(&sum(iteration, &shares)?, shares.len())?;
         history.z_delta.push(delta);
         history
             .accuracy
@@ -165,4 +166,15 @@ pub(crate) fn train<L: Learner, U: ConsensusUpdate>(
         }
     }
     Ok(history)
+}
+
+/// The float reference for tests: each round's shares summed column by
+/// column in plain `f64`, with no fixed-point encoding in between.
+#[cfg(test)]
+pub(crate) fn float_sum(_iteration: u64, shares: &[Vec<f64>]) -> Result<Vec<f64>> {
+    let mut sum = vec![0.0; shares.first().map_or(0, Vec::len)];
+    for share in shares {
+        vecops::axpy(1.0, share, &mut sum);
+    }
+    Ok(sum)
 }

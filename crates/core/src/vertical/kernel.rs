@@ -17,13 +17,13 @@
 //! `f(x) = Σ_m ρ·K(x_m, X_m)·α_m + b`, where `x_m` is the slice of `x`
 //! visible to learner `m`.
 
-use ppml_crypto::SecureSum;
 use ppml_data::{Dataset, VerticalView};
 use ppml_kernel::Kernel;
 use ppml_linalg::{vecops, Cholesky, Matrix};
 use ppml_qp::QpConfig;
 
 use crate::round::{self, Learner};
+use crate::secagg::{self, SecAggConfig};
 use crate::vertical::linear::{validate_view, VerticalReducer};
 use crate::{AdmmConfig, ConvergenceHistory, Result};
 
@@ -130,20 +130,21 @@ impl VerticalKernelSvm {
         cfg: &AdmmConfig,
         eval: Option<&Dataset>,
     ) -> Result<VerticalKernelOutcome> {
-        let masking = ppml_crypto::PairwiseMasking::new(cfg.seed);
-        Self::train_with(view, cfg, eval, &masking)
+        Self::train_with(view, cfg, eval, SecAggConfig::pairwise())
     }
 
-    /// Trains with an explicit secure-aggregation backend.
+    /// Trains with an explicit secure-aggregation backend (see
+    /// [`crate::HorizontalLinearSvm::train_with`]).
     ///
     /// # Errors
     ///
-    /// As [`VerticalKernelSvm::train`].
+    /// As [`VerticalKernelSvm::train`], plus [`crate::TrainError::BadConfig`]
+    /// for a Shamir threshold outside `1..=view.learners()`.
     pub fn train_with(
         view: &VerticalView,
         cfg: &AdmmConfig,
         eval: Option<&Dataset>,
-        aggregator: &dyn SecureSum,
+        secagg: SecAggConfig,
     ) -> Result<VerticalKernelOutcome> {
         cfg.validate()?;
         let mut nodes = (0..validate_view(view)?)
@@ -154,7 +155,7 @@ impl VerticalKernelSvm {
             &mut nodes,
             &mut reducer,
             cfg,
-            aggregator,
+            secagg::in_memory(secagg, cfg),
             |nodes, reducer, iteration, delta| {
                 reducer.emit_diagnostics(iteration, delta);
                 Ok(eval.map(|ds| assemble(view, cfg.kernel, nodes.iter(), reducer).accuracy(ds)))

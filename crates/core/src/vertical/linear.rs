@@ -11,8 +11,9 @@
 //!    `w_m = ρ·(I + ρX_mᵀX_m)⁻¹·X_mᵀ·e_m` with
 //!    `e_m = z − c̄ + c_m + r`, then its contribution `c_m = X_m w_m`
 //!    (`(I + ρXᵀX)` is Cholesky-factored once);
-//! 2. **Reduce** — `c̄ = Σ_m c_m` through a [`SecureSum`] protocol (this is
-//!    the only place learner outputs meet, and only as a sum);
+//! 2. **Reduce** — `c̄ = Σ_m c_m` through the §V secure sum
+//!    ([`crate::secagg`]; this is the only place learner outputs meet, and
+//!    only as a sum);
 //! 3. the reducer solves the hinge-loss `z`-subproblem — a *separable*
 //!    box+equality QP (`Q = (1/ρ)·I`, handled by
 //!    [`ppml_qp::solve_separable_eq`] without forming any matrix) — and
@@ -22,7 +23,6 @@
 //! derivation gives `(1/ρ)I` (DESIGN.md §2), which is what this module
 //! implements.
 
-use ppml_crypto::SecureSum;
 use ppml_data::{Dataset, VerticalView};
 use ppml_linalg::{vecops, Cholesky};
 use ppml_qp::{solve_separable_eq, QpConfig};
@@ -30,6 +30,7 @@ use ppml_telemetry as telemetry;
 use telemetry::{EventKind, NO_PARTY};
 
 use crate::round::{self, ConsensusUpdate, Learner};
+use crate::secagg::{self, SecAggConfig};
 use crate::{AdmmConfig, ConvergenceHistory, Result, TrainError};
 
 /// The assembled model after vertical training.
@@ -180,20 +181,21 @@ impl VerticalLinearSvm {
         cfg: &AdmmConfig,
         eval: Option<&Dataset>,
     ) -> Result<VerticalOutcome> {
-        let masking = ppml_crypto::PairwiseMasking::new(cfg.seed);
-        Self::train_with(view, cfg, eval, &masking)
+        Self::train_with(view, cfg, eval, SecAggConfig::pairwise())
     }
 
-    /// Trains with an explicit secure-aggregation backend.
+    /// Trains with an explicit secure-aggregation backend (see
+    /// [`crate::HorizontalLinearSvm::train_with`]).
     ///
     /// # Errors
     ///
-    /// As [`VerticalLinearSvm::train`].
+    /// As [`VerticalLinearSvm::train`], plus [`TrainError::BadConfig`] for
+    /// a Shamir threshold outside `1..=view.learners()`.
     pub fn train_with(
         view: &VerticalView,
         cfg: &AdmmConfig,
         eval: Option<&Dataset>,
-        aggregator: &dyn SecureSum,
+        secagg: SecAggConfig,
     ) -> Result<VerticalOutcome> {
         cfg.validate()?;
         let mut nodes = (0..validate_view(view)?)
@@ -204,7 +206,7 @@ impl VerticalLinearSvm {
             &mut nodes,
             &mut reducer,
             cfg,
-            aggregator,
+            secagg::in_memory(secagg, cfg),
             |nodes, reducer, iteration, delta| {
                 reducer.emit_diagnostics(iteration, delta);
                 Ok(eval.map(|ds| assemble(view, nodes.iter(), reducer).accuracy(ds)))
@@ -407,24 +409,37 @@ mod tests {
         }
     }
 
+    /// VL through the shipped pairwise halves tracks the same rounds
+    /// summed in plain `f64` (the float reference), and the halves are
+    /// exactly what [`VerticalLinearSvm::train`] sums through.
     #[test]
     fn aggregator_backends_agree() {
+        fn run(
+            view: &VerticalView,
+            cfg: &AdmmConfig,
+            sum: impl FnMut(u64, &[Vec<f64>]) -> Result<Vec<f64>>,
+        ) -> ppml_svm::LinearSvm {
+            let mut nodes: Vec<VlNode> = (0..view.learners())
+                .map(|p| VlNode::new(view.part(p), cfg).unwrap())
+                .collect();
+            let mut reducer = VerticalReducer::new(view.y().to_vec(), cfg);
+            round::train(&mut nodes, &mut reducer, cfg, sum, |_, _, _, _| Ok(None)).unwrap();
+            assemble(view, nodes.iter(), &reducer).to_linear_svm()
+        }
         let ds = synth::blobs(60, 8);
         let view = Partition::vertical(&ds, 2, 9).unwrap();
         let cfg = AdmmConfig::default().with_max_iter(8);
-        let a = VerticalLinearSvm::train_with(&view, &cfg, None, &ppml_crypto::PlainSum).unwrap();
-        let b =
-            VerticalLinearSvm::train_with(&view, &cfg, None, &ppml_crypto::PairwiseMasking::new(4))
-                .unwrap();
-        for (u, v) in a
-            .model
-            .to_linear_svm()
-            .weights()
-            .iter()
-            .zip(b.model.to_linear_svm().weights())
-        {
+        let exact = run(&view, &cfg, round::float_sum);
+        let secure = run(
+            &view,
+            &cfg,
+            secagg::in_memory(SecAggConfig::pairwise(), &cfg),
+        );
+        for (u, v) in exact.weights().iter().zip(secure.weights()) {
             assert!((u - v).abs() < 1e-5, "{u} vs {v}");
         }
+        let shipped = VerticalLinearSvm::train(&view, &cfg, None).unwrap();
+        assert_eq!(secure, shipped.model.to_linear_svm());
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! Fixed-point encoding between `f64` model coordinates and group elements.
 //!
 //! The secure-summation protocols operate over discrete groups — `Z_{2⁶⁴}`
-//! for masking/secret-sharing, `Z_n` for Paillier — while the learners'
-//! local models are real vectors. This codec bridges the two: values are
-//! scaled by `2^scale_bits`, rounded, and embedded two's-complement style
-//! (negative `v` becomes `modulus − |v|`).
+//! for pairwise masking, `GF(2⁶¹ − 1)` for Shamir sharing, `Z_n` for
+//! Paillier — while the learners' local models are real vectors. This
+//! codec bridges the two: values are scaled by `2^scale_bits`, rounded,
+//! and embedded two's-complement style (negative `v` becomes
+//! `modulus − |v|`).
 //!
 //! Correctness of an aggregate decode requires that the *sum* of encoded
 //! magnitudes stays below half the group order; the codec enforces a
 //! per-value magnitude limit at encode time so that any sum of up to
 //! [`FixedPointCodec::max_parties`] values is safe.
 
+use crate::shamir::MODULUS;
 use crate::{BigUint, CryptoError, Result};
 
 /// Converter between `f64` values and fixed-point group elements.
@@ -119,6 +121,33 @@ impl FixedPointCodec {
         self.decode_i64(v as i64)
     }
 
+    /// Encodes into `GF(2⁶¹ − 1)` for Shamir sharing (two's-complement
+    /// style around the Mersenne modulus), so field sums decode to the
+    /// same result as wrapping sums in `Z_{2⁶⁴}` while every value stays in
+    /// range.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::encode_i64`].
+    pub fn encode_field(&self, v: f64) -> Result<u64> {
+        let i = self.encode_i64(v)?;
+        Ok(if i >= 0 {
+            i as u64 % MODULUS
+        } else {
+            MODULUS - (i.unsigned_abs() % MODULUS)
+        })
+    }
+
+    /// Decodes an element of `GF(2⁶¹ − 1)` (a field sum of
+    /// [`Self::encode_field`] values): values above `p/2` are negative.
+    pub fn decode_field(&self, v: u64) -> f64 {
+        if v > MODULUS / 2 {
+            -self.decode_i64((MODULUS - v) as i64)
+        } else {
+            self.decode_i64(v as i64)
+        }
+    }
+
     /// Encodes into `Z_n` for the Paillier backend: negatives map to
     /// `n − |v|`.
     ///
@@ -165,6 +194,7 @@ impl FixedPointCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shamir;
 
     #[test]
     fn i64_roundtrip_within_resolution() {
@@ -270,6 +300,46 @@ mod tests {
             c.decode_group(&wide_neg, &n),
             Err(CryptoError::AggregateOverflow)
         ));
+    }
+
+    #[test]
+    fn field_encode_decode_roundtrip() {
+        let c = FixedPointCodec::default();
+        for v in [0.0, 1.5, -1.5, 1024.25, -4096.75] {
+            let enc = c.encode_field(v).unwrap();
+            assert!(enc < MODULUS);
+            assert_eq!(c.decode_field(enc), v, "roundtrip of {v}");
+        }
+    }
+
+    #[test]
+    fn threshold_handles_negative_values() {
+        // Two parties' field encodings, each split 2-of-2 and summed share
+        // by share: a sum of shares is a share of the sum, and negative
+        // totals decode through the upper half of the field.
+        let c = FixedPointCodec::default();
+        let mut rng = ppml_data::rng::Rng64::new(12);
+        let inputs = [[-5.5, 2.0], [1.5, -3.0]];
+        for (i, want) in [-4.0, -1.0].into_iter().enumerate() {
+            let mut held = [0u64; 2];
+            for party in &inputs {
+                let enc = c.encode_field(party[i]).unwrap();
+                for (h, s) in held
+                    .iter_mut()
+                    .zip(shamir::split(enc, 2, 2, &mut rng).unwrap())
+                {
+                    *h = shamir::field_add(*h, s.y);
+                }
+            }
+            let column: Vec<shamir::Share> = (0..2)
+                .map(|j| shamir::Share {
+                    x: j as u64 + 1,
+                    y: held[j],
+                })
+                .collect();
+            let sum = c.decode_field(shamir::reconstruct(&column).unwrap());
+            assert_eq!(sum, want);
+        }
     }
 
     #[test]

@@ -1,46 +1,49 @@
-//! Cryptographic substrate for privacy-preserving aggregation at the
+//! Cryptographic primitives for privacy-preserving aggregation at the
 //! Reduce() step.
 //!
-//! The paper's security architecture (§V) rests on one primitive: the
+//! The paper's security architecture (§V) rests on one operation: the
 //! reducer must learn the **sum** (hence average) of the mappers' local
-//! models without learning any individual contribution. This crate provides
-//! three interchangeable implementations of that primitive behind the
-//! [`SecureSum`] trait:
+//! models without learning any individual contribution. This crate holds
+//! the primitives that operation is built from; the protocols themselves —
+//! pairwise masking (the paper's), Shamir threshold sharing and Paillier
+//! aggregation — live in `ppml_core::secagg`, where the same coordinator
+//! and learner halves run in process, on the MapReduce cluster and over
+//! the wire.
 //!
-//! * [`PairwiseMasking`] — the paper's own coalition-resistant protocol:
-//!   every mapper exchanges random masks with every other mapper and sends
-//!   `wᵢ + Sedᵢ − Revᵢ` to the reducer; masks cancel in the sum.
-//! * [`AdditiveSharing`] — classic additive secret sharing over `Z_{2⁶⁴}`;
-//!   an information-theoretic alternative with the same communication
-//!   pattern rotated 90°.
-//! * [`PaillierAggregation`] — additively homomorphic encryption. The
-//!   reducer multiplies ciphertexts; only the (logically separate) key
-//!   authority can decrypt, and it only ever sees the aggregate. This is the
-//!   "cryptographic operations at the Reducer" variant the paper's framing
-//!   alludes to, and the expensive baseline the masking protocol is designed
-//!   to avoid.
+//! * [`FixedPointCodec`] — between `f64` model coordinates and group
+//!   elements: `Z_{2⁶⁴}` for masking, `GF(2⁶¹ − 1)` for Shamir sharing,
+//!   `Z_n` for Paillier.
+//! * [`shamir`] — `t`-of-`n` threshold sharing over `GF(2⁶¹ − 1)`.
+//! * [`Paillier`] — additively homomorphic encryption, on an
+//!   arbitrary-precision unsigned integer type ([`BigUint`]) with
+//!   Montgomery modular exponentiation and Miller–Rabin prime generation.
 //!
-//! Supporting machinery — an arbitrary-precision unsigned integer type
-//! ([`BigUint`]) with Montgomery modular exponentiation, Miller–Rabin prime
-//! generation, the [`Paillier`] cryptosystem, and a fixed-point codec
-//! ([`FixedPointCodec`]) between `f64` model coordinates and group elements —
-//! is implemented from scratch; the offline dependency set has no bignum or
-//! crypto crates.
+//! All of it is implemented from scratch; the offline dependency set has
+//! no bignum or crypto crates.
 //!
-//! # Example: the paper's protocol end to end
+//! # Example: a field sum of shares is a share of the sum
 //!
 //! ```
-//! use ppml_crypto::{PairwiseMasking, SecureSum};
+//! use ppml_crypto::{shamir, FixedPointCodec};
+//! use ppml_data::rng::Rng64;
 //!
 //! # fn main() -> Result<(), ppml_crypto::CryptoError> {
-//! let inputs = vec![
-//!     vec![1.0, 2.0],   // learner 1's local model
-//!     vec![0.5, -1.0],  // learner 2
-//!     vec![2.5, 3.0],   // learner 3
-//! ];
-//! let sum = PairwiseMasking::new(7).aggregate(&inputs)?;
-//! assert!((sum[0] - 4.0).abs() < 1e-9);
-//! assert!((sum[1] - 4.0).abs() < 1e-9);
+//! let codec = FixedPointCodec::default();
+//! let mut rng = Rng64::new(7);
+//! // Three learners' private values, each split 2-of-3.
+//! let mut held = [0u64; 3];
+//! for v in [1.0, 0.5, -2.5] {
+//!     let shares = shamir::split(codec.encode_field(v)?, 2, 3, &mut rng)?;
+//!     for (h, s) in held.iter_mut().zip(&shares) {
+//!         *h = shamir::field_add(*h, s.y);
+//!     }
+//! }
+//! // Any two summed shares reconstruct the total — and only the total.
+//! let total = shamir::reconstruct(&[
+//!     shamir::Share { x: 1, y: held[0] },
+//!     shamir::Share { x: 3, y: held[2] },
+//! ])?;
+//! assert_eq!(codec.decode_field(total), -1.0);
 //! # Ok(())
 //! # }
 //! ```
@@ -52,7 +55,6 @@ mod fixed;
 mod mont;
 mod paillier;
 mod prime;
-mod secure_sum;
 pub mod shamir;
 
 pub use biguint::BigUint;
@@ -61,10 +63,6 @@ pub use fixed::FixedPointCodec;
 pub use mont::Montgomery;
 pub use paillier::{Paillier, PaillierCiphertext, PaillierPrivateKey, PaillierPublicKey};
 pub use prime::{gen_prime, is_probable_prime};
-pub use secure_sum::{
-    AdditiveSharing, MaskedShare, MaskingParty, PaillierAggregation, PairwiseMasking, PlainSum,
-    SecureSum, ThresholdSharing,
-};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, CryptoError>;

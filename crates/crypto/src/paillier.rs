@@ -1,7 +1,7 @@
 //! The Paillier additively homomorphic cryptosystem.
 //!
-//! Used by [`crate::PaillierAggregation`] as the "cryptographic operations
-//! at the Reducer" backend: mappers encrypt their fixed-point model
+//! Used by `ppml_core::secagg`'s `paillier` backend as the "cryptographic
+//! operations at the Reducer" variant: mappers encrypt their fixed-point model
 //! coordinates, the reducer multiplies ciphertexts (= adds plaintexts), and
 //! only the key authority decrypts the aggregate.
 //!

@@ -5,10 +5,9 @@
 //! Production secure-aggregation systems fix this by secret-sharing each
 //! party's recovery material with a `t`-of-`n` threshold, so any `t`
 //! survivors can reconstruct the missing contribution (or its pads). This
-//! module provides that primitive; [`crate::SecureSum`] backends stay
-//! dropout-free here because the MapReduce runtime re-executes failed
-//! mappers deterministically, but the tool is what a deployment against
-//! *permanent* node loss needs.
+//! module provides that primitive; `ppml_core::secagg`'s `shamir` backend
+//! builds its dropout-tolerant round on it (values enter the field through
+//! [`crate::FixedPointCodec::encode_field`]).
 //!
 //! Arithmetic is over `p = 2⁶¹ − 1` (a Mersenne prime), which makes
 //! reduction two shifts and an add — fast enough to share whole model

@@ -1,10 +1,9 @@
 //! Property tests for the cryptographic substrate: bignum arithmetic
 //! against a 128-bit reference, number-theoretic identities, Paillier
-//! homomorphisms, fixed-point codec laws, and secure-sum correctness.
+//! homomorphisms and fixed-point codec laws. (Secure-sum correctness is
+//! checked on the shipped protocol halves in `ppml_core::secagg`.)
 
-use ppml_crypto::{
-    AdditiveSharing, BigUint, FixedPointCodec, Montgomery, PairwiseMasking, PlainSum, SecureSum,
-};
+use ppml_crypto::{BigUint, FixedPointCodec, Montgomery};
 use ppml_data::check::{run_cases, Gen};
 
 fn big(v: u128) -> BigUint {
@@ -207,74 +206,6 @@ fn fixed_point_sum_is_homomorphic() {
             .fold(0u64, u64::wrapping_add);
         let want: f64 = vals.iter().sum();
         assert!((c.decode_u64(enc_sum) - want).abs() < vals.len() as f64 * c.resolution());
-    });
-}
-
-#[test]
-fn secure_sums_agree_with_plain() {
-    run_cases("secure_sums_agree_with_plain", 48, |g, _| {
-        let parties = g.usize_in(1, 6);
-        let inputs: Vec<Vec<f64>> = (0..parties).map(|_| g.vec_f64(-1e3, 1e3, 4)).collect();
-        let seed = g.rng().next_u64();
-        let plain = PlainSum.aggregate(&inputs).unwrap();
-        let masked = PairwiseMasking::new(seed).aggregate(&inputs).unwrap();
-        let shared = AdditiveSharing::new(seed).aggregate(&inputs).unwrap();
-        for i in 0..4 {
-            assert!((plain[i] - masked[i]).abs() < 1e-5);
-            assert!((plain[i] - shared[i]).abs() < 1e-5);
-        }
-    });
-}
-
-#[test]
-fn all_backends_agree_cross_backend() {
-    use ppml_crypto::{PaillierAggregation, ThresholdSharing};
-    use std::sync::OnceLock;
-    // One shared Paillier system: keygen dominates the runtime.
-    fn paillier() -> &'static PaillierAggregation {
-        static SYS: OnceLock<PaillierAggregation> = OnceLock::new();
-        SYS.get_or_init(|| PaillierAggregation::keygen(128, 4242).expect("keygen"))
-    }
-    run_cases("all_backends_agree_cross_backend", 12, |g, _| {
-        let parties = g.usize_in(2, 6);
-        let len = g.usize_in(1, 6);
-        let inputs: Vec<Vec<f64>> = (0..parties).map(|_| g.vec_f64(-1e3, 1e3, len)).collect();
-        let seed = g.rng().next_u64();
-        let threshold = g.usize_in(2, parties + 1);
-        let plain = PlainSum.aggregate(&inputs).unwrap();
-        let ts = ThresholdSharing::new(threshold, seed);
-        let sums = [
-            PairwiseMasking::new(seed).aggregate(&inputs).unwrap(),
-            AdditiveSharing::new(seed).aggregate(&inputs).unwrap(),
-            ts.aggregate(&inputs).unwrap(),
-            paillier().aggregate(&inputs).unwrap(),
-        ];
-        let tol = parties as f64 * FixedPointCodec::default().resolution();
-        for (b, sum) in sums.iter().enumerate() {
-            for i in 0..len {
-                assert!(
-                    (plain[i] - sum[i]).abs() <= tol,
-                    "backend {b} coordinate {i}: {} vs plain {}",
-                    sum[i],
-                    plain[i]
-                );
-            }
-        }
-        // Dropout: keep a random survivor subset of exactly `threshold`
-        // distinct parties. Reconstruction is exact over the field, so the
-        // result must be BIT-identical to the full-roster reference — this
-        // is the property the distributed Shamir backend's no-re-key
-        // dropout path relies on.
-        let start = g.usize_in(0, parties);
-        let survivors: Vec<usize> = (0..threshold).map(|k| (start + k) % parties).collect();
-        let with_dropout = ts.aggregate_with_dropout(&inputs, &survivors).unwrap();
-        for i in 0..len {
-            assert_eq!(
-                with_dropout[i].to_bits(),
-                sums[2][i].to_bits(),
-                "dropout reconstruction diverged at coordinate {i} (survivors {survivors:?})"
-            );
-        }
     });
 }
 

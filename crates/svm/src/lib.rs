@@ -31,13 +31,11 @@ mod linear;
 mod metrics;
 mod model;
 mod random_kernel;
-mod tune;
 
 pub use linear::LinearSvm;
 pub use metrics::{accuracy, confusion, Confusion};
 pub use model::{KernelSvm, SvmParams};
 pub use random_kernel::RandomKernelSvm;
-pub use tune::{cross_validate, grid_search, GridSearchOutcome};
 
 use std::fmt;
 

@@ -1,90 +1,61 @@
-//! The Reduce-step protocols of §V, side by side.
+//! The Reduce-step protocol of §V through the public API.
 //!
-//! Shows that (1) every backend computes the exact same sum, (2) an
-//! individual masked share reveals nothing about its value, and (3) the
-//! communication/computation costs differ by orders of magnitude — the
-//! quantitative form of the paper's "only a limited number of
-//! cryptographic operations" claim.
+//! Trains one horizontally partitioned linear SVM under each of the three
+//! secure-aggregation backends — the paper's pairwise masking, Shamir
+//! threshold sharing and Paillier aggregation — and asserts the models are
+//! equal bit for bit: every backend's fixed-point sum decodes to the same
+//! number, so the protocol choice changes cost and dropout tolerance,
+//! never the model. Then shows what a learner actually sends under the
+//! paper's protocol: its fixed-point encoding hidden under pairwise masks.
 //!
 //! ```text
-//! cargo run --example secure_aggregation --release
+//! cargo run --release --example secure_aggregation
 //! ```
 
 use std::time::Instant;
 
-use ppml::crypto::{
-    AdditiveSharing, FixedPointCodec, MaskingParty, PaillierAggregation, PairwiseMasking, PlainSum,
-    SecureSum, ThresholdSharing,
-};
+use ppml::core::{AdmmConfig, HorizontalLinearSvm, SecAggConfig, SecAggKind, SeededMasker};
+use ppml::data::{synth, Partition};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Four learners' local models (e.g. SVM weight vectors of length 64).
-    let inputs: Vec<Vec<f64>> = (0..4)
-        .map(|m| {
-            (0..64)
-                .map(|i| ((m * 64 + i) as f64 * 0.37).sin())
-                .collect()
-        })
-        .collect();
+    let ds = synth::cancer_like(200, 3);
+    let (train, test) = ds.split(0.5, 4)?;
+    let parts = Partition::horizontal(&train, 4, 5)?;
+    let cfg = AdmmConfig::default().with_max_iter(30);
 
-    let plain = PlainSum.aggregate(&inputs)?;
-
-    let backends: Vec<Box<dyn SecureSum>> = vec![
-        Box::new(PairwiseMasking::new(1)),
-        Box::new(AdditiveSharing::new(2)),
-        Box::new(ThresholdSharing::new(3, 4)),
-        Box::new(PaillierAggregation::keygen(512, 3)?),
-    ];
-
-    println!(
-        "{:<20} {:>12} {:>10} {:>12}",
-        "protocol", "max |err|", "messages", "bytes"
-    );
-    println!(
-        "{:<20} {:>12} {:>10} {:>12}",
-        "plain (insecure)",
-        "0",
-        4,
-        4 * 64 * 8
-    );
-    for backend in &backends {
-        let t = Instant::now();
-        let sum = backend.aggregate(&inputs)?;
-        let elapsed = t.elapsed();
-        let err = sum
-            .iter()
-            .zip(&plain)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
-        let (messages, bytes) = backend.cost(4, 64);
-        println!(
-            "{:<20} {:>12.2e} {:>10} {:>12}   ({elapsed:?})",
-            backend.name(),
-            err,
-            messages,
-            bytes
-        );
+    println!("{:<10} {:>10} {:>12}", "backend", "accuracy", "train time");
+    let mut models = Vec::new();
+    for kind in [
+        SecAggKind::Pairwise,
+        SecAggKind::Shamir,
+        SecAggKind::Paillier,
+    ] {
+        let started = Instant::now();
+        let out = HorizontalLinearSvm::train_with(&parts, &cfg, None, SecAggConfig::new(kind))?;
+        let took = started.elapsed();
+        let accuracy = out.model.accuracy(&test);
+        println!("{:<10} {accuracy:>10.4} {took:>12.1?}", kind.as_str());
+        models.push(out.model);
     }
+    assert!(
+        models.windows(2).all(|pair| pair[0] == pair[1]),
+        "the backends trained different models"
+    );
+    println!("all three backends trained the same model, bit for bit");
 
-    // Peek inside the paper's protocol: the share a learner actually sends.
+    // What the reducer sees from learner 0 of 4 in round 0.
     println!("\ninside pairwise masking (what the reducer sees from learner 0):");
-    let codec = FixedPointCodec::default();
-    let parties: Vec<MaskingParty> = (0..3)
-        .map(|i| MaskingParty::new(i, 3, 1, 100 + i as u64, codec))
-        .collect();
+    let masker = SeededMasker::new(cfg.seed, 0, 4);
     let secret = 0.123_456;
-    let received: Vec<&[u64]> = (1..3)
-        .map(|p| {
-            let k = parties[p].peers().iter().position(|&q| q == 0).unwrap();
-            parties[p].outgoing(k)
-        })
-        .collect();
-    let share = parties[0].masked_share(&[secret], &received)?;
+    let share = masker.mask_share(&[secret], 0)?;
     println!("  secret value     : {secret}");
-    println!("  fixed-point code : {:#018x}", codec.encode_u64(secret)?);
     println!(
-        "  masked share     : {:#018x}  (statistically independent of the secret)",
-        share.payload[0]
+        "  fixed-point code : {:#018x}",
+        masker.codec().encode_u64(secret)?
+    );
+    println!(
+        "  masked share     : {:#018x}  (the masks cancel only in the sum over all four)",
+        share[0]
     );
     Ok(())
 }

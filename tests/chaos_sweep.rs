@@ -31,7 +31,7 @@ use ppml::core::{
     AdmmConfig, Checkpoint, DistributedOutcome, DistributedTiming, RecoveryOptions, SecAggConfig,
     TrainError,
 };
-use ppml::crypto::{FixedPointCodec, MaskedShare, MaskingParty, ThresholdSharing};
+use ppml::crypto::FixedPointCodec;
 use ppml::data::{synth, Dataset, Partition};
 use ppml::svm::LinearSvm;
 use ppml::telemetry::{self, Event, EventKind, RingSink};
@@ -737,12 +737,7 @@ fn wire_tap_sees_only_masked_shares_and_a_lone_share_decodes_to_garbage() {
             })
             .collect();
         for (iteration, payload) in &shares {
-            let share = MaskedShare {
-                party: 0,
-                payload: payload.clone(),
-            };
-            let alone =
-                MaskingParty::combine(std::slice::from_ref(&share), codec).expect("decode share");
+            let alone: Vec<f64> = payload.iter().map(|&v| codec.decode_u64(v)).collect();
             let (_, z) = consensus
                 .iter()
                 .find(|(it, _)| it == iteration)
@@ -1264,7 +1259,7 @@ fn shamir_wire_tap_sees_only_blinded_blocks_and_a_lone_share_decodes_to_garbage(
     // One summed share is a single evaluation of a random degree-(t-1)
     // polynomial whose constant term is the secret sum: decoding it
     // alone must land nowhere near the consensus the round produced.
-    let scheme = ThresholdSharing::new(secagg.effective_threshold(m), cfg.seed);
+    let codec = FixedPointCodec::default();
     let consensus: Vec<(u64, Vec<f64>)> = received
         .lock()
         .expect("tap")
@@ -1277,7 +1272,7 @@ fn shamir_wire_tap_sees_only_blinded_blocks_and_a_lone_share_decodes_to_garbage(
     for (iteration, values) in &sums {
         let alone: Vec<f64> = values
             .iter()
-            .map(|&y| scheme.decode(y) / m as f64)
+            .map(|&y| codec.decode_field(y) / m as f64)
             .collect();
         let (_, z) = consensus
             .iter()
