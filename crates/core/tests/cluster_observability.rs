@@ -25,16 +25,22 @@ use ppml_telemetry::{
 };
 use ppml_transport::{
     Courier, Envelope, LinkStats, LoopbackHub, Message, NetFaultPlan, PartyId, RetryPolicy,
-    Transport, TransportError,
+    Transport, TransportError, FLAG_RETRANSMIT,
 };
 
 const LEARNERS: usize = 4;
 const SLOW: PartyId = 2;
-const LAG: Duration = Duration::from_millis(60);
+/// A host stall of `S` while a round is open delays every share by `S`,
+/// so the laggard scores `1 + LAG / S`: the lag must dwarf the stalls a
+/// loaded 2-core host shows (up to ≈ 60 ms) for the score to clear 2x.
+const LAG: Duration = Duration::from_millis(300);
 
 /// Delegating transport that sleeps before sending each masked share:
 /// the learner behind it runs the real protocol, just late — the
-/// injected fault the straggler scorer exists to catch.
+/// injected fault the straggler scorer exists to catch. Only the first
+/// transmission lags: a lagged ARQ retransmission would keep the learner
+/// from acking the next round's broadcast for a whole `LAG`, past the
+/// coordinator's retry budget, and turn the slow learner into a dead one.
 struct LaggyTransport<T: Transport> {
     inner: T,
     lag: Duration,
@@ -56,7 +62,7 @@ impl<T: Transport> Transport for LaggyTransport<T> {
         seq: u64,
         flags: u16,
     ) -> Result<usize, TransportError> {
-        if matches!(msg, Message::MaskedShare { .. }) {
+        if matches!(msg, Message::MaskedShare { .. }) && flags & FLAG_RETRANSMIT == 0 {
             thread::sleep(self.lag);
         }
         self.inner.send_raw(to, msg, seq, flags)
@@ -164,7 +170,7 @@ fn slow_learner_leads_the_cluster_view_without_touching_the_model() {
     }
 
     // The lagged learner's straggler score leads, and crosses the
-    // flagging threshold: 60 ms of injected lag against a loopback-run
+    // flagging threshold: 300 ms of injected lag against a loopback-run
     // median is far beyond 2x.
     let scores = scores(&body);
     assert_eq!(scores.len(), LEARNERS, "{body}");
