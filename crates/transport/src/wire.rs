@@ -274,6 +274,32 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// A value the frame codec reads back off the wire; each impl is the one
+/// [`Reader`] call for its type, so decoding has a single path.
+pub(crate) trait Decode: Sized {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError>;
+}
+
+macro_rules! decode_via {
+    ($($t:ty => $read:ident),*) => {
+        $(impl Decode for $t {
+            fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                r.$read()
+            }
+        })*
+    };
+}
+
+decode_via!(
+    u32 => u32,
+    u64 => u64,
+    bool => bool,
+    Vec<u32> => vec_u32,
+    Vec<u64> => vec_u64,
+    Vec<f64> => vec_f64,
+    Vec<u8> => byte_vec
+);
+
 #[cfg(test)]
 mod tests {
     use super::*;
