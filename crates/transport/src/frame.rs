@@ -847,10 +847,7 @@ mod tests {
         // Edge shapes the samples do not hold: a Welcome with an empty
         // vector, and a zero nonce.
         for msg in [
-            Message::Join {
-                party: 2,
-                nonce: 0,
-            },
+            Message::Join { party: 2, nonce: 0 },
             Message::Welcome {
                 nonce: 1,
                 iteration: 5,
