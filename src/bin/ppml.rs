@@ -284,13 +284,13 @@ fn model_accuracy(model: &SavedModel, data: &Dataset) -> f64 {
 fn cmd_eval(flags: BTreeMap<String, String>) -> Result<(), String> {
     let model =
         SavedModel::load_auto(Path::new(required(&flags, "model")?)).map_err(|e| e.to_string())?;
-    let data = load_dataset(required(&flags, "data")?)?;
-    let confusion = ppml::svm::confusion((0..data.len()).map(|i| {
-        (
-            model.classify(data.sample(i)).expect("dimension match"),
-            data.label(i),
-        )
-    }));
+    let path = required(&flags, "data")?;
+    let data = load_dataset(path)?;
+    let pairs = (0..data.len())
+        .map(|i| Ok((model.classify(data.sample(i))?, data.label(i))))
+        .collect::<ppml::svm::Result<Vec<_>>>()
+        .map_err(|e| format!("{path}: {e}"))?;
+    let confusion = ppml::svm::confusion(pairs);
     println!("samples   : {}", confusion.total());
     println!("accuracy  : {:.4}", confusion.accuracy());
     println!("precision : {:.4}", confusion.precision());

@@ -406,6 +406,47 @@ fn eval_reports_identically_for_text_and_binary_models() {
 }
 
 #[test]
+fn eval_rejects_a_dataset_of_the_wrong_width() {
+    let dir = scratch_dir("eval_width");
+    let data = dir.join("data.csv");
+    let model = dir.join("model.bin");
+    let wide = dir.join("wide.csv");
+    run_ppml(&[
+        "gen",
+        "--dataset",
+        "blobs",
+        "--n",
+        "60",
+        "--seed",
+        "3",
+        "--out",
+        data.to_str().unwrap(),
+    ]);
+    run_ppml(&[
+        "train",
+        "--mode",
+        "central",
+        "--data",
+        data.to_str().unwrap(),
+        "--model-out",
+        model.to_str().unwrap(),
+    ]);
+    // Three features and a label per row; the model was trained on two.
+    std::fs::write(&wide, "0.5,1.0,-2.0,1\n-1.5,0.25,3.0,-1\n").unwrap();
+
+    let out = Command::new(PPML)
+        .args(["eval", "--model", model.to_str().unwrap()])
+        .args(["--data", wide.to_str().unwrap()])
+        .output()
+        .expect("run ppml");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("error:"), "{stderr}");
+    assert!(stderr.contains("expected 2 features, found 3"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn serve_refuses_bad_inputs_with_typed_exit_codes() {
     let dir = scratch_dir("exit_codes");
     // Missing --model → usage (2).
