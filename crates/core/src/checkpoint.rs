@@ -40,9 +40,9 @@ use crate::error::TrainError;
 use crate::Result;
 
 /// Leading magic of every checkpoint file.
-pub const CHECKPOINT_MAGIC: &[u8; 8] = b"PPMLCKPT";
+const CHECKPOINT_MAGIC: &[u8; 8] = b"PPMLCKPT";
 /// Format version written by this build; loading rejects anything else.
-pub const CHECKPOINT_VERSION: u16 = 1;
+const CHECKPOINT_VERSION: u16 = 1;
 
 /// Everything the coordinator needs to continue a run after a crash.
 ///

@@ -1106,9 +1106,11 @@ pub(crate) fn learn<L: Learner, T: Transport>(
     }
 }
 
-/// [`learn`] over the HL learner side — what every public `learn_linear*`
-/// and `rejoin_linear*` entry point runs: builds the learner over `data`
-/// and reads the final consensus as the linear model.
+/// [`learn`] over the HL learner side — what the public
+/// [`crate::secagg::learn_linear_secagg`],
+/// [`crate::secagg::learn_linear_secagg_with_defect`] and
+/// [`crate::secagg::rejoin_linear_secagg`] run: builds the learner over
+/// `data` and reads the final consensus as the linear model.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn learn_hl<T: Transport>(
     courier: &mut Courier<T>,
@@ -1127,99 +1129,6 @@ pub(crate) fn learn_hl<T: Transport>(
     Ok(LinearSvm::from_parts(zs, s))
 }
 
-/// Pairwise-named convenience: [`crate::secagg::coordinate_linear_secagg`]
-/// with [`SecAggConfig::pairwise`].
-///
-/// # Errors
-///
-/// As [`crate::secagg::coordinate_linear_secagg`].
-pub fn coordinate_linear<T: Transport>(
-    courier: &mut Courier<T>,
-    learners: usize,
-    features: usize,
-    cfg: &AdmmConfig,
-    eval: Option<&Dataset>,
-    timing: DistributedTiming,
-) -> Result<DistributedOutcome> {
-    let recovery = RecoveryOptions::default();
-    coordinate_linear_with_recovery(courier, learners, features, cfg, eval, timing, recovery)
-}
-
-/// Pairwise-named convenience:
-/// [`crate::secagg::coordinate_linear_secagg_with_recovery`] with
-/// [`SecAggConfig::pairwise`].
-///
-/// # Errors
-///
-/// As [`crate::secagg::coordinate_linear_secagg_with_recovery`].
-pub fn coordinate_linear_with_recovery<T: Transport>(
-    courier: &mut Courier<T>,
-    learners: usize,
-    features: usize,
-    cfg: &AdmmConfig,
-    eval: Option<&Dataset>,
-    timing: DistributedTiming,
-    recovery: RecoveryOptions,
-) -> Result<DistributedOutcome> {
-    let secagg = SecAggConfig::pairwise();
-    coordinate(
-        courier, learners, features, cfg, eval, timing, secagg, recovery,
-    )
-}
-
-/// Pairwise-named convenience: [`crate::secagg::learn_linear_secagg`]
-/// with [`SecAggConfig::pairwise`].
-///
-/// # Errors
-///
-/// As [`crate::secagg::learn_linear_secagg`].
-pub fn learn_linear<T: Transport>(
-    courier: &mut Courier<T>,
-    learners: usize,
-    data: &Dataset,
-    cfg: &AdmmConfig,
-    timing: DistributedTiming,
-) -> Result<LinearSvm> {
-    let secagg = SecAggConfig::pairwise();
-    learn_hl(courier, learners, data, cfg, timing, secagg, None, false)
-}
-
-/// Pairwise-named convenience: [`crate::secagg::rejoin_linear_secagg`]
-/// with [`SecAggConfig::pairwise`].
-///
-/// # Errors
-///
-/// As [`crate::secagg::rejoin_linear_secagg`].
-pub fn rejoin_linear<T: Transport>(
-    courier: &mut Courier<T>,
-    learners: usize,
-    data: &Dataset,
-    cfg: &AdmmConfig,
-    timing: DistributedTiming,
-) -> Result<LinearSvm> {
-    let secagg = SecAggConfig::pairwise();
-    learn_hl(courier, learners, data, cfg, timing, secagg, None, true)
-}
-
-/// Pairwise-named convenience:
-/// [`crate::secagg::learn_linear_secagg_with_defect`] with
-/// [`SecAggConfig::pairwise`].
-///
-/// # Errors
-///
-/// As [`crate::secagg::learn_linear_secagg_with_defect`].
-pub fn learn_linear_with_defect<T: Transport>(
-    courier: &mut Courier<T>,
-    learners: usize,
-    data: &Dataset,
-    cfg: &AdmmConfig,
-    timing: DistributedTiming,
-    defect_after: u64,
-) -> Result<LinearSvm> {
-    let (secagg, defect) = (SecAggConfig::pairwise(), Some(defect_after));
-    learn_hl(courier, learners, data, cfg, timing, secagg, defect, false)
-}
-
 /// Validates a set of horizontal partitions and returns the feature
 /// count, for callers that need `features` before spawning a
 /// coordinator. Re-exported from the trainer internals.
@@ -1231,6 +1140,10 @@ pub fn feature_count(parts: &[Dataset]) -> Result<usize> {
 pub(crate) mod tests {
     use super::*;
     use crate::jobs::{train_linear_on_cluster, ClusterTuning};
+    use crate::secagg::{
+        coordinate_linear_secagg, learn_linear_secagg, learn_linear_secagg_with_defect,
+        rejoin_linear_secagg,
+    };
     use ppml_data::{synth, Partition};
     use ppml_transport::{LinkFilter, LoopbackHub, NetFaultPlan, RetryPolicy};
     use std::thread;
@@ -1279,11 +1192,26 @@ pub(crate) mod tests {
             let part = part.clone();
             let cfg = *cfg;
             handles.push(thread::spawn(move || {
-                learn_linear(&mut courier, m, &part, &cfg, timing)
+                learn_linear_secagg(
+                    &mut courier,
+                    m,
+                    &part,
+                    &cfg,
+                    timing,
+                    SecAggConfig::pairwise(),
+                )
             }));
         }
         let mut courier = Courier::new(hub.endpoint(m as PartyId), policy);
-        let outcome = coordinate_linear(&mut courier, m, features, cfg, None, timing);
+        let outcome = coordinate_linear_secagg(
+            &mut courier,
+            m,
+            features,
+            cfg,
+            None,
+            timing,
+            SecAggConfig::pairwise(),
+        );
         let finals = handles
             .into_iter()
             .map(|h| h.join().expect("learner thread"))
@@ -1654,7 +1582,7 @@ pub(crate) mod tests {
         let cfg = AdmmConfig::default().with_max_iter(6).with_seed(11);
         let timing = twitchy();
 
-        // Learner 1 runs `learn_linear_with_defect(.., 2)`: correct for
+        // Learner 1 runs `learn_linear_secagg_with_defect(.., pairwise, 2)`: correct for
         // rounds 0 and 1, then silent-but-ACKing. No network faults at
         // all — the dropout is entirely scripted, so the coordinator
         // must detect it via the round deadline and the result must be
@@ -1668,15 +1596,38 @@ pub(crate) mod tests {
             let part = part.clone();
             handles.push(thread::spawn(move || {
                 if p == 1 {
-                    learn_linear_with_defect(&mut courier, m, &part, &cfg, timing, 2)
+                    learn_linear_secagg_with_defect(
+                        &mut courier,
+                        m,
+                        &part,
+                        &cfg,
+                        timing,
+                        SecAggConfig::pairwise(),
+                        2,
+                    )
                 } else {
-                    learn_linear(&mut courier, m, &part, &cfg, timing)
+                    learn_linear_secagg(
+                        &mut courier,
+                        m,
+                        &part,
+                        &cfg,
+                        timing,
+                        SecAggConfig::pairwise(),
+                    )
                 }
             }));
         }
         let mut courier = Courier::new(hub.endpoint(m as PartyId), RetryPolicy::fast_local());
-        let outcome =
-            coordinate_linear(&mut courier, m, features, &cfg, None, timing).expect("survivors");
+        let outcome = coordinate_linear_secagg(
+            &mut courier,
+            m,
+            features,
+            &cfg,
+            None,
+            timing,
+            SecAggConfig::pairwise(),
+        )
+        .expect("survivors");
         let finals: Vec<Result<LinearSvm>> = handles
             .into_iter()
             .map(|h| h.join().expect("learner thread"))
@@ -1730,8 +1681,16 @@ pub(crate) mod tests {
         let mut learner_courier = Courier::new(hub.endpoint(0), RetryPolicy::fast_local());
         let timing = calm();
         let cfg_l = cfg;
-        let handle =
-            thread::spawn(move || learn_linear(&mut learner_courier, 1, &part, &cfg_l, timing));
+        let handle = thread::spawn(move || {
+            learn_linear_secagg(
+                &mut learner_courier,
+                1,
+                &part,
+                &cfg_l,
+                timing,
+                SecAggConfig::pairwise(),
+            )
+        });
 
         let mut c = Courier::new(hub.endpoint(1), RetryPolicy::fast_local());
         let consensus = |iteration: u64, z: Vec<f64>, s: f64, done: bool| Message::Consensus {
@@ -1916,15 +1875,37 @@ pub(crate) mod tests {
                     // asks back in via Join. The coordinator misses its
                     // round-0 share at the deadline, drops it, then
                     // re-admits it at the round-1 boundary.
-                    rejoin_linear(&mut courier, m, &part, &cfg, timing)
+                    rejoin_linear_secagg(
+                        &mut courier,
+                        m,
+                        &part,
+                        &cfg,
+                        timing,
+                        SecAggConfig::pairwise(),
+                    )
                 } else {
-                    learn_linear(&mut courier, m, &part, &cfg, timing)
+                    learn_linear_secagg(
+                        &mut courier,
+                        m,
+                        &part,
+                        &cfg,
+                        timing,
+                        SecAggConfig::pairwise(),
+                    )
                 }
             }));
         }
         let mut courier = Courier::new(hub.endpoint(m as PartyId), RetryPolicy::fast_local());
-        let outcome =
-            coordinate_linear(&mut courier, m, features, &cfg, None, timing).expect("coordinator");
+        let outcome = coordinate_linear_secagg(
+            &mut courier,
+            m,
+            features,
+            &cfg,
+            None,
+            timing,
+            SecAggConfig::pairwise(),
+        )
+        .expect("coordinator");
         let finals: Vec<Result<LinearSvm>> = handles
             .into_iter()
             .map(|h| h.join().expect("learner thread"))

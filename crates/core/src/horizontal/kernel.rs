@@ -95,39 +95,6 @@ impl KernelConsensusModel {
     pub fn bias(&self) -> f64 {
         self.bias
     }
-
-    /// Number of local expansion points (the learner's own rows).
-    pub fn local_expansion_len(&self) -> usize {
-        self.alpha.len()
-    }
-
-    /// Number of landmark expansion points (`l`).
-    pub fn landmark_expansion_len(&self) -> usize {
-        self.eta.len()
-    }
-
-    /// Collapses the two-part expansion
-    /// `f(x) = K(x, X_m)·α + K(x, X_g)·η + b` into a single
-    /// [`ppml_svm::KernelSvm`] whose "support vectors" are the local
-    /// points stacked on the landmarks — the persistable form the binary
-    /// model format and `ppml-serve` consume. The decision function is
-    /// identical term-for-term.
-    ///
-    /// # Errors
-    ///
-    /// [`ppml_svm::SvmError`] if the stacked expansion is inconsistent
-    /// (cannot happen for a model produced by the trainer).
-    pub fn to_kernel_svm(&self) -> ppml_svm::Result<ppml_svm::KernelSvm> {
-        let support = Matrix::vstack(&self.local_points, &self.landmarks).map_err(|_| {
-            ppml_svm::SvmError::DimensionMismatch {
-                expected: self.local_points.cols(),
-                found: self.landmarks.cols(),
-            }
-        })?;
-        let mut coeffs = self.alpha.clone();
-        coeffs.extend_from_slice(&self.eta);
-        ppml_svm::KernelSvm::from_parts(self.kernel, support, coeffs, self.bias)
-    }
 }
 
 /// One learner's persistent state for the kernel trainer.
@@ -452,27 +419,6 @@ mod tests {
             (0..test.len()).map(|i| (model.classify(test.sample(i)), test.label(i))),
         );
         assert_eq!(model.accuracy(&test), per_row);
-    }
-
-    #[test]
-    fn to_kernel_svm_matches_the_expansion_decision() {
-        let ds = synth::xor_like(160, 4);
-        let (train, test) = ds.split(0.5, 5).unwrap();
-        let parts = Partition::horizontal(&train, 3, 6).unwrap();
-        let out = HorizontalKernelSvm::train(&parts, &cfg_small(), None).unwrap();
-        let collapsed = out.model.to_kernel_svm().unwrap();
-        assert_eq!(
-            collapsed.support_vector_count(),
-            out.model.local_expansion_len() + out.model.landmark_expansion_len()
-        );
-        for i in 0..test.len() {
-            let x = test.sample(i);
-            let a = collapsed.decision(x).unwrap();
-            let b = out.model.decision(x);
-            // Same terms, one fused summation vs two partial sums — equal
-            // up to float re-association only.
-            assert!((a - b).abs() <= 1e-9 * b.abs().max(1.0), "{a} vs {b}");
-        }
     }
 
     #[test]

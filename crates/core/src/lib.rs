@@ -59,7 +59,6 @@ mod error;
 mod history;
 pub mod jobs;
 mod masks;
-pub mod multiclass;
 mod observe;
 mod round;
 pub mod secagg;

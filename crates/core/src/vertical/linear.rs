@@ -97,15 +97,6 @@ impl VerticalLinearModel {
         ppml_svm::LinearSvm::from_parts(w, self.bias)
     }
 
-    /// Learner `m`'s weight slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is out of bounds.
-    pub fn weight_slice(&self, m: usize) -> &[f64] {
-        &self.weight_slices[m]
-    }
-
     /// The bias term.
     pub fn bias(&self) -> f64 {
         self.bias

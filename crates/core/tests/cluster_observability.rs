@@ -14,8 +14,10 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use ppml_core::distributed::{coordinate_linear, feature_count, learn_linear};
-use ppml_core::{AdmmConfig, DistributedTiming};
+use ppml_core::distributed::feature_count;
+use ppml_core::{
+    coordinate_linear_secagg, learn_linear_secagg, AdmmConfig, DistributedTiming, SecAggConfig,
+};
 use ppml_data::{synth, Dataset, Partition};
 use ppml_svm::LinearSvm;
 use ppml_telemetry as telemetry;
@@ -100,16 +102,38 @@ fn run_pairwise(parts: &[Dataset], cfg: &AdmmConfig, lag: Duration) -> LinearSvm
                     },
                     RetryPolicy::fast_local(),
                 );
-                learn_linear(&mut courier, m, &part, &cfg, timing)
+                learn_linear_secagg(
+                    &mut courier,
+                    m,
+                    &part,
+                    &cfg,
+                    timing,
+                    SecAggConfig::pairwise(),
+                )
             } else {
                 let mut courier = Courier::new(endpoint, RetryPolicy::fast_local());
-                learn_linear(&mut courier, m, &part, &cfg, timing)
+                learn_linear_secagg(
+                    &mut courier,
+                    m,
+                    &part,
+                    &cfg,
+                    timing,
+                    SecAggConfig::pairwise(),
+                )
             }
         }));
     }
     let mut courier = Courier::new(hub.endpoint(m as PartyId), RetryPolicy::fast_local());
-    let outcome =
-        coordinate_linear(&mut courier, m, features, cfg, None, timing).expect("run must complete");
+    let outcome = coordinate_linear_secagg(
+        &mut courier,
+        m,
+        features,
+        cfg,
+        None,
+        timing,
+        SecAggConfig::pairwise(),
+    )
+    .expect("run must complete");
     assert!(
         outcome.dropped.is_empty(),
         "a slow learner is not a dead one"

@@ -13,8 +13,11 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use ppml_core::distributed::{coordinate_linear, feature_count, learn_linear};
-use ppml_core::{AdmmConfig, DistributedTiming, SeededMasker};
+use ppml_core::distributed::feature_count;
+use ppml_core::{
+    coordinate_linear_secagg, learn_linear_secagg, AdmmConfig, DistributedTiming, SecAggConfig,
+    SeededMasker,
+};
 use ppml_data::{synth, Partition};
 use ppml_telemetry as telemetry;
 use ppml_telemetry::{Event, EventKind, FanoutSink, JsonlSink, RingSink, Sink};
@@ -130,7 +133,14 @@ fn jsonl_replay_contains_the_dropout_story() {
                     },
                 )
                 .expect("announce");
-            learn_linear(&mut courier, LEARNERS, &part, &cfg, timing)
+            learn_linear_secagg(
+                &mut courier,
+                LEARNERS,
+                &part,
+                &cfg,
+                timing,
+                SecAggConfig::pairwise(),
+            )
         }));
     }
     let lame = thread::spawn(move || lame_learner(addr, cfg, features));
@@ -141,8 +151,16 @@ fn jsonl_replay_contains_the_dropout_story() {
         thread::sleep(Duration::from_millis(20));
     }
 
-    let outcome = coordinate_linear(&mut coordinator, LEARNERS, features, &cfg, None, timing)
-        .expect("survivors must finish");
+    let outcome = coordinate_linear_secagg(
+        &mut coordinator,
+        LEARNERS,
+        features,
+        &cfg,
+        None,
+        timing,
+        SecAggConfig::pairwise(),
+    )
+    .expect("survivors must finish");
     assert_eq!(outcome.dropped, vec![1], "party 1 must be declared dead");
     for handle in handles {
         let model = handle.join().expect("learner thread").expect("survivor");

@@ -267,7 +267,8 @@ impl BigUint {
     }
 
     /// `(self - other) mod m`; operands must already be `< m`.
-    pub fn mod_sub(&self, other: &BigUint, m: &BigUint) -> BigUint {
+    #[cfg(test)]
+    fn mod_sub(&self, other: &BigUint, m: &BigUint) -> BigUint {
         debug_assert!(self < m && other < m);
         if self >= other {
             self.sub(other)

@@ -59,11 +59,6 @@ impl FixedPointCodec {
         FixedPointCodec { scale_bits }
     }
 
-    /// Fractional bits of precision.
-    pub fn scale_bits(&self) -> u32 {
-        self.scale_bits
-    }
-
     /// The scale factor `2^scale_bits`.
     pub fn scale(&self) -> f64 {
         (1u64 << self.scale_bits) as f64
@@ -77,7 +72,7 @@ impl FixedPointCodec {
     /// Largest magnitude a single value may have: `2⁶² / scale / max_parties`
     /// — guarantees sums of up to [`Self::max_parties`] encodings cannot
     /// wrap past the sign boundary.
-    pub fn max_value(&self) -> f64 {
+    fn max_value(&self) -> f64 {
         (1u64 << 62) as f64 / self.scale() / Self::max_parties() as f64
     }
 
@@ -91,7 +86,7 @@ impl FixedPointCodec {
     /// # Errors
     ///
     /// [`CryptoError::ValueOutOfRange`] for non-finite input or magnitude
-    /// above [`Self::max_value`].
+    /// above `2⁶² / scale / max_parties` (see [`Self::max_parties`]).
     pub fn encode_i64(&self, v: f64) -> Result<i64> {
         if !v.is_finite() || v.abs() > self.max_value() {
             return Err(CryptoError::ValueOutOfRange {
@@ -345,7 +340,7 @@ mod tests {
     #[test]
     fn scale_parameters() {
         let c = FixedPointCodec::new(16);
-        assert_eq!(c.scale_bits(), 16);
+        assert_eq!(c.scale_bits, 16);
         assert_eq!(c.scale(), 65536.0);
         assert!(c.max_value() > 1e6);
     }

@@ -31,7 +31,8 @@ impl PaillierPublicKey {
     }
 
     /// `n²`; ciphertexts live in `Z_{n²}*`.
-    pub fn modulus_squared(&self) -> &BigUint {
+    #[cfg(test)]
+    fn modulus_squared(&self) -> &BigUint {
         &self.n_squared
     }
 
@@ -126,7 +127,7 @@ pub struct Paillier {
 impl Paillier {
     /// Minimum accepted modulus size. Far below cryptographic strength —
     /// the floor only guards against degenerate arithmetic in tests.
-    pub const MIN_BITS: usize = 64;
+    const MIN_BITS: usize = 64;
 
     /// Generates a fresh key pair with an `bits`-bit modulus.
     ///

@@ -21,7 +21,7 @@ pub struct Gen {
 impl Gen {
     /// Generator for `case` of the property named `name` (FNV-1a of the
     /// name mixed with the case index, so properties are independent).
-    pub fn for_case(name: &str, case: usize) -> Self {
+    fn for_case(name: &str, case: usize) -> Self {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in name.bytes() {
             h ^= u64::from(b);

@@ -38,7 +38,6 @@
 pub mod check;
 mod dataset;
 mod error;
-pub mod multiclass;
 mod partition;
 pub mod rng;
 pub mod synth;

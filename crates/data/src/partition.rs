@@ -124,24 +124,10 @@ impl VerticalView {
         self.y.len()
     }
 
-    /// Splits a full test sample into per-learner slices matching this
-    /// partition — what each learner would see of a new record at
-    /// prediction time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sample` is shorter than the highest partitioned feature
-    /// index.
-    pub fn slice_sample(&self, sample: &[f64]) -> Vec<Vec<f64>> {
-        self.feature_sets
-            .iter()
-            .map(|cols| cols.iter().map(|&c| sample[c]).collect())
-            .collect()
-    }
-
     /// Re-assembles the full feature matrix (tests only — doing this in
     /// production would defeat the privacy design).
-    pub fn reassemble(&self) -> Matrix {
+    #[cfg(test)]
+    fn reassemble(&self) -> Matrix {
         let total: usize = self.feature_sets.iter().map(Vec::len).sum();
         let mut x = Matrix::zeros(self.rows(), total);
         for (part, cols) in self.parts.iter().zip(&self.feature_sets) {
@@ -223,17 +209,6 @@ mod tests {
         let ds = toy(5, 7);
         let view = Partition::vertical(&ds, 2, 3).unwrap();
         assert!(view.reassemble().max_abs_diff(ds.x()).unwrap() < 1e-15);
-    }
-
-    #[test]
-    fn vertical_slice_sample_matches_parts() {
-        let ds = toy(4, 6);
-        let view = Partition::vertical(&ds, 2, 9).unwrap();
-        let sample = ds.sample(2);
-        let slices = view.slice_sample(sample);
-        for (m, slice) in slices.iter().enumerate() {
-            assert_eq!(slice.as_slice(), view.part(m).row(2));
-        }
     }
 
     #[test]

@@ -45,11 +45,6 @@ pub struct LandmarkSet {
 }
 
 impl LandmarkSet {
-    /// Builds a landmark set from explicitly chosen points (one per row).
-    pub fn from_points(points: Matrix) -> Self {
-        LandmarkSet { points }
-    }
-
     /// Samples `l` distinct rows of `data` using a splittable xorshift
     /// stream seeded with `seed` (deterministic across runs and platforms).
     ///

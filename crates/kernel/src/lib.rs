@@ -254,7 +254,8 @@ impl Kernel {
     /// `true` for kernels that are positive definite for all parameter
     /// choices used here (linear, polynomial with `a>0, b≥0`, RBF with
     /// `γ>0`).
-    pub fn is_positive_definite(&self) -> bool {
+    #[cfg(test)]
+    fn is_positive_definite(&self) -> bool {
         match *self {
             Kernel::Linear => true,
             Kernel::Polynomial { a, b, .. } => a > 0.0 && b >= 0.0,

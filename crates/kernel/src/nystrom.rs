@@ -73,7 +73,7 @@ impl NystromFactor {
     /// # Errors
     ///
     /// As [`NystromFactor::fit`].
-    pub fn fit_with_landmarks(
+    fn fit_with_landmarks(
         x: &Matrix,
         kernel: Kernel,
         landmarks: Matrix,
@@ -144,7 +144,8 @@ impl NystromFactor {
     }
 
     /// Materializes `K̃` (tests only — quadratic memory).
-    pub fn approx_gram(&self) -> Result<Matrix, LinalgError> {
+    #[cfg(test)]
+    fn approx_gram(&self) -> Result<Matrix, LinalgError> {
         // K̃ = C·W⁻¹·Cᵀ.
         let winv_ct = self.chol_w.solve_matrix(&self.c.transpose())?;
         self.c.matmul(&winv_ct)

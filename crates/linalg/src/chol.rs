@@ -146,11 +146,6 @@ impl Cholesky {
         // solve_matrix on identity cannot fail: shapes match by construction.
         self.solve_matrix(&id).expect("identity has matching shape")
     }
-
-    /// `log(det(A))`, computed stably from the factor diagonal.
-    pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
 }
 
 #[cfg(test)]
@@ -222,12 +217,6 @@ mod tests {
     fn solve_checks_rhs_length() {
         let c = spd(4, 1).cholesky().unwrap();
         assert!(c.solve(&[1.0; 3]).is_err());
-    }
-
-    #[test]
-    fn log_det_of_identity_is_zero() {
-        let c = Matrix::identity(5).cholesky().unwrap();
-        assert!(c.log_det().abs() < 1e-12);
     }
 
     #[test]

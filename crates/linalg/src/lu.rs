@@ -25,8 +25,6 @@ pub struct Lu {
     lu: Matrix,
     /// Row permutation: factored row `i` came from original row `perm[i]`.
     perm: Vec<usize>,
-    /// Sign of the permutation, for determinants.
-    sign: f64,
 }
 
 impl Lu {
@@ -43,7 +41,6 @@ impl Lu {
         }
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
         for k in 0..n {
             // Pivot search in column k.
             let mut p = k;
@@ -60,7 +57,6 @@ impl Lu {
             }
             if p != k {
                 perm.swap(p, k);
-                sign = -sign;
                 // Swap rows p and k.
                 for j in 0..n {
                     let tmp = lu[(k, j)];
@@ -80,7 +76,7 @@ impl Lu {
                 }
             }
         }
-        Ok(Lu { lu, perm, sign })
+        Ok(Lu { lu, perm })
     }
 
     /// Size of the factored matrix.
@@ -145,13 +141,16 @@ impl Lu {
         self.solve_matrix(&id).expect("identity has matching shape")
     }
 
-    /// Determinant of `A`, from the pivot product and permutation sign.
-    pub fn det(&self) -> f64 {
-        let mut d = self.sign;
-        for i in 0..self.dim() {
-            d *= self.lu[(i, i)];
-        }
-        d
+    /// Determinant of `A`: the pivot product, signed by the parity of the
+    /// row permutation's inversions.
+    #[cfg(test)]
+    fn det(&self) -> f64 {
+        let n = self.dim();
+        let inversions = (0..n)
+            .flat_map(|i| (i + 1..n).filter(move |&j| self.perm[i] > self.perm[j]))
+            .count();
+        let sign = if inversions % 2 == 0 { 1.0 } else { -1.0 };
+        (0..n).fold(sign, |d, i| d * self.lu[(i, i)])
     }
 }
 

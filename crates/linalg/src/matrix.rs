@@ -434,27 +434,6 @@ impl Matrix {
             data,
         }
     }
-
-    /// Stacks `self` on top of `other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] when column counts differ.
-    pub fn vstack(&self, other: &Matrix) -> Result<Matrix> {
-        if self.cols != other.cols {
-            return Err(LinalgError::ShapeMismatch {
-                expected: (other.rows, self.cols),
-                found: other.shape(),
-            });
-        }
-        let mut data = self.data.clone();
-        data.extend_from_slice(&other.data);
-        Ok(Matrix {
-            rows: self.rows + other.rows,
-            cols: self.cols,
-            data,
-        })
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -614,14 +593,6 @@ mod tests {
         );
         let c = a.select_cols(&[1]);
         assert_eq!(c, Matrix::from_rows(&[&[2.0], &[5.0], &[8.0]]).unwrap());
-    }
-
-    #[test]
-    fn vstack_checks_columns() {
-        let a = Matrix::zeros(1, 2);
-        let b = Matrix::zeros(2, 2);
-        assert_eq!(a.vstack(&b).unwrap().shape(), (3, 2));
-        assert!(a.vstack(&Matrix::zeros(1, 3)).is_err());
     }
 
     #[test]

@@ -102,13 +102,6 @@ where
     Some(acc)
 }
 
-/// Clamps every entry of `x` into `[lo, hi]` in place.
-pub fn clamp_in_place(x: &mut [f64], lo: f64, hi: f64) {
-    for v in x {
-        *v = v.clamp(lo, hi);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,12 +146,5 @@ mod tests {
         let m = mean(vs.iter().map(|v| v.as_slice())).unwrap();
         assert_eq!(m, vec![2.0, 4.0]);
         assert!(mean(std::iter::empty::<&[f64]>()).is_none());
-    }
-
-    #[test]
-    fn clamp_clamps() {
-        let mut x = vec![-1.0, 0.5, 2.0];
-        clamp_in_place(&mut x, 0.0, 1.0);
-        assert_eq!(x, vec![0.0, 0.5, 1.0]);
     }
 }

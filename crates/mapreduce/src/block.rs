@@ -118,7 +118,8 @@ impl<T> BlockStore<T> {
     }
 
     /// Blocks whose replica set includes `node`.
-    pub fn blocks_on(&self, node: NodeId) -> Vec<BlockId> {
+    #[cfg(test)]
+    fn blocks_on(&self, node: NodeId) -> Vec<BlockId> {
         self.placement
             .iter()
             .filter(|(_, reps)| reps.contains(&node))

@@ -694,12 +694,14 @@ where
     }
 
     /// Number of iterations driven so far.
-    pub fn iterations_run(&self) -> usize {
+    #[cfg(test)]
+    fn iterations_run(&self) -> usize {
         self.iteration
     }
 
     /// Nodes not declared dead so far.
-    pub fn live_nodes(&self) -> usize {
+    #[cfg(test)]
+    fn live_nodes(&self) -> usize {
         self.dead.iter().filter(|d| !**d).count()
     }
 

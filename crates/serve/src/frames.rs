@@ -48,7 +48,8 @@ impl FrameServer {
     ///
     /// # Errors
     ///
-    /// Any [`std::io::Error`] from binding the listener.
+    /// Any [`std::io::Error`] from binding the listener or spawning its
+    /// accept thread.
     pub fn serve(addr: &str, engine: Arc<Engine>) -> std::io::Result<FrameServer> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
@@ -57,8 +58,7 @@ impl FrameServer {
         let stop_flag = stop.clone();
         let handle = std::thread::Builder::new()
             .name("ppml-frames".into())
-            .spawn(move || accept_loop(listener, engine, stop_flag))
-            .expect("spawn frame accept thread");
+            .spawn(move || accept_loop(listener, engine, stop_flag))?;
         Ok(FrameServer {
             addr,
             stop,

@@ -55,7 +55,7 @@ impl LinearSvm {
     ///
     /// Panics if the model was trained with a non-linear kernel (weights do
     /// not exist in input space then).
-    pub fn from_kernel_model(model: &KernelSvm) -> Self {
+    fn from_kernel_model(model: &KernelSvm) -> Self {
         assert_eq!(
             model.kernel(),
             Kernel::Linear,

@@ -200,7 +200,8 @@ impl KernelSvm {
     }
 
     /// Number of support vectors.
-    pub fn support_vector_count(&self) -> usize {
+    #[cfg(test)]
+    fn support_vector_count(&self) -> usize {
         self.coeffs.len()
     }
 

@@ -83,7 +83,7 @@ impl RandomKernelSvm {
     /// # Errors
     ///
     /// [`SvmError::DimensionMismatch`] when feature dimensions differ.
-    pub fn disclosed_view(&self, data: &Dataset) -> Result<Dataset> {
+    fn disclosed_view(&self, data: &Dataset) -> Result<Dataset> {
         transform(data, &self.basis, self.kernel)
     }
 

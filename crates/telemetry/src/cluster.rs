@@ -26,7 +26,7 @@ pub const SLOW_SCORE_THRESHOLD: f64 = 2.0;
 /// Lags under a millisecond are never flagged, whatever the ratio —
 /// in-process loopback rounds finish in microseconds and tiny absolute
 /// jitter would otherwise read as a straggler.
-pub const SLOW_MIN_LAG_NS: u64 = 1_000_000;
+const SLOW_MIN_LAG_NS: u64 = 1_000_000;
 
 /// SplitMix64 finalizer — the span-id mix shared by the learner relay
 /// and `ppml-trace`'s causal merge (`span = mix64(run_id ^ iteration)`).
@@ -82,7 +82,7 @@ pub struct StragglerVerdict {
 
 impl StragglerVerdict {
     /// Whether this verdict crosses the flagging thresholds (relative
-    /// score *and* absolute lag — see [`SLOW_MIN_LAG_NS`]).
+    /// score *and* an absolute lag of at least 1 ms).
     #[must_use]
     pub fn is_slow(&self) -> bool {
         self.score >= SLOW_SCORE_THRESHOLD && self.lag_ns >= SLOW_MIN_LAG_NS

@@ -14,11 +14,11 @@
 //! and model coordinates are not representable upstream in the event
 //! vocabulary, so they cannot transit that endpoint.
 //!
-//! Defenses for the public role: request heads over [`MAX_HEAD`] and
-//! bodies over [`MAX_BODY`] are answered `413`; a method no route uses
-//! gets `405`, an unknown path `404`, and an unparseable request line
-//! `400`. A half-open peer is cut off by the per-connection timeout
-//! without wedging the accept loop.
+//! Defenses for the public role: request heads over 8 KiB and bodies
+//! over 4 MiB are answered `413`; a method no route uses gets `405`, an
+//! unknown path `404`, and an unparseable request line `400`. A
+//! half-open peer is cut off by the per-connection timeout without
+//! wedging the accept loop.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -36,9 +36,9 @@ const CONN_TIMEOUT: Duration = Duration::from_secs(2);
 /// Accept-poll interval while idle.
 const POLL: Duration = Duration::from_millis(25);
 /// Longest request head we will buffer before answering 413.
-pub const MAX_HEAD: usize = 8 * 1024;
+const MAX_HEAD: usize = 8 * 1024;
 /// Longest request body we will read before answering 413.
-pub const MAX_BODY: usize = 4 * 1024 * 1024;
+const MAX_BODY: usize = 4 * 1024 * 1024;
 
 /// One parsed HTTP request, as much of it as handlers need.
 pub struct Request {
@@ -161,7 +161,8 @@ impl HttpServer {
     ///
     /// # Errors
     ///
-    /// Any [`std::io::Error`] from binding the listener.
+    /// Any [`std::io::Error`] from binding the listener or spawning its
+    /// accept thread.
     pub fn serve(addr: &str, router: Router) -> std::io::Result<HttpServer> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
@@ -171,8 +172,7 @@ impl HttpServer {
         let router = Arc::new(router);
         let handle = std::thread::Builder::new()
             .name("ppml-http".into())
-            .spawn(move || accept_loop(listener, router, stop_flag))
-            .expect("spawn http accept thread");
+            .spawn(move || accept_loop(listener, router, stop_flag))?;
         Ok(HttpServer {
             addr,
             stop,
@@ -345,7 +345,8 @@ impl MetricsServer {
     ///
     /// # Errors
     ///
-    /// Any [`std::io::Error`] from binding the listener.
+    /// Any [`std::io::Error`] from binding the listener or spawning its
+    /// accept thread.
     pub fn serve(addr: &str, registry: Arc<MetricsRegistry>) -> std::io::Result<MetricsServer> {
         let render = {
             let registry = registry.clone();

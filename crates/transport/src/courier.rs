@@ -72,6 +72,7 @@ impl DedupState {
         true
     }
 
+    #[cfg(test)]
     fn footprint(&self) -> usize {
         self.window.len()
     }
@@ -117,7 +118,8 @@ impl<T: Transport> Courier<T> {
     /// Number of out-of-order sequence numbers currently held for `from`
     /// (diagnostics; the contiguous watermark itself is O(1)). Bounded by
     /// a small constant however much traffic the link has carried.
-    pub fn dedup_footprint(&self, from: PartyId) -> usize {
+    #[cfg(test)]
+    fn dedup_footprint(&self, from: PartyId) -> usize {
         self.seen.get(&from).map_or(0, DedupState::footprint)
     }
 

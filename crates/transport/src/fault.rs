@@ -87,23 +87,16 @@ struct Rule {
 /// nondeterministic), every subsequent frame from *or to* the party is
 /// destroyed. That is what a killed process looks like to the network:
 /// nothing more comes out of it, and everything sent its way lands nowhere.
-///
-/// With `until` set the death is a *window*: the party revives once its
-/// countable-frame counter reaches `until`. Frames keep being counted while
-/// dead (the process restarting still tries to talk), so the revival point
-/// is as deterministic as the kill point — the chaos harness uses this for
-/// timed kill-then-restart schedules.
 #[derive(Debug, Clone)]
 struct KillRule {
     party: PartyId,
     after: u32,
-    until: Option<u32>,
     counted: u32,
 }
 
 impl KillRule {
     fn dead(&self) -> bool {
-        self.counted >= self.after && self.until.is_none_or(|u| self.counted < u)
+        self.counted >= self.after
     }
 }
 
@@ -161,24 +154,6 @@ impl NetFaultPlan {
         self.kills.push(KillRule {
             party,
             after: n_frames,
-            until: None,
-            counted: 0,
-        });
-        self
-    }
-
-    /// Kills `party` for a *window* of its own countable frames: dead from
-    /// its `after`-th original frame, revived at its `until`-th (so `until`
-    /// must exceed `after` for the window to exist). While dead the party's
-    /// protocol frames are destroyed but still counted — a restarted
-    /// process keeps emitting (fresh sends, `Join` probes), and those
-    /// attempts are what march the counter to the revival point. The chaos
-    /// harness scripts deterministic kill-then-restart schedules with this.
-    pub fn kill_party_between(mut self, party: PartyId, after: u32, until: u32) -> Self {
-        self.kills.push(KillRule {
-            party,
-            after,
-            until: Some(until),
             counted: 0,
         });
         self
@@ -211,8 +186,6 @@ impl NetFaultPlan {
         ) && frame.flags & FLAG_RETRANSMIT == 0;
         // The verdict for this frame uses the counters as they stood
         // *before* it: the frame that exhausts a kill budget still passes.
-        // Counting never stops, even while dead, so a kill window's
-        // revival point stays frame-deterministic.
         let mut killed = false;
         for kill in &mut self.kills {
             if kill.dead() && (frame.from == kill.party || frame.to == kill.party) {
@@ -317,21 +290,6 @@ mod tests {
         assert_eq!(plan.apply(&probe(3, 1, 9)), Some(FaultAction::Drop));
         // Unrelated links are untouched.
         assert_eq!(plan.apply(&share(0, 3, 5)), None);
-    }
-
-    #[test]
-    fn kill_window_revives_the_party_deterministically() {
-        let mut plan = NetFaultPlan::none().kill_party_between(1, 2, 4);
-        assert_eq!(plan.apply(&share(1, 3, 1)), None);
-        assert_eq!(plan.apply(&share(1, 3, 2)), None);
-        // Dead: frames are destroyed in both directions, but the party's
-        // own originals are still counted toward the revival point.
-        assert_eq!(plan.apply(&share(1, 3, 3)), Some(FaultAction::Drop));
-        assert_eq!(plan.apply(&probe(3, 1, 9)), Some(FaultAction::Drop));
-        assert_eq!(plan.apply(&share(1, 3, 4)), Some(FaultAction::Drop));
-        // Counter reached `until`: the party is back in both directions.
-        assert_eq!(plan.apply(&share(1, 3, 5)), None);
-        assert_eq!(plan.apply(&probe(3, 1, 10)), None);
     }
 
     #[test]

@@ -458,7 +458,7 @@ impl Frame {
     }
 
     /// Total on-wire size of this frame.
-    pub fn encoded_len(&self) -> usize {
+    fn encoded_len(&self) -> usize {
         Self::encoded_len_of(&self.msg)
     }
 

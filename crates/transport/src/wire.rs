@@ -262,7 +262,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads an 8-byte length prefix followed by that many raw bytes.
-    pub fn byte_vec(&mut self) -> Result<Vec<u8>, WireError> {
+    fn byte_vec(&mut self) -> Result<Vec<u8>, WireError> {
         let n = self.vec_len()?;
         Ok(self.take(n)?.to_vec())
     }

@@ -30,10 +30,11 @@ use std::process::{Child, Command};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ppml::core::distributed::{coordinate_linear, feature_count, learn_linear};
+use ppml::core::distributed::feature_count;
 use ppml::core::jobs::{train_linear_on_cluster, ClusterTuning};
-use ppml::core::AdmmConfig;
-use ppml::core::DistributedTiming;
+use ppml::core::{
+    coordinate_linear_secagg, learn_linear_secagg, AdmmConfig, DistributedTiming, SecAggConfig,
+};
 use ppml::data::{synth, Dataset, Partition};
 use ppml::telemetry::{
     self, Event, FanoutSink, JsonlSink, MetricsServer, MetricsSink, Sink, SummarySink,
@@ -90,7 +91,15 @@ fn learner_process(party: usize, coordinator: SocketAddr, telemetry_path: Option
     let timing = DistributedTiming::default()
         .with_round_deadline(Duration::from_secs(15))
         .with_learner_patience(Duration::from_secs(30));
-    let model = learn_linear(&mut courier, LEARNERS, &parts[party], &cfg, timing).expect("learner");
+    let model = learn_linear_secagg(
+        &mut courier,
+        LEARNERS,
+        &parts[party],
+        &cfg,
+        timing,
+        SecAggConfig::pairwise(),
+    )
+    .expect("learner");
     println!(
         "learner {party} (pid {}): consensus bias {:+.6}",
         std::process::id(),
@@ -204,8 +213,16 @@ fn main() {
     let timing = DistributedTiming::default()
         .with_round_deadline(Duration::from_secs(15))
         .with_learner_patience(Duration::from_secs(30));
-    let outcome = coordinate_linear(&mut courier, LEARNERS, features, &cfg, None, timing)
-        .expect("coordinate");
+    let outcome = coordinate_linear_secagg(
+        &mut courier,
+        LEARNERS,
+        features,
+        &cfg,
+        None,
+        timing,
+        SecAggConfig::pairwise(),
+    )
+    .expect("coordinate");
 
     if let Some(handle) = scraper {
         let body = handle.join().expect("scraper thread");

@@ -3,7 +3,7 @@
 //!
 //! Every schedule drives a full star-topology training run through the
 //! loopback hub under a seeded, frame-count-based fault plan — drops,
-//! duplicates, delays, one-way partitions, timed kill windows for both
+//! duplicates, delays, one-way partitions, frame-counted kills of both
 //! learners and the coordinator — and asserts the survivors' models
 //! against exact references plus the telemetry story of the recovery.
 //! Fault points are counted in protocol frames, not wall-clock, so each
@@ -19,9 +19,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::Duration;
 
-use ppml::core::distributed::{
-    coordinate_linear, feature_count, learn_linear, learn_linear_with_defect, rejoin_linear,
-};
+use ppml::core::distributed::feature_count;
 use ppml::core::jobs::{train_linear_on_cluster, ClusterTuning};
 use ppml::core::secagg::{
     coordinate_linear_secagg, coordinate_linear_secagg_with_recovery, learn_linear_secagg,
@@ -102,12 +100,29 @@ fn run_star(
             let part = part.clone();
             let cfg = *cfg;
             let timing = learner_timing[p];
-            thread::spawn(move || learn_linear(&mut courier, m, &part, &cfg, timing))
+            thread::spawn(move || {
+                learn_linear_secagg(
+                    &mut courier,
+                    m,
+                    &part,
+                    &cfg,
+                    timing,
+                    SecAggConfig::pairwise(),
+                )
+            })
         })
         .collect();
     let mut courier = Courier::new(hub.endpoint(m as PartyId), RetryPolicy::fast_local());
     let features = feature_count(parts).expect("partitions");
-    let outcome = coordinate_linear(&mut courier, m, features, cfg, None, coord_timing);
+    let outcome = coordinate_linear_secagg(
+        &mut courier,
+        m,
+        features,
+        cfg,
+        None,
+        coord_timing,
+        SecAggConfig::pairwise(),
+    );
     let learners = handles
         .into_iter()
         .map(|h| h.join().expect("learner thread"))
@@ -138,13 +153,30 @@ fn run_star_without(
             let mut courier = Courier::new(hub.endpoint(p as PartyId), RetryPolicy::fast_local());
             let part = part.clone();
             let cfg = *cfg;
-            thread::spawn(move || learn_linear(&mut courier, m, &part, &cfg, timing))
+            thread::spawn(move || {
+                learn_linear_secagg(
+                    &mut courier,
+                    m,
+                    &part,
+                    &cfg,
+                    timing,
+                    SecAggConfig::pairwise(),
+                )
+            })
         })
         .collect();
     let mut courier = Courier::new(hub.endpoint(m as PartyId), RetryPolicy::fast_local());
     let features = feature_count(parts).expect("partitions");
-    let outcome =
-        coordinate_linear(&mut courier, m, features, cfg, None, timing).expect("reference run");
+    let outcome = coordinate_linear_secagg(
+        &mut courier,
+        m,
+        features,
+        cfg,
+        None,
+        timing,
+        SecAggConfig::pairwise(),
+    )
+    .expect("reference run");
     for h in handles {
         let model = h.join().expect("learner thread").expect("survivor");
         assert_eq!(model, outcome.model, "reference run disagrees internally");
@@ -383,9 +415,10 @@ fn one_way_partition_schedule_isolates_the_silent_sender() {
 }
 
 // ---------------------------------------------------------------------
-// Schedule 7: kill window then rejoin. Learner 1's link dies during round
-// 0, its patience expires, and the same party comes back through the
-// Join/Welcome rendezvous while the coordinator is still waiting out the
+// Schedule 7: death then rejoin. Learner 1 goes silent after round 0
+// (`learn_linear_secagg_with_defect`), its patience expires, and the same
+// party comes back through the Join/Welcome rendezvous
+// (`rejoin_linear_secagg`) while the coordinator is still waiting out the
 // round deadline.
 // ---------------------------------------------------------------------
 
@@ -418,12 +451,13 @@ fn learner_death_then_rejoin_schedule_readmits_the_learner() {
                         // First incarnation: correct for round 0, silent
                         // from round 1, dead once its patience starves...
                         let mut courier = Courier::new(hub.endpoint(1), RetryPolicy::fast_local());
-                        let first = learn_linear_with_defect(
+                        let first = learn_linear_secagg_with_defect(
                             &mut courier,
                             m,
                             &part,
                             &cfg,
                             timing_ms(500, 500),
+                            SecAggConfig::pairwise(),
                             1,
                         );
                         assert!(
@@ -432,11 +466,25 @@ fn learner_death_then_rejoin_schedule_readmits_the_learner() {
                         );
                         // ...then a fresh incarnation asks back in.
                         let mut courier = Courier::new(hub.endpoint(1), RetryPolicy::fast_local());
-                        rejoin_linear(&mut courier, m, &part, &cfg, timing_ms(2_500, 20_000))
+                        rejoin_linear_secagg(
+                            &mut courier,
+                            m,
+                            &part,
+                            &cfg,
+                            timing_ms(2_500, 20_000),
+                            SecAggConfig::pairwise(),
+                        )
                     } else {
                         let mut courier =
                             Courier::new(hub.endpoint(p as PartyId), RetryPolicy::fast_local());
-                        learn_linear(&mut courier, m, &part, &cfg, timing_ms(2_500, 20_000))
+                        learn_linear_secagg(
+                            &mut courier,
+                            m,
+                            &part,
+                            &cfg,
+                            timing_ms(2_500, 20_000),
+                            SecAggConfig::pairwise(),
+                        )
                     }
                 })
             })
@@ -444,13 +492,14 @@ fn learner_death_then_rejoin_schedule_readmits_the_learner() {
         let (outcome, events) = with_telemetry(|| {
             let mut courier = Courier::new(hub.endpoint(m as PartyId), RetryPolicy::fast_local());
             let features = feature_count(&parts).expect("partitions");
-            coordinate_linear(
+            coordinate_linear_secagg(
                 &mut courier,
                 m,
                 features,
                 &cfg,
                 None,
                 timing_ms(2_500, 20_000),
+                SecAggConfig::pairwise(),
             )
         });
         let outcome = outcome.unwrap_or_else(|e| panic!("seed {seed}: {e}"));
@@ -678,25 +727,40 @@ fn wire_tap_sees_only_masked_shares_and_a_lone_share_decodes_to_garbage() {
                     };
                     thread::spawn(move || {
                         let mut courier = Courier::new(tap, RetryPolicy::fast_local());
-                        learn_linear(&mut courier, m, &part, &cfg, timing_ms(10_000, 20_000))
+                        learn_linear_secagg(
+                            &mut courier,
+                            m,
+                            &part,
+                            &cfg,
+                            timing_ms(10_000, 20_000),
+                            SecAggConfig::pairwise(),
+                        )
                     })
                 } else {
                     thread::spawn(move || {
                         let mut courier = Courier::new(transport, RetryPolicy::fast_local());
-                        learn_linear(&mut courier, m, &part, &cfg, timing_ms(10_000, 20_000))
+                        learn_linear_secagg(
+                            &mut courier,
+                            m,
+                            &part,
+                            &cfg,
+                            timing_ms(10_000, 20_000),
+                            SecAggConfig::pairwise(),
+                        )
                     })
                 }
             })
             .collect();
         let mut courier = Courier::new(hub.endpoint(m as PartyId), RetryPolicy::fast_local());
         let features = feature_count(&parts).expect("partitions");
-        coordinate_linear(
+        coordinate_linear_secagg(
             &mut courier,
             m,
             features,
             &cfg,
             None,
             timing_ms(10_000, 20_000),
+            SecAggConfig::pairwise(),
         )
         .expect("coordinator");
         for h in handles {

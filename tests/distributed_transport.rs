@@ -9,10 +9,11 @@ use std::collections::HashMap;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use ppml::core::distributed::{coordinate_linear, feature_count, learn_linear};
+use ppml::core::distributed::feature_count;
 use ppml::core::jobs::{train_linear_on_cluster, ClusterTuning};
-use ppml::core::AdmmConfig;
-use ppml::core::DistributedTiming;
+use ppml::core::{
+    coordinate_linear_secagg, learn_linear_secagg, AdmmConfig, DistributedTiming, SecAggConfig,
+};
 use ppml::data::{synth, Dataset, Partition};
 use ppml::svm::LinearSvm;
 use ppml::transport::{
@@ -48,14 +49,30 @@ fn lossy_loopback_matches_cluster_and_charges_for_retries() {
                 let mut courier = Courier::new(hub.endpoint(p as PartyId), policy);
                 let part = part.clone();
                 thread::spawn(move || {
-                    learn_linear(&mut courier, m, &part, &cfg, timing()).expect("learner")
+                    learn_linear_secagg(
+                        &mut courier,
+                        m,
+                        &part,
+                        &cfg,
+                        timing(),
+                        SecAggConfig::pairwise(),
+                    )
+                    .expect("learner")
                 })
             })
             .collect();
         let mut courier = Courier::new(hub.endpoint(m as PartyId), policy);
         let features = feature_count(&parts).expect("partitions");
-        let outcome = coordinate_linear(&mut courier, m, features, &cfg, None, timing())
-            .expect("coordinator");
+        let outcome = coordinate_linear_secagg(
+            &mut courier,
+            m,
+            features,
+            &cfg,
+            None,
+            timing(),
+            SecAggConfig::pairwise(),
+        )
+        .expect("coordinator");
         for h in handles {
             h.join().expect("learner thread");
         }
@@ -120,7 +137,15 @@ fn assert_tcp_star_matches_cluster(m: usize) {
                 courier
                     .send_unreliable(m as PartyId, &Message::Heartbeat { nonce: p as u64 })
                     .expect("announce");
-                learn_linear(&mut courier, m, &part, &cfg, timing()).expect("learner")
+                learn_linear_secagg(
+                    &mut courier,
+                    m,
+                    &part,
+                    &cfg,
+                    timing(),
+                    SecAggConfig::pairwise(),
+                )
+                .expect("learner")
             })
         })
         .collect();
@@ -133,8 +158,16 @@ fn assert_tcp_star_matches_cluster(m: usize) {
 
     let mut courier = Courier::new(coord_transport, RetryPolicy::tcp_default());
     let features = feature_count(&parts).expect("partitions");
-    let outcome =
-        coordinate_linear(&mut courier, m, features, &cfg, None, timing()).expect("coordinator");
+    let outcome = coordinate_linear_secagg(
+        &mut courier,
+        m,
+        features,
+        &cfg,
+        None,
+        timing(),
+        SecAggConfig::pairwise(),
+    )
+    .expect("coordinator");
 
     assert_eq!(outcome.model, reference.model, "m = {m}");
     for h in handles {
