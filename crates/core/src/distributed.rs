@@ -1183,6 +1183,7 @@ pub(crate) mod tests {
         timing: DistributedTiming,
         policy: RetryPolicy,
     ) -> DistRun {
+        let pairwise = SecAggConfig::pairwise();
         let m = parts.len();
         let features = feature_count(parts).expect("partitions");
         let hub = LoopbackHub::with_faults(m + 1, faults);
@@ -1192,26 +1193,12 @@ pub(crate) mod tests {
             let part = part.clone();
             let cfg = *cfg;
             handles.push(thread::spawn(move || {
-                learn_linear_secagg(
-                    &mut courier,
-                    m,
-                    &part,
-                    &cfg,
-                    timing,
-                    SecAggConfig::pairwise(),
-                )
+                learn_linear_secagg(&mut courier, m, &part, &cfg, timing, pairwise)
             }));
         }
         let mut courier = Courier::new(hub.endpoint(m as PartyId), policy);
-        let outcome = coordinate_linear_secagg(
-            &mut courier,
-            m,
-            features,
-            cfg,
-            None,
-            timing,
-            SecAggConfig::pairwise(),
-        );
+        let outcome =
+            coordinate_linear_secagg(&mut courier, m, features, cfg, None, timing, pairwise);
         let finals = handles
             .into_iter()
             .map(|h| h.join().expect("learner thread"))
@@ -1577,6 +1564,7 @@ pub(crate) mod tests {
 
     #[test]
     fn scripted_defection_is_dropped_like_a_real_fault() {
+        let pairwise = SecAggConfig::pairwise();
         let ds = synth::blobs(96, 3);
         let parts = Partition::horizontal(&ds, 3, 5).expect("partition");
         let cfg = AdmmConfig::default().with_max_iter(6).with_seed(11);
@@ -1602,32 +1590,18 @@ pub(crate) mod tests {
                         &part,
                         &cfg,
                         timing,
-                        SecAggConfig::pairwise(),
+                        pairwise,
                         2,
                     )
                 } else {
-                    learn_linear_secagg(
-                        &mut courier,
-                        m,
-                        &part,
-                        &cfg,
-                        timing,
-                        SecAggConfig::pairwise(),
-                    )
+                    learn_linear_secagg(&mut courier, m, &part, &cfg, timing, pairwise)
                 }
             }));
         }
         let mut courier = Courier::new(hub.endpoint(m as PartyId), RetryPolicy::fast_local());
-        let outcome = coordinate_linear_secagg(
-            &mut courier,
-            m,
-            features,
-            &cfg,
-            None,
-            timing,
-            SecAggConfig::pairwise(),
-        )
-        .expect("survivors");
+        let outcome =
+            coordinate_linear_secagg(&mut courier, m, features, &cfg, None, timing, pairwise)
+                .expect("survivors");
         let finals: Vec<Result<LinearSvm>> = handles
             .into_iter()
             .map(|h| h.join().expect("learner thread"))
@@ -1856,6 +1830,7 @@ pub(crate) mod tests {
 
     #[test]
     fn rejoining_learner_is_readmitted_with_a_rekey() {
+        let pairwise = SecAggConfig::pairwise();
         let ds = synth::blobs(96, 3);
         let parts = Partition::horizontal(&ds, 3, 5).expect("partition");
         let cfg = AdmmConfig::default().with_max_iter(6).with_seed(11);
@@ -1875,37 +1850,16 @@ pub(crate) mod tests {
                     // asks back in via Join. The coordinator misses its
                     // round-0 share at the deadline, drops it, then
                     // re-admits it at the round-1 boundary.
-                    rejoin_linear_secagg(
-                        &mut courier,
-                        m,
-                        &part,
-                        &cfg,
-                        timing,
-                        SecAggConfig::pairwise(),
-                    )
+                    rejoin_linear_secagg(&mut courier, m, &part, &cfg, timing, pairwise)
                 } else {
-                    learn_linear_secagg(
-                        &mut courier,
-                        m,
-                        &part,
-                        &cfg,
-                        timing,
-                        SecAggConfig::pairwise(),
-                    )
+                    learn_linear_secagg(&mut courier, m, &part, &cfg, timing, pairwise)
                 }
             }));
         }
         let mut courier = Courier::new(hub.endpoint(m as PartyId), RetryPolicy::fast_local());
-        let outcome = coordinate_linear_secagg(
-            &mut courier,
-            m,
-            features,
-            &cfg,
-            None,
-            timing,
-            SecAggConfig::pairwise(),
-        )
-        .expect("coordinator");
+        let outcome =
+            coordinate_linear_secagg(&mut courier, m, features, &cfg, None, timing, pairwise)
+                .expect("coordinator");
         let finals: Vec<Result<LinearSvm>> = handles
             .into_iter()
             .map(|h| h.join().expect("learner thread"))

@@ -82,6 +82,7 @@ impl<T: Transport> Transport for LaggyTransport<T> {
 /// One full pairwise run with learner [`SLOW`] lagged by `lag`; returns
 /// the coordinator's model.
 fn run_pairwise(parts: &[Dataset], cfg: &AdmmConfig, lag: Duration) -> LinearSvm {
+    let pairwise = SecAggConfig::pairwise();
     let m = parts.len();
     let features = feature_count(parts).expect("partitions");
     let hub = LoopbackHub::with_faults(m + 1, NetFaultPlan::none());
@@ -102,38 +103,16 @@ fn run_pairwise(parts: &[Dataset], cfg: &AdmmConfig, lag: Duration) -> LinearSvm
                     },
                     RetryPolicy::fast_local(),
                 );
-                learn_linear_secagg(
-                    &mut courier,
-                    m,
-                    &part,
-                    &cfg,
-                    timing,
-                    SecAggConfig::pairwise(),
-                )
+                learn_linear_secagg(&mut courier, m, &part, &cfg, timing, pairwise)
             } else {
                 let mut courier = Courier::new(endpoint, RetryPolicy::fast_local());
-                learn_linear_secagg(
-                    &mut courier,
-                    m,
-                    &part,
-                    &cfg,
-                    timing,
-                    SecAggConfig::pairwise(),
-                )
+                learn_linear_secagg(&mut courier, m, &part, &cfg, timing, pairwise)
             }
         }));
     }
     let mut courier = Courier::new(hub.endpoint(m as PartyId), RetryPolicy::fast_local());
-    let outcome = coordinate_linear_secagg(
-        &mut courier,
-        m,
-        features,
-        cfg,
-        None,
-        timing,
-        SecAggConfig::pairwise(),
-    )
-    .expect("run must complete");
+    let outcome = coordinate_linear_secagg(&mut courier, m, features, cfg, None, timing, pairwise)
+        .expect("run must complete");
     assert!(
         outcome.dropped.is_empty(),
         "a slow learner is not a dead one"

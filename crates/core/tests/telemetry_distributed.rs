@@ -98,6 +98,7 @@ fn lame_learner(coordinator: std::net::SocketAddr, cfg: AdmmConfig, features: us
 
 #[test]
 fn jsonl_replay_contains_the_dropout_story() {
+    let pairwise = SecAggConfig::pairwise();
     let jsonl_path = std::env::temp_dir().join(format!(
         "ppml-telemetry-replay-{}.jsonl",
         std::process::id()
@@ -133,14 +134,7 @@ fn jsonl_replay_contains_the_dropout_story() {
                     },
                 )
                 .expect("announce");
-            learn_linear_secagg(
-                &mut courier,
-                LEARNERS,
-                &part,
-                &cfg,
-                timing,
-                SecAggConfig::pairwise(),
-            )
+            learn_linear_secagg(&mut courier, LEARNERS, &part, &cfg, timing, pairwise)
         }));
     }
     let lame = thread::spawn(move || lame_learner(addr, cfg, features));
@@ -158,7 +152,7 @@ fn jsonl_replay_contains_the_dropout_story() {
         &cfg,
         None,
         timing,
-        SecAggConfig::pairwise(),
+        pairwise,
     )
     .expect("survivors must finish");
     assert_eq!(outcome.dropped, vec![1], "party 1 must be declared dead");

@@ -78,58 +78,6 @@ fn cluster_reference(parts: &[Dataset], cfg: &AdmmConfig) -> LinearSvm {
         .model
 }
 
-/// Runs one star-topology schedule: learners on threads, coordinator on
-/// the caller's thread, per-learner timings so a schedule can starve one
-/// party's patience without slowing the others.
-fn run_star(
-    hub: &Arc<LoopbackHub>,
-    parts: &[Dataset],
-    cfg: &AdmmConfig,
-    coord_timing: DistributedTiming,
-    learner_timing: &[DistributedTiming],
-) -> (
-    ppml::core::Result<DistributedOutcome>,
-    Vec<Result<LinearSvm, TrainError>>,
-) {
-    let m = parts.len();
-    let handles: Vec<_> = parts
-        .iter()
-        .enumerate()
-        .map(|(p, part)| {
-            let mut courier = Courier::new(hub.endpoint(p as PartyId), RetryPolicy::fast_local());
-            let part = part.clone();
-            let cfg = *cfg;
-            let timing = learner_timing[p];
-            thread::spawn(move || {
-                learn_linear_secagg(
-                    &mut courier,
-                    m,
-                    &part,
-                    &cfg,
-                    timing,
-                    SecAggConfig::pairwise(),
-                )
-            })
-        })
-        .collect();
-    let mut courier = Courier::new(hub.endpoint(m as PartyId), RetryPolicy::fast_local());
-    let features = feature_count(parts).expect("partitions");
-    let outcome = coordinate_linear_secagg(
-        &mut courier,
-        m,
-        features,
-        cfg,
-        None,
-        coord_timing,
-        SecAggConfig::pairwise(),
-    );
-    let learners = handles
-        .into_iter()
-        .map(|h| h.join().expect("learner thread"))
-        .collect();
-    (outcome, learners)
-}
-
 /// Reference for dropout schedules: the same `m`-learner protocol on a
 /// fault-free hub with `absent` simply never spawned. A party whose every
 /// frame is destroyed is protocol-indistinguishable from one that does
@@ -143,6 +91,7 @@ fn run_star_without(
     timing: DistributedTiming,
     absent: usize,
 ) -> DistributedOutcome {
+    let pairwise = SecAggConfig::pairwise();
     let hub = LoopbackHub::new(M + 1);
     let m = parts.len();
     let handles: Vec<_> = parts
@@ -154,29 +103,14 @@ fn run_star_without(
             let part = part.clone();
             let cfg = *cfg;
             thread::spawn(move || {
-                learn_linear_secagg(
-                    &mut courier,
-                    m,
-                    &part,
-                    &cfg,
-                    timing,
-                    SecAggConfig::pairwise(),
-                )
+                learn_linear_secagg(&mut courier, m, &part, &cfg, timing, pairwise)
             })
         })
         .collect();
     let mut courier = Courier::new(hub.endpoint(m as PartyId), RetryPolicy::fast_local());
     let features = feature_count(parts).expect("partitions");
-    let outcome = coordinate_linear_secagg(
-        &mut courier,
-        m,
-        features,
-        cfg,
-        None,
-        timing,
-        SecAggConfig::pairwise(),
-    )
-    .expect("reference run");
+    let outcome = coordinate_linear_secagg(&mut courier, m, features, cfg, None, timing, pairwise)
+        .expect("reference run");
     for h in handles {
         let model = h.join().expect("learner thread").expect("survivor");
         assert_eq!(model, outcome.model, "reference run disagrees internally");
@@ -214,6 +148,7 @@ fn stream_of(events: &[Event], party: u32, name: &str) -> Stream {
 #[test]
 fn benign_chaos_schedules_match_the_no_fault_reference_exactly() {
     let _guard = guard();
+    let pairwise = SecAggConfig::pairwise();
     type Schedule = fn(PartyId) -> NetFaultPlan;
     let c = M as PartyId;
     let schedules: Vec<(&str, Schedule)> = vec![
@@ -242,7 +177,8 @@ fn benign_chaos_schedules_match_the_no_fault_reference_exactly() {
         for (name, plan) in &schedules {
             let hub = LoopbackHub::with_faults(M + 1, plan(c));
             let timing = timing_ms(10_000, 20_000);
-            let (outcome, learners) = run_star(&hub, &parts, &cfg, timing, &[timing; M]);
+            let (outcome, learners) =
+                run_star_secagg(&hub, &parts, &cfg, pairwise, timing, &[timing; M], &[]);
             let outcome = outcome.unwrap_or_else(|e| panic!("{name}/seed {seed}: {e}"));
             assert_eq!(outcome.model, reference, "{name}/seed {seed}");
             assert!(outcome.dropped.is_empty(), "{name}/seed {seed}");
@@ -272,6 +208,7 @@ fn benign_chaos_schedules_match_the_no_fault_reference_exactly() {
 #[test]
 fn learner_kill_schedule_drops_the_victim_and_survivors_match_the_absent_reference() {
     let _guard = guard();
+    let pairwise = SecAggConfig::pairwise();
     let mut models = Vec::new();
     for seed in SEEDS {
         let (parts, cfg) = setup(seed);
@@ -287,7 +224,7 @@ fn learner_kill_schedule_drops_the_victim_and_survivors_match_the_absent_referen
         // the deadline, or the learner refuses to start at all).
         timings[1] = timing_ms(800, 800);
         let ((outcome, learners), events) =
-            with_telemetry(|| run_star(&hub, &parts, &cfg, timing, &timings));
+            with_telemetry(|| run_star_secagg(&hub, &parts, &cfg, pairwise, timing, &timings, &[]));
         let outcome = outcome.unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert_eq!(outcome.dropped, vec![1], "seed {seed}");
         assert_eq!(outcome.model, reference.model, "seed {seed}");
@@ -377,6 +314,7 @@ fn learner_kill_schedule_drops_the_victim_and_survivors_match_the_absent_referen
 #[test]
 fn one_way_partition_schedule_isolates_the_silent_sender() {
     let _guard = guard();
+    let pairwise = SecAggConfig::pairwise();
     for seed in SEEDS {
         let (parts, cfg) = setup(seed);
         let timing = timing_ms(1_200, 20_000);
@@ -389,7 +327,7 @@ fn one_way_partition_schedule_isolates_the_silent_sender() {
         let mut timings = [timing; M];
         timings[0] = timing_ms(1_200, 800);
         let ((outcome, learners), events) =
-            with_telemetry(|| run_star(&hub, &parts, &cfg, timing, &timings));
+            with_telemetry(|| run_star_secagg(&hub, &parts, &cfg, pairwise, timing, &timings, &[]));
         let outcome = outcome.unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert_eq!(outcome.dropped, vec![0], "seed {seed}");
         assert_eq!(outcome.model, reference.model, "seed {seed}");
@@ -425,6 +363,7 @@ fn one_way_partition_schedule_isolates_the_silent_sender() {
 #[test]
 fn learner_death_then_rejoin_schedule_readmits_the_learner() {
     let _guard = guard();
+    let pairwise = SecAggConfig::pairwise();
     for seed in SEEDS {
         let (parts, cfg) = setup(seed);
         // Learner 1 plays round 0 then goes silent while still ACKing
@@ -457,7 +396,7 @@ fn learner_death_then_rejoin_schedule_readmits_the_learner() {
                             &part,
                             &cfg,
                             timing_ms(500, 500),
-                            SecAggConfig::pairwise(),
+                            pairwise,
                             1,
                         );
                         assert!(
@@ -472,7 +411,7 @@ fn learner_death_then_rejoin_schedule_readmits_the_learner() {
                             &part,
                             &cfg,
                             timing_ms(2_500, 20_000),
-                            SecAggConfig::pairwise(),
+                            pairwise,
                         )
                     } else {
                         let mut courier =
@@ -483,7 +422,7 @@ fn learner_death_then_rejoin_schedule_readmits_the_learner() {
                             &part,
                             &cfg,
                             timing_ms(2_500, 20_000),
-                            SecAggConfig::pairwise(),
+                            pairwise,
                         )
                     }
                 })
@@ -499,7 +438,7 @@ fn learner_death_then_rejoin_schedule_readmits_the_learner() {
                 &cfg,
                 None,
                 timing_ms(2_500, 20_000),
-                SecAggConfig::pairwise(),
+                pairwise,
             )
         });
         let outcome = outcome.unwrap_or_else(|e| panic!("seed {seed}: {e}"));
@@ -707,6 +646,7 @@ impl<T: Transport> Transport for TapTransport<T> {
 #[test]
 fn wire_tap_sees_only_masked_shares_and_a_lone_share_decodes_to_garbage() {
     let _guard = guard();
+    let pairwise = SecAggConfig::pairwise();
     for seed in SEEDS {
         let (parts, cfg) = setup(seed);
         let hub = LoopbackHub::new(M + 1);
@@ -733,7 +673,7 @@ fn wire_tap_sees_only_masked_shares_and_a_lone_share_decodes_to_garbage() {
                             &part,
                             &cfg,
                             timing_ms(10_000, 20_000),
-                            SecAggConfig::pairwise(),
+                            pairwise,
                         )
                     })
                 } else {
@@ -745,7 +685,7 @@ fn wire_tap_sees_only_masked_shares_and_a_lone_share_decodes_to_garbage() {
                             &part,
                             &cfg,
                             timing_ms(10_000, 20_000),
-                            SecAggConfig::pairwise(),
+                            pairwise,
                         )
                     })
                 }
@@ -760,7 +700,7 @@ fn wire_tap_sees_only_masked_shares_and_a_lone_share_decodes_to_garbage() {
             &cfg,
             None,
             timing_ms(10_000, 20_000),
-            SecAggConfig::pairwise(),
+            pairwise,
         )
         .expect("coordinator");
         for h in handles {
@@ -828,8 +768,10 @@ fn wire_tap_sees_only_masked_shares_and_a_lone_share_decodes_to_garbage() {
 // pairwise path computes, so any drift is a protocol bug, not noise.
 // ---------------------------------------------------------------------
 
-/// `run_star` for an explicit backend, with optional per-party defect
-/// rounds (`(party, defect_after)`).
+/// Runs one star-topology schedule under `secagg`: learners on threads,
+/// coordinator on the caller's thread, per-learner timings so a schedule
+/// can starve one party's patience without slowing the others, and
+/// optional per-party defect rounds (`(party, defect_after)`).
 fn run_star_secagg(
     hub: &Arc<LoopbackHub>,
     parts: &[Dataset],

@@ -35,6 +35,7 @@ fn setup(m: usize) -> (Vec<Dataset>, AdmmConfig) {
 
 #[test]
 fn lossy_loopback_matches_cluster_and_charges_for_retries() {
+    let pairwise = SecAggConfig::pairwise();
     let m = 3;
     let (parts, cfg) = setup(m);
     let (reference, _) =
@@ -49,30 +50,16 @@ fn lossy_loopback_matches_cluster_and_charges_for_retries() {
                 let mut courier = Courier::new(hub.endpoint(p as PartyId), policy);
                 let part = part.clone();
                 thread::spawn(move || {
-                    learn_linear_secagg(
-                        &mut courier,
-                        m,
-                        &part,
-                        &cfg,
-                        timing(),
-                        SecAggConfig::pairwise(),
-                    )
-                    .expect("learner")
+                    learn_linear_secagg(&mut courier, m, &part, &cfg, timing(), pairwise)
+                        .expect("learner")
                 })
             })
             .collect();
         let mut courier = Courier::new(hub.endpoint(m as PartyId), policy);
         let features = feature_count(&parts).expect("partitions");
-        let outcome = coordinate_linear_secagg(
-            &mut courier,
-            m,
-            features,
-            &cfg,
-            None,
-            timing(),
-            SecAggConfig::pairwise(),
-        )
-        .expect("coordinator");
+        let outcome =
+            coordinate_linear_secagg(&mut courier, m, features, &cfg, None, timing(), pairwise)
+                .expect("coordinator");
         for h in handles {
             h.join().expect("learner thread");
         }
@@ -105,6 +92,7 @@ fn lossy_loopback_matches_cluster_and_charges_for_retries() {
 /// aggregates wrapping fixed-point sums, so "close" is not good enough —
 /// equality is exact.
 fn assert_tcp_star_matches_cluster(m: usize) {
+    let pairwise = SecAggConfig::pairwise();
     let (parts, cfg) = setup(m);
     let (reference, _) =
         train_linear_on_cluster(&parts, &cfg, None, ClusterTuning::default()).expect("cluster");
@@ -137,15 +125,8 @@ fn assert_tcp_star_matches_cluster(m: usize) {
                 courier
                     .send_unreliable(m as PartyId, &Message::Heartbeat { nonce: p as u64 })
                     .expect("announce");
-                learn_linear_secagg(
-                    &mut courier,
-                    m,
-                    &part,
-                    &cfg,
-                    timing(),
-                    SecAggConfig::pairwise(),
-                )
-                .expect("learner")
+                learn_linear_secagg(&mut courier, m, &part, &cfg, timing(), pairwise)
+                    .expect("learner")
             })
         })
         .collect();
@@ -158,16 +139,9 @@ fn assert_tcp_star_matches_cluster(m: usize) {
 
     let mut courier = Courier::new(coord_transport, RetryPolicy::tcp_default());
     let features = feature_count(&parts).expect("partitions");
-    let outcome = coordinate_linear_secagg(
-        &mut courier,
-        m,
-        features,
-        &cfg,
-        None,
-        timing(),
-        SecAggConfig::pairwise(),
-    )
-    .expect("coordinator");
+    let outcome =
+        coordinate_linear_secagg(&mut courier, m, features, &cfg, None, timing(), pairwise)
+            .expect("coordinator");
 
     assert_eq!(outcome.model, reference.model, "m = {m}");
     for h in handles {
