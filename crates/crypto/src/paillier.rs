@@ -133,7 +133,7 @@ impl Paillier {
     ///
     /// # Errors
     ///
-    /// [`CryptoError::KeyTooSmall`] when `bits < Self::MIN_BITS`.
+    /// [`CryptoError::KeyTooSmall`] when `bits < 64`.
     pub fn keygen(bits: usize, rng: &mut Rng64) -> Result<Self> {
         if bits < Self::MIN_BITS {
             return Err(CryptoError::KeyTooSmall {
