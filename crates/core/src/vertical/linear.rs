@@ -433,6 +433,72 @@ mod tests {
         assert_eq!(secure, shipped.model.to_linear_svm());
     }
 
+    /// A learner that keeps every broadcast it is sent.
+    struct Eavesdropper {
+        node: VlNode,
+        heard: Vec<Vec<f64>>,
+    }
+
+    impl Learner for Eavesdropper {
+        fn step(&mut self, gap: &[f64], qp: &QpConfig) -> Result<Vec<f64>> {
+            self.heard.push(gap.to_vec());
+            self.node.step(gap, qp)
+        }
+    }
+
+    /// Pins a known leak: the vertical broadcast hands every learner the
+    /// training labels, which only the reducer is given. `update` keeps
+    /// `r^t = Yλ^t/ρ` and broadcasts `gap^t = 2r^t − r^{t−1}`, so a
+    /// learner rebuilds `r^t = (gap^t + r^{t−1})/2` from the gaps it is
+    /// sent, and `sign(r^t_i) = y_i` wherever `λ^t_i > 0`. Retired by
+    /// ROADMAP item 18(c), the fix (noise on the gap, or a reformulation)
+    /// that must make this recovery fail.
+    #[test]
+    fn vertical_broadcast_reveals_labels() {
+        let ds = synth::cancer_like(400, 11);
+        let view = Partition::vertical(&ds, 3, 12).unwrap();
+        let cfg = AdmmConfig::default().with_max_iter(21);
+        let mut learners: Vec<Eavesdropper> = (0..view.learners())
+            .map(|p| Eavesdropper {
+                node: VlNode::new(view.part(p), &cfg).unwrap(),
+                heard: Vec::new(),
+            })
+            .collect();
+        let mut reducer = VerticalReducer::new(view.y().to_vec(), &cfg);
+        let sum = secagg::in_memory(SecAggConfig::pairwise(), &cfg);
+        round::train(&mut learners, &mut reducer, &cfg, sum, |_, _, _, _| {
+            Ok(None)
+        })
+        .unwrap();
+
+        // Round 0 is sent the zero gap; round t + 1 is sent gap^t.
+        let heard = &learners[0].heard;
+        assert!(heard[0].iter().all(|&g| g == 0.0));
+        // The rows whose label a learner reads off `r`, all of them right.
+        // Rebuilding `r` leaves rounding residues near 1e-16 where `λ_i`
+        // has fallen back to 0, so after round 0 only `|r_i| > 1e-9` counts.
+        let labels_read = |r: &[f64], floor: f64| {
+            let read: Vec<usize> = (0..r.len()).filter(|&i| r[i].abs() > floor).collect();
+            for &i in &read {
+                assert_eq!(r[i].signum(), view.y()[i], "row {i}");
+            }
+            read.len()
+        };
+        let mut r = vec![0.0; view.rows()];
+        let mut recovered = Vec::new();
+        for (t, gap) in heard[1..].iter().enumerate() {
+            for (r_i, g_i) in r.iter_mut().zip(gap) {
+                *r_i = (g_i + *r_i) / 2.0;
+            }
+            recovered.push(labels_read(&r, if t == 0 { 0.0 } else { 1e-9 }));
+        }
+        // Every training label after round 0; the support vectors' labels
+        // still after round 19.
+        assert_eq!(recovered.len(), 20);
+        assert_eq!(recovered[0], 400);
+        assert_eq!(recovered[19], 80);
+    }
+
     #[test]
     fn early_stop_honors_tol() {
         // The multi-block (Jacobi) vertical ADMM has a slow geometric tail
