@@ -5,8 +5,8 @@ use crate::{BlockId, NodeId};
 /// Errors surfaced by the MapReduce runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MapReduceError {
-    /// The cluster configuration is unusable (zero nodes/slots, replication
-    /// larger than the cluster, ...).
+    /// The cluster configuration is unusable (zero nodes, zero attempts,
+    /// a zero task timeout, a block pinned to a node that does not exist).
     BadConfig {
         /// What is wrong with it.
         reason: String,
@@ -18,7 +18,7 @@ pub enum MapReduceError {
         /// Attempts made.
         attempts: usize,
     },
-    /// A worker thread disappeared (panicked) mid-job.
+    /// A node's worker thread could not be started, or disappeared.
     WorkerLost {
         /// The node whose worker died.
         node: NodeId,
@@ -43,7 +43,9 @@ impl fmt::Display for MapReduceError {
             MapReduceError::TaskFailed { block, attempts } => {
                 write!(f, "map task for {block:?} failed after {attempts} attempts")
             }
-            MapReduceError::WorkerLost { node } => write!(f, "worker for {node} terminated"),
+            MapReduceError::WorkerLost { node } => {
+                write!(f, "worker for {node} did not start or was lost")
+            }
             MapReduceError::NoBlocks => write!(f, "no blocks loaded into the cluster"),
             MapReduceError::QuorumLost { alive, needed } => {
                 write!(

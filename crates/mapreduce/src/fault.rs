@@ -48,9 +48,10 @@ pub struct WorkerFault {
     /// sleeps this long before every map attempt it executes.
     pub slow_by: Duration,
     /// Kill the worker *mid-task* while it executes its Nth assigned
-    /// task (1-based count across the whole job): the task's result is
-    /// never sent and the worker is gone, exactly like a SIGKILL at
-    /// that point. `None` = never.
+    /// task (1-based, counted over every iteration; a node runs one task
+    /// at a time, so this is the node's own count): the task's result is
+    /// never sent and the worker is gone, exactly like a SIGKILL at that
+    /// point. `None` = never.
     pub kill_on_task: Option<usize>,
 }
 

@@ -1,6 +1,7 @@
-//! Engine invariant: the result of a MapReduce computation is a pure
+//! Engine invariants: the result of a MapReduce computation is a pure
 //! function of the job and its inputs — never of the cluster shape,
-//! scheduling, replication, or injected (recoverable) faults.
+//! placement, or injected (recoverable) faults — and without faults
+//! every map runs on its block's home node.
 
 use std::collections::BTreeMap;
 
@@ -52,7 +53,7 @@ fn output_independent_of_cluster_shape_and_faults() {
         "output_independent_of_cluster_shape_and_faults",
         24,
         |g, _case| {
-            let n_blocks = g.usize_in(1, 6);
+            let n_blocks = g.usize_in(1, 16);
             let blocks: Vec<Vec<u64>> = (0..n_blocks)
                 .map(|_| {
                     let len = g.usize_in(1, 8);
@@ -60,8 +61,6 @@ fn output_independent_of_cluster_shape_and_faults() {
                 })
                 .collect();
             let nodes = g.usize_in(1, 6);
-            let slots = g.usize_in(1, 3);
-            let replication = g.usize_in(1, 4).min(nodes);
             let fail_block = g.usize_in(0, 6);
             let fail_count = g.usize_in(0, 2);
             let modulus = g.u64_in(2, 9);
@@ -76,12 +75,8 @@ fn output_independent_of_cluster_shape_and_faults() {
             }
             let cfg = ClusterConfig {
                 nodes,
-                map_slots_per_node: slots,
-                replication,
                 max_attempts: 4,
                 fault_plan,
-                locality_slack: 1,
-                reduce_tasks: 1 + nodes % 3,
                 ..Default::default()
             };
             let mut cluster = Cluster::new(cfg, Histogram).unwrap();
@@ -98,6 +93,28 @@ fn output_independent_of_cluster_shape_and_faults() {
             let m = cluster.metrics();
             assert!(m.locality_hits + m.remote_reads >= 2 * blocks.len());
             assert_eq!(m.iterations, 2);
+
+            // Without faults every map runs on its block's home node, however
+            // unevenly the blocks are spread: a live home is never traded
+            // for balance, since a remote read moves a learner's rows.
+            let homes: Vec<usize> = blocks.iter().map(|_| g.usize_in(0, nodes)).collect();
+            let cfg = ClusterConfig {
+                nodes,
+                ..Default::default()
+            };
+            let mut cluster = Cluster::new(cfg, Histogram).unwrap();
+            for (block, &home) in blocks.iter().zip(&homes) {
+                cluster.load_block_on(block.clone(), NodeId(home)).unwrap();
+            }
+            for iteration in 0..2u64 {
+                let out = cluster.run_iteration(&modulus).unwrap();
+                let got: BTreeMap<u64, u64> = out.outputs.iter().cloned().collect();
+                assert_eq!(got, reference(&blocks, modulus, iteration));
+            }
+            let m = cluster.metrics();
+            assert_eq!(m.remote_reads, 0, "homes {homes:?} on {nodes} nodes");
+            assert_eq!(m.bytes_remote_read, 0);
+            assert_eq!(m.locality_hits, 2 * blocks.len());
         },
     );
 }
