@@ -12,7 +12,7 @@ use std::time::Duration;
 pub struct JobMetrics {
     /// Iterations driven so far.
     pub iterations: usize,
-    /// Map task attempts that ran on a node holding a replica.
+    /// Map task attempts that ran on their block's home node.
     pub locality_hits: usize,
     /// Map task attempts that had to read their block remotely.
     pub remote_reads: usize,

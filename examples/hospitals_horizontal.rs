@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_max_iter(40);
 
     // Inject a map-task failure at iteration 3 on hospital 2's node: the
-    // scheduler re-executes the attempt elsewhere and training proceeds.
+    // cluster re-executes the attempt elsewhere and training proceeds.
     let tuning = ClusterTuning {
         fault_plan: FaultPlan::new().fail_first_attempts(3, BlockId(2), 1),
         max_attempts: Some(3),
