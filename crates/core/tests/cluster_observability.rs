@@ -22,8 +22,8 @@ use ppml_data::{synth, Dataset, Partition};
 use ppml_svm::LinearSvm;
 use ppml_telemetry as telemetry;
 use ppml_telemetry::{
-    mix64, ClusterRegistry, Event, EventKind, FanoutSink, JsonlSink, MetricsServer, MetricsSink,
-    RingSink, Sink,
+    metrics_router, mix64, ClusterRegistry, Event, EventKind, FanoutSink, HttpServer, JsonlSink,
+    MetricsSink, RingSink, Sink,
 };
 use ppml_transport::{
     Courier, Envelope, LinkStats, LoopbackHub, Message, NetFaultPlan, PartyId, RetryPolicy,
@@ -157,7 +157,8 @@ fn slow_learner_leads_the_cluster_view_without_touching_the_model() {
     // The /cluster endpoint serves the folded per-learner view over the
     // same server that serves /metrics.
     let sink = MetricsSink::new();
-    let server = MetricsServer::serve("127.0.0.1:0", Arc::clone(sink.registry())).expect("serve");
+    let server = HttpServer::serve("127.0.0.1:0", metrics_router(Arc::clone(sink.registry())))
+        .expect("serve");
     let (status, body) =
         telemetry::request(&server.local_addr().to_string(), "GET", "/cluster", b"")
             .expect("scrape /cluster");

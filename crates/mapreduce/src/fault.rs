@@ -24,19 +24,6 @@ pub struct FaultSpec {
     pub delay: Duration,
 }
 
-/// A schedule of injected faults.
-///
-/// # Example
-///
-/// ```
-/// use ppml_mapreduce::{BlockId, FaultPlan, FaultSpec};
-/// use std::time::Duration;
-///
-/// let plan = FaultPlan::new()
-///     .fail_first_attempts(2, BlockId(0), 1)           // iteration 2: one failure
-///     .delay(3, BlockId(1), Duration::from_millis(5)); // iteration 3: straggler
-/// assert_eq!(plan.spec(2, BlockId(0)).fail_attempts, 1);
-/// ```
 /// What to do to one worker (node), across every task it runs — the
 /// worker-level twin of the per-task [`FaultSpec`], mirroring the
 /// transport crate's `LinkFilter`-style plans: a straggler is slowed on
@@ -61,6 +48,18 @@ pub struct WorkerFault {
 /// `(iteration, block)`; worker-level faults (`slow_worker`,
 /// `kill_worker_on_task`, or a whole [`FaultPlan::seeded`] schedule)
 /// are keyed by node and apply for the worker's lifetime.
+///
+/// # Example
+///
+/// ```
+/// use ppml_mapreduce::{BlockId, FaultPlan, FaultSpec};
+/// use std::time::Duration;
+///
+/// let plan = FaultPlan::new()
+///     .fail_first_attempts(2, BlockId(0), 1)           // iteration 2: one failure
+///     .delay(3, BlockId(1), Duration::from_millis(5)); // iteration 3: straggler
+/// assert_eq!(plan.spec(2, BlockId(0)).fail_attempts, 1);
+/// ```
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     specs: BTreeMap<(usize, BlockId), FaultSpec>,

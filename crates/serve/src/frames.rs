@@ -12,20 +12,17 @@
 //! never model coordinates (the §V serving privacy rule).
 
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
+use ppml_telemetry::Listener;
 use ppml_transport::{Frame, Message};
 
 use crate::engine::Engine;
 
-/// Per-connection read/write budget, matching the HTTP front.
+/// The client's connect and read/write budget, matching the server's.
 const CONN_TIMEOUT: Duration = Duration::from_secs(2);
-/// Accept-poll interval while idle.
-const POLL: Duration = Duration::from_millis(25);
 /// Largest frame body we will buffer: caps a hostile length prefix.
 /// 4 MiB ≈ half a million f64 features per request, far beyond any
 /// batch the HTTP front would accept either.
@@ -34,13 +31,10 @@ const MAX_FRAME: usize = 4 * 1024 * 1024;
 /// ring, so it uses an address no worker owns.
 const SERVER_PARTY: u32 = u32::MAX;
 
-/// A background frame-protocol scoring server. Dropping the handle stops
-/// the accept loop (in-flight connections finish on their own threads).
-pub struct FrameServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
+/// A background frame-protocol scoring server on a [`Listener`].
+/// Dropping the handle stops the accept loop (in-flight connections
+/// finish on their own threads).
+pub struct FrameServer(Listener);
 
 impl FrameServer {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and starts
@@ -51,60 +45,19 @@ impl FrameServer {
     /// Any [`std::io::Error`] from binding the listener or spawning its
     /// accept thread.
     pub fn serve(addr: &str, engine: Arc<Engine>) -> std::io::Result<FrameServer> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = stop.clone();
-        let handle = std::thread::Builder::new()
-            .name("ppml-frames".into())
-            .spawn(move || accept_loop(listener, engine, stop_flag))?;
-        Ok(FrameServer {
-            addr,
-            stop,
-            handle: Some(handle),
-        })
+        let listener = Listener::spawn(addr, "ppml-frames", move |stream| {
+            let _ = converse(stream, &engine);
+        })?;
+        Ok(FrameServer(listener))
     }
 
     /// The bound address (resolves port 0 to the real port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.0.local_addr()
     }
 
     /// Stops the accept loop and joins its thread.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for FrameServer {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
-fn accept_loop(listener: TcpListener, engine: Arc<Engine>, stop: Arc<AtomicBool>) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let engine = engine.clone();
-                let _ = std::thread::Builder::new()
-                    .name("ppml-frames-conn".into())
-                    .spawn(move || {
-                        let _ = converse(stream, &engine);
-                    });
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(_) => std::thread::sleep(POLL),
-        }
-    }
+    pub fn shutdown(self) {}
 }
 
 /// Reads exactly one length-prefixed frame from `stream`, or `None` on a
@@ -131,9 +84,6 @@ fn read_frame(stream: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
 
 /// Serves one connection: a loop of Score → ScoreReply exchanges.
 fn converse(mut stream: TcpStream, engine: &Engine) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(CONN_TIMEOUT))?;
-    stream.set_write_timeout(Some(CONN_TIMEOUT))?;
-    stream.set_nonblocking(false)?;
     loop {
         let Some(bytes) = read_frame(&mut stream)? else {
             return Ok(());
@@ -346,6 +296,25 @@ mod tests {
         let margins = score_over_frames(&addr.to_string(), 2, vec![0.0, 0.0]).expect("score");
         assert_eq!(margins, vec![0.25]);
         server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_with_a_mute_connection_open_returns() {
+        let server = FrameServer::serve("127.0.0.1:0", engine()).expect("bind");
+        let addr = server.local_addr();
+        // Held open and silent for the whole shutdown: its connection
+        // thread is parked in a read the accept loop must not wait for.
+        let _mute = TcpStream::connect(addr).expect("connect");
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            server.shutdown();
+            let _ = done.send(());
+        });
+        finished
+            .recv_timeout(Duration::from_secs(10))
+            .expect("shutdown returns");
+        let refused = TcpStream::connect(addr).unwrap_err();
+        assert_eq!(refused.kind(), ErrorKind::ConnectionRefused);
     }
 
     #[test]

@@ -96,9 +96,7 @@ pub fn router(engine: Arc<Engine>, registry: Arc<MetricsRegistry>) -> Router {
             ))
         })
         .route("GET", "/metrics", move |_req: &Request| {
-            let mut response = Response::ok_text(registry.render());
-            response.content_type = "text/plain; version=0.0.4; charset=utf-8";
-            response
+            Response::prometheus(registry.render())
         })
 }
 

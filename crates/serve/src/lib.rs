@@ -12,6 +12,11 @@
 //!   CRC-checked protocol, `Score` → `ScoreReply` per batch over
 //!   persistent connections.
 //!
+//! Both fronts accept through the one `ppml_telemetry::Listener`: a
+//! blocking accept loop that gives each connection a thread with 2 s
+//! read/write timeouts, and stops on drop by waking itself with a
+//! connection to its own address.
+//!
 //! Models persist in the [`model`] module's `PPMLMODL` binary format
 //! (magic, version, CRC trailer — the checkpoint discipline applied to
 //! models), with [`SavedModel::load_auto`] accepting the older flat-text

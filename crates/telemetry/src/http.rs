@@ -5,9 +5,10 @@
 //! The building blocks are [`Request`], [`Response`] and [`Router`]: a
 //! route table of `(method, path) → handler` closures served by
 //! [`HttpServer`], one short-lived thread per connection, one request per
-//! connection (`Connection: close`). [`MetricsServer`] remains the
-//! metrics-only wrapper the training binaries use: `GET /metrics` → the
-//! [`MetricsRegistry`] rendered as Prometheus text. Handlers decide what
+//! connection (`Connection: close`). [`metrics_router`] is the table the
+//! training binaries serve: `GET /metrics` → the [`MetricsRegistry`]
+//! rendered as Prometheus text. [`Listener`] is the accept loop under
+//! both this server and the serving crate's frame front. Handlers decide what
 //! bytes leave the process; the metrics handler can only ever serve
 //! registry scalars (sizes, timings, counts, epochs), which is the §V
 //! privacy argument for exposing it on a socket at all — shares, masks
@@ -21,7 +22,7 @@
 //! wedging the accept loop.
 
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -33,8 +34,9 @@ use crate::metrics::MetricsRegistry;
 /// Per-connection read/write budget. A client that cannot finish a
 /// request/response cycle in this window is cut off.
 const CONN_TIMEOUT: Duration = Duration::from_secs(2);
-/// Accept-poll interval while idle.
-const POLL: Duration = Duration::from_millis(25);
+/// Pause after a failed `accept` (out of descriptors, most likely), so
+/// the loop does not spin while the condition lasts.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(25);
 /// Longest request head we will buffer before answering 413.
 const MAX_HEAD: usize = 8 * 1024;
 /// Longest request body we will read before answering 413.
@@ -72,6 +74,14 @@ impl Response {
             status,
             content_type: "text/plain; charset=utf-8",
             body: body.into().into_bytes(),
+        }
+    }
+
+    /// A `200 OK` in the Prometheus text exposition format 0.0.4.
+    pub fn prometheus(body: impl Into<String>) -> Response {
+        Response {
+            content_type: "text/plain; version=0.0.4; charset=utf-8",
+            ..Response::ok_text(body)
         }
     }
 
@@ -145,35 +155,61 @@ impl Router {
     }
 }
 
-/// A background HTTP/1.1 server dispatching through a [`Router`], one
-/// thread per connection, one request per connection. Dropping the
-/// handle stops the accept loop (in-flight connections finish on their
-/// own threads).
-pub struct HttpServer {
+/// A background accept loop: a blocking listener whose thread hands
+/// every connection to a thread of its own, read/write timeouts already
+/// set, so a slow or mute client never holds up the next one. Dropping
+/// the handle stops the loop; connections in flight finish on their own
+/// threads.
+pub struct Listener {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
 }
 
-impl HttpServer {
+impl Listener {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and
-    /// starts the accept loop in a background thread.
+    /// accepts on a thread named `thread_name`, calling `conn` on a
+    /// `{thread_name}-conn` thread per connection.
     ///
     /// # Errors
     ///
     /// Any [`std::io::Error`] from binding the listener or spawning its
     /// accept thread.
-    pub fn serve(addr: &str, router: Router) -> std::io::Result<HttpServer> {
+    pub fn spawn(
+        addr: &str,
+        thread_name: &str,
+        conn: impl Fn(TcpStream) + Send + Sync + 'static,
+    ) -> std::io::Result<Listener> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = stop.clone();
-        let router = Arc::new(router);
+        let stopped = Arc::clone(&stop);
+        let conn = Arc::new(conn);
+        let conn_name = format!("{thread_name}-conn");
         let handle = std::thread::Builder::new()
-            .name("ppml-http".into())
-            .spawn(move || accept_loop(listener, router, stop_flag))?;
-        Ok(HttpServer {
+            .name(thread_name.into())
+            .spawn(move || {
+                for stream in listener.incoming() {
+                    if stopped.load(Ordering::SeqCst) {
+                        return;
+                    }
+                    let Ok(stream) = stream else {
+                        std::thread::sleep(ACCEPT_BACKOFF);
+                        continue;
+                    };
+                    let conn = Arc::clone(&conn);
+                    let _ = std::thread::Builder::new()
+                        .name(conn_name.clone())
+                        .spawn(move || {
+                            if stream.set_read_timeout(Some(CONN_TIMEOUT)).is_ok()
+                                && stream.set_write_timeout(Some(CONN_TIMEOUT)).is_ok()
+                            {
+                                conn(stream);
+                            }
+                        });
+                }
+            })?;
+        Ok(Listener {
             addr,
             stop,
             handle: Some(handle),
@@ -184,43 +220,57 @@ impl HttpServer {
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
     }
+}
+
+impl Drop for Listener {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::SeqCst);
+        // Wake the accept thread with one connection so it sees the flag.
+        // An unspecified bind is reached over the loopback of its family.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        // A wake that cannot connect leaves the thread detached: shutdown
+        // must never hang on it.
+        if TcpStream::connect_timeout(&wake, CONN_TIMEOUT).is_ok() {
+            if let Some(handle) = self.handle.take() {
+                let _ = handle.join();
+            }
+        }
+    }
+}
+
+/// A background HTTP/1.1 server dispatching through a [`Router`] on a
+/// [`Listener`], one request per connection. Dropping the handle stops
+/// the accept loop.
+pub struct HttpServer(Listener);
+
+impl HttpServer {
+    /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and
+    /// starts the accept loop in a background thread.
+    ///
+    /// # Errors
+    ///
+    /// Any [`std::io::Error`] from binding the listener or spawning its
+    /// accept thread.
+    pub fn serve(addr: &str, router: Router) -> std::io::Result<HttpServer> {
+        let listener = Listener::spawn(addr, "ppml-http", move |stream| {
+            let _ = answer(stream, &router);
+        })?;
+        Ok(HttpServer(listener))
+    }
+
+    /// The bound address (resolves port 0 to the real port).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.0.local_addr()
+    }
 
     /// Stops the accept loop and joins its thread.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for HttpServer {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
-fn accept_loop(listener: TcpListener, router: Arc<Router>, stop: Arc<AtomicBool>) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // One thread per connection so a slow or mute client can
-                // never block other requests behind its timeout.
-                let router = router.clone();
-                let _ = std::thread::Builder::new()
-                    .name("ppml-http-conn".into())
-                    .spawn(move || {
-                        let _ = answer(stream, &router);
-                    });
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(_) => std::thread::sleep(POLL),
-        }
-    }
+    pub fn shutdown(self) {}
 }
 
 /// Position of the first header/body separator in `buf`, returned as
@@ -240,10 +290,6 @@ fn find_separator(buf: &[u8]) -> Option<(usize, usize)> {
 /// Reads one request and writes one response. Any IO failure just drops
 /// the connection — a broken client must never disturb the host process.
 fn answer(mut stream: TcpStream, router: &Router) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(CONN_TIMEOUT))?;
-    stream.set_write_timeout(Some(CONN_TIMEOUT))?;
-    stream.set_nonblocking(false)?;
-
     // Read until the header/body separator; anything past it is the
     // start of the body.
     let mut buf = Vec::with_capacity(512);
@@ -328,58 +374,21 @@ fn respond(stream: &mut TcpStream, response: Response) -> std::io::Result<()> {
     stream.flush()
 }
 
-/// A background thread serving `GET /metrics` over HTTP/1.1 from a
-/// shared [`MetricsRegistry`] — the metrics-only facade over
-/// [`HttpServer`] the training binaries use. Dropping the handle stops
-/// the thread.
-pub struct MetricsServer {
-    inner: HttpServer,
-}
-
-impl MetricsServer {
-    /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and
-    /// starts serving `GET /metrics` (and `GET /`, for convenience),
-    /// plus `GET /cluster` — the per-learner series the coordinator
-    /// folds from in-band telemetry deltas (empty text until a
-    /// distributed loop feeds [`ClusterRegistry::global`]).
-    ///
-    /// # Errors
-    ///
-    /// Any [`std::io::Error`] from binding the listener or spawning its
-    /// accept thread.
-    pub fn serve(addr: &str, registry: Arc<MetricsRegistry>) -> std::io::Result<MetricsServer> {
-        let render = {
-            let registry = registry.clone();
-            move |_req: &Request| {
-                let mut response = Response::ok_text(registry.render());
-                response.content_type = "text/plain; version=0.0.4; charset=utf-8";
-                response
-            }
-        };
-        let render_root = render.clone();
-        let render_cluster = |_req: &Request| {
-            let mut response = Response::ok_text(ClusterRegistry::global().render());
-            response.content_type = "text/plain; version=0.0.4; charset=utf-8";
-            response
-        };
-        let router = Router::new()
-            .route("GET", "/metrics", render)
-            .route("GET", "/", render_root)
-            .route("GET", "/cluster", render_cluster);
-        Ok(MetricsServer {
-            inner: HttpServer::serve(addr, router)?,
+/// The route table the training binaries serve: `GET /metrics` (and
+/// `GET /`, for convenience) renders `registry`, and `GET /cluster` the
+/// per-learner series the coordinator folds from in-band telemetry
+/// deltas (empty text until a distributed loop feeds
+/// [`ClusterRegistry::global`]).
+pub fn metrics_router(registry: Arc<MetricsRegistry>) -> Router {
+    let root = Arc::clone(&registry);
+    Router::new()
+        .route("GET", "/metrics", move |_| {
+            Response::prometheus(registry.render())
         })
-    }
-
-    /// The bound address (resolves port 0 to the real port).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.inner.local_addr()
-    }
-
-    /// Stops the accept loop and joins the thread.
-    pub fn shutdown(self) {
-        self.inner.shutdown();
-    }
+        .route("GET", "/", move |_| Response::prometheus(root.render()))
+        .route("GET", "/cluster", |_| {
+            Response::prometheus(ClusterRegistry::global().render())
+        })
 }
 
 /// Sends one HTTP/1.1 request to `addr` and returns `(status, body)` —
@@ -448,9 +457,10 @@ mod tests {
     use super::*;
     use crate::event::{Event, EventKind};
 
-    fn served_registry() -> (MetricsServer, Arc<MetricsRegistry>) {
+    fn served_registry() -> (HttpServer, Arc<MetricsRegistry>) {
         let registry = Arc::new(MetricsRegistry::new());
-        let server = MetricsServer::serve("127.0.0.1:0", registry.clone()).expect("bind");
+        let server =
+            HttpServer::serve("127.0.0.1:0", metrics_router(registry.clone())).expect("bind");
         (server, registry)
     }
 
@@ -534,6 +544,28 @@ mod tests {
         let body = scrape(&addr.to_string()).expect("scrape alongside mute peer");
         assert!(body.contains("ppml_workers 1"), "{body}");
         server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_returns_for_an_unspecified_bind_address() {
+        let registry = Arc::new(MetricsRegistry::new());
+        let server = HttpServer::serve("0.0.0.0:0", metrics_router(registry)).expect("bind");
+        let port = server.local_addr().port();
+        let (status, _) =
+            request(&format!("127.0.0.1:{port}"), "GET", "/metrics", b"").expect("request");
+        assert_eq!(status, 200);
+        // 0.0.0.0 is no address to connect to: the wake that stops the
+        // accept thread must go over loopback.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            server.shutdown();
+            let _ = done.send(());
+        });
+        finished
+            .recv_timeout(Duration::from_secs(10))
+            .expect("shutdown returns");
+        let refused = TcpStream::connect(("127.0.0.1", port)).unwrap_err();
+        assert_eq!(refused.kind(), ErrorKind::ConnectionRefused);
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub mod sinks;
 
 pub use cluster::{mix64, ClusterDelta, ClusterRegistry, StragglerVerdict};
 pub use event::{Event, EventKind, ParseError, BACKENDS, NO_PARTY, PHASES};
-pub use http::{request, scrape, HttpServer, MetricsServer, Request, Response, Router};
+pub use http::{metrics_router, request, scrape, HttpServer, Listener, Request, Response, Router};
 pub use metrics::{MetricsRegistry, MetricsSink};
 pub use sinks::{FanoutSink, JsonlSink, RingSink, Sink, SummarySink};
 

@@ -37,7 +37,7 @@ use ppml::core::{
 };
 use ppml::data::{synth, Dataset, Partition};
 use ppml::telemetry::{
-    self, Event, FanoutSink, JsonlSink, MetricsServer, MetricsSink, Sink, SummarySink,
+    self, metrics_router, Event, FanoutSink, HttpServer, JsonlSink, MetricsSink, Sink, SummarySink,
 };
 use ppml::transport::{Courier, EventTransport, Message, PartyId, RetryPolicy};
 
@@ -135,8 +135,8 @@ fn main() {
     });
     let metrics_server = metrics_addr.as_deref().map(|addr| {
         let sink = MetricsSink::new();
-        let server =
-            MetricsServer::serve(addr, Arc::clone(sink.registry())).expect("metrics server");
+        let server = HttpServer::serve(addr, metrics_router(Arc::clone(sink.registry())))
+            .expect("metrics server");
         sinks.push(sink);
         println!("metrics on {}", server.local_addr());
         server

@@ -74,7 +74,9 @@ use ppml::core::distributed::feature_count;
 use ppml::core::secagg::coordinate_linear_secagg_with_recovery;
 use ppml::core::{Checkpoint, DistributedTiming, RecoveryOptions};
 use ppml::data::Partition;
-use ppml::telemetry::{self, FanoutSink, JsonlSink, MetricsServer, MetricsSink, Sink, SummarySink};
+use ppml::telemetry::{
+    self, metrics_router, FanoutSink, HttpServer, JsonlSink, MetricsSink, Sink, SummarySink,
+};
 use ppml::transport::{Courier, EventTransport, PartyId, RetryPolicy};
 
 /// Every flag this binary reads; any other is a usage error.
@@ -175,7 +177,7 @@ fn run(flags: BTreeMap<String, String>) -> Result<(), CliError> {
     let _metrics_server = match flags.get("metrics-addr") {
         Some(addr) => {
             let sink = MetricsSink::new();
-            let server = MetricsServer::serve(addr, Arc::clone(sink.registry()))
+            let server = HttpServer::serve(addr, metrics_router(Arc::clone(sink.registry())))
                 .map_err(|e| CliError::io(format!("--metrics-addr {addr}: {e}")))?;
             sinks.push(sink);
             // Scrape scripts and the integration tests parse this line.

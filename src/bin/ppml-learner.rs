@@ -74,7 +74,9 @@ use ppml::core::secagg::{
 };
 use ppml::core::DistributedTiming;
 use ppml::data::Partition;
-use ppml::telemetry::{self, FanoutSink, JsonlSink, MetricsServer, MetricsSink, Sink, SummarySink};
+use ppml::telemetry::{
+    self, metrics_router, FanoutSink, HttpServer, JsonlSink, MetricsSink, Sink, SummarySink,
+};
 use ppml::transport::{Courier, EventTransport, Message, PartyId, RetryPolicy};
 
 /// Every flag this binary reads; any other is a usage error.
@@ -180,7 +182,7 @@ fn run(flags: BTreeMap<String, String>) -> Result<(), CliError> {
     let _metrics_server = match flags.get("metrics-addr") {
         Some(addr) => {
             let sink = MetricsSink::new();
-            let server = MetricsServer::serve(addr, Arc::clone(sink.registry()))
+            let server = HttpServer::serve(addr, metrics_router(Arc::clone(sink.registry())))
                 .map_err(|e| CliError::io(format!("--metrics-addr {addr}: {e}")))?;
             sinks.push(sink);
             // Scrape scripts and the integration tests parse this line.
