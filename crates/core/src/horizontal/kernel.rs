@@ -34,7 +34,7 @@ use crate::{AdmmConfig, ConvergenceHistory, Result, TrainError};
 /// The decision function references the learner's own training points and
 /// the shared landmarks only: `f(x) = K(x, X_m)·α + K(x, X_g)·η + b`
 /// (paper eq. (25), simplified).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelConsensusModel {
     kernel: Kernel,
     local_points: Matrix,

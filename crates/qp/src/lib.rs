@@ -7,7 +7,7 @@
 //!   quadratically penalized by ADMM, so no equality constraint survives; see
 //!   DESIGN.md §2). Solved by [`solve_box`]: projected cyclic coordinate
 //!   descent with an incrementally maintained gradient; a solve that has not
-//!   converged after 128 sweeps is stalled on an ill-conditioned
+//!   converged after 64 sweeps is stalled on an ill-conditioned
 //!   face, and from then on a ridged Newton step on the free coordinates
 //!   runs between sweeps — a descent step that leaves the exit test, a full
 //!   sweep with KKT violation `≤ tol`, as it was. See [`solve_box_from`].
@@ -338,9 +338,9 @@ impl FreeSetNewton {
 /// from the first sweep on — the tests run it at 1, where the benchmark's
 /// `train_compute` op is 11–12× shorter (ROADMAP item 7 has the table) — so
 /// the value is how far the step is engaged so far, not a tuning of the
-/// method: 128 is the third landing (after 1 000 and 256), taken in steps
-/// the benchmark can resolve; 64 and then 1 are what is left.
-const NEWTON_AFTER_SWEEPS: usize = 128;
+/// method: 64 is the fourth landing (after 1 000, 256 and 128), taken in
+/// steps the benchmark can resolve; 1 is what is left.
+const NEWTON_AFTER_SWEEPS: usize = 64;
 
 /// Solves `min ½xᵀQx + qᵀx` over the box `[lo, hi]ⁿ`, starting from the
 /// projection of `x0` onto the box.
@@ -1071,7 +1071,7 @@ mod tests {
         }
         let shipped = solve_box(q, &lin, 0.0, HL_C, &HL_QP).unwrap();
         assert_eq!(shipped, solve(NEWTON_AFTER_SWEEPS));
-        assert_eq!(shipped.iterations, 133);
+        assert_eq!(shipped.iterations, 70);
     }
 
     /// What one run of `train_compute`'s first dataset asks of the solver:
@@ -1174,14 +1174,15 @@ mod tests {
                 assert_same_model(yx, x, reference);
             }
         }
-        // As shipped, 39 of the run's 40 solves pass the engagement point.
+        // As shipped, every one of the run's 40 solves passes the
+        // engagement point.
         let shipped = rungs
             .iter()
             .position(|r| r.0 == NEWTON_AFTER_SWEEPS)
             .unwrap();
         let solves = runs[shipped].sweeps.iter().flatten();
         assert_eq!(solves.clone().count(), 40);
-        assert_eq!(solves.filter(|&&n| n > NEWTON_AFTER_SWEEPS).count(), 39);
+        assert_eq!(solves.filter(|&&n| n > NEWTON_AFTER_SWEEPS).count(), 40);
     }
 
     #[test]

@@ -36,7 +36,7 @@ use ppml::telemetry::{self, Event, EventKind, RingSink};
 use ppml::trace::{Stream, Timeline};
 use ppml::transport::{
     Courier, Envelope, LinkFilter, LinkStats, LoopbackHub, Message, NetFaultPlan, PartyId,
-    RetryPolicy, SendReceipt, Transport, TransportError,
+    RetryPolicy, SendReceipt, Transport, TransportError, FLAG_RETRANSMIT,
 };
 
 /// Masking seeds the sweep runs every schedule under. The model itself is
@@ -605,9 +605,11 @@ fn kill_and_resume(seed: u64, secagg: SecAggConfig, kill_after: u32) {
 // traffic rather than on the primitive.
 // ---------------------------------------------------------------------
 
+/// Every frame a wrapped transport sends (recipient, message, frame flags)
+/// and every message it receives.
 struct TapTransport<T: Transport> {
     inner: T,
-    sent: Arc<Mutex<Vec<(PartyId, Message)>>>,
+    sent: Arc<Mutex<Vec<(PartyId, Message, u16)>>>,
     received: Arc<Mutex<Vec<Message>>>,
 }
 
@@ -625,7 +627,10 @@ impl<T: Transport> Transport for TapTransport<T> {
         seq: u64,
         flags: u16,
     ) -> Result<usize, TransportError> {
-        self.sent.lock().expect("tap").push((to, msg.clone()));
+        self.sent
+            .lock()
+            .expect("tap")
+            .push((to, msg.clone(), flags));
         self.inner.send_raw(to, msg, seq, flags)
     }
     fn recv(&mut self, timeout: Duration) -> Result<Envelope, TransportError> {
@@ -711,13 +716,21 @@ fn wire_tap_sees_only_masked_shares_and_a_lone_share_decodes_to_garbage() {
         // traffic — never a raw model, never plaintext floats.
         let sent = sent.lock().expect("tap");
         assert!(!sent.is_empty());
+        // Shares are counted by first transmission: an ARQ retransmission
+        // (a timer firing before the ack, which a loaded host can cause) is a
+        // second frame on the tap, not a second contribution, and must carry
+        // the very words of the first.
         let mut shares: Vec<(u64, Vec<u64>)> = Vec::new();
-        for (to, msg) in sent.iter() {
+        let mut retransmitted: Vec<(u64, Vec<u64>)> = Vec::new();
+        for (to, msg, flags) in sent.iter() {
             assert_eq!(*to, m as PartyId, "learner spoke to a non-coordinator");
             match msg {
                 Message::MaskedShare {
                     iteration, payload, ..
-                } => shares.push((*iteration, payload.clone())),
+                } if flags & FLAG_RETRANSMIT == 0 => shares.push((*iteration, payload.clone())),
+                Message::MaskedShare {
+                    iteration, payload, ..
+                } => retransmitted.push((*iteration, payload.clone())),
                 Message::Ack { .. }
                 | Message::Heartbeat { .. }
                 | Message::TimeReply { .. }
@@ -726,6 +739,16 @@ fn wire_tap_sees_only_masked_shares_and_a_lone_share_decodes_to_garbage() {
             }
         }
         assert_eq!(shares.len(), cfg.max_iter, "seed {seed}");
+        for (iteration, payload) in &retransmitted {
+            let first = shares
+                .iter()
+                .find(|(it, _)| it == iteration)
+                .unwrap_or_else(|| panic!("seed {seed}: round {iteration} retransmitted unsent"));
+            assert_eq!(
+                &first.1, payload,
+                "seed {seed} round {iteration}: retransmit differs"
+            );
+        }
 
         // A share alone must not decode anywhere near the consensus state
         // the coordinator published for the same round: the pairwise pads
@@ -1238,7 +1261,7 @@ fn shamir_wire_tap_sees_only_blinded_blocks_and_a_lone_share_decodes_to_garbage(
     // is a second frame on the tap, not a second contribution.
     let mut dists = std::collections::BTreeSet::new();
     let mut sums: Vec<(u64, Vec<u64>)> = Vec::new();
-    for (to, msg) in sent.iter() {
+    for (to, msg, _) in sent.iter() {
         assert_eq!(*to, m as PartyId, "learner spoke to a non-coordinator");
         match msg {
             Message::ShamirDist {
