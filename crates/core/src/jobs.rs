@@ -501,14 +501,14 @@ mod tests {
         }
     }
 
-    /// The case above runs few solves long enough for the box QP's Newton
-    /// steps to join in (a few dozen cancer-like rows converge within a
-    /// few dozen sweeps). This is the benchmark's first `train_compute`
-    /// dataset, where `ppml_qp`'s `first_round_hl_dual_sweep_counts` and
-    /// `warm_started_hl_round_passes_the_engagement_point` pin that the
-    /// cold first-round solve and every one of the 40 solves of a 20-round
-    /// run pass the engagement point — so the three deployments must agree
-    /// to the bit on a model the Newton steps shaped.
+    /// The case above takes box-QP Newton steps in 199 of its 280 HL solves,
+    /// on faces of a few cancer-like rows. This is the benchmark's first
+    /// `train_compute` dataset, where every one of the run's 6 local solves
+    /// takes a step on a face of ~30 rows, and 110 of its 131 Newton
+    /// directions come from a factor a bound cut down rather than a fresh
+    /// one (both counted on an instrumented copy of the solver) — so the
+    /// three deployments must agree to the bit on a model those steps
+    /// shaped.
     #[test]
     fn deployments_agree_to_the_bit_where_the_newton_step_is_engaged() {
         let (rows, seed, m) = (300usize, 4u64, 2usize);
@@ -535,9 +535,10 @@ mod tests {
 
     /// The kernel trainer where the Newton step is engaged: the benchmark's
     /// `cluster_fig4` HK run (cancer-like, 120 rows, four learners, 12
-    /// landmarks, 60 rounds). At mask seed 2 its longest local solve runs
-    /// past sweep 64, where the box QP's Newton steps join in, so in-process
-    /// and on-cluster must agree to the bit on a model they shaped. HK's
+    /// landmarks, 60 rounds). At mask seed 2 every one of its 240 local
+    /// solves takes a box-QP Newton step (counted on an instrumented copy
+    /// of the solver), so in-process and on-cluster must agree to the bit
+    /// on a model the steps shaped. HK's
     /// model is learner 0's own discriminant — its local `α` on its rows,
     /// the landmark weights and the bias — so comparing models compares the
     /// local model as well.
@@ -839,11 +840,11 @@ mod tests {
         // bytes, shuffle bytes, broadcast bytes, retries, workers lost].
         // Round 1 fails block 2 on node 2, then on node 0, and runs it on
         // node 1; round 3 fails block 0 on node 0 and runs it on node 1.
-        // One HL solve here runs past the box QP's Newton engagement point
-        // (sweep 64), so HL's two digests move with `NEWTON_AFTER_SWEEPS`.
+        // HL's and HK's digests move with any change to the box QP's
+        // arithmetic; VL and VK never call it.
         let traces = [
-            4_363_694_578_869_023_396,
-            7_454_957_953_296_065_862,
+            956_340_322_822_064_874,
+            16_975_809_790_862_532_612,
             14_152_460_333_564_744_338,
             13_934_082_863_256_069_556,
         ];
@@ -864,11 +865,11 @@ mod tests {
         let want_killed = [
             (
                 [6, 21, 4, 9392, 2784, 2604, 0, 1],
-                17_300_223_049_452_921_954,
+                15_530_597_479_297_739_067,
             ),
             (
                 [6, 21, 4, 9392, 2592, 2436, 0, 1],
-                12_953_630_368_712_130_844,
+                13_700_884_944_327_769_425,
             ),
             (
                 [6, 21, 4, 19312, 23904, 21084, 0, 1],

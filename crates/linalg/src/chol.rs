@@ -82,12 +82,23 @@ impl Cholesky {
         &self.l
     }
 
-    /// Solves `A x = b`.
+    /// Solves `A x = b`; [`Cholesky::solve_in_place`] into a fresh vector.
     ///
     /// # Errors
     ///
     /// [`LinalgError::ShapeMismatch`] when `b.len() != self.dim()`.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
+        let mut x = b.to_vec();
+        self.solve_in_place(&mut x)?;
+        Ok(x)
+    }
+
+    /// Solves `A x = b` in place: `b` holds `x` on return.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::ShapeMismatch`] when `b.len() != self.dim()`.
+    pub fn solve_in_place(&self, b: &mut [f64]) -> Result<()> {
         let n = self.dim();
         if b.len() != n {
             return Err(LinalgError::ShapeMismatch {
@@ -95,22 +106,66 @@ impl Cholesky {
                 found: (b.len(), 1),
             });
         }
+        let l = self.l.as_slice();
         // Forward: L y = b
-        let mut y = b.to_vec();
         for i in 0..n {
-            let row = self.l.row(i);
-            let s = crate::vecops::dot(&row[..i], &y[..i]);
-            y[i] = (y[i] - s) / row[i];
+            let row = &l[i * n..(i + 1) * n];
+            let s = crate::vecops::dot(&row[..i], &b[..i]);
+            b[i] = (b[i] - s) / row[i];
         }
         // Backward: Lᵀ x = y
         for i in (0..n).rev() {
-            let mut s = y[i];
-            for (k, &yk) in y.iter().enumerate().skip(i + 1) {
-                s -= self.l[(k, i)] * yk;
+            let mut s = b[i];
+            for (row, &yk) in l.chunks_exact(n).skip(i + 1).zip(&b[i + 1..]) {
+                s -= row[i] * yk;
             }
-            y[i] = s / self.l[(i, i)];
+            b[i] = s / l[i * n + i];
         }
-        Ok(y)
+        Ok(())
+    }
+
+    /// Drops row and column `p` of the factored matrix: afterwards `self`
+    /// factors the principal submatrix without them, as [`Cholesky::new`]
+    /// of that submatrix would up to round-off.
+    ///
+    /// Split at `p`, `L = [L₁₁ 0 0; l₂₁ᵀ l₂₂ 0; L₃₁ l₃₂ L₃₃]`, and the
+    /// submatrix is `L̃L̃ᵀ` with `L̃ = [L₁₁ 0; L₃₁ L̃₃₃]`, where
+    /// `L̃₃₃L̃₃₃ᵀ = L₃₃L₃₃ᵀ + l₃₂l₃₂ᵀ`: a rank-one *update* of the trailing
+    /// block (Golub & Van Loan §12.5). It costs O((n−p)²) and cannot fail,
+    /// since every new pivot is at least the old one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p >= self.dim()`.
+    pub fn remove(&mut self, p: usize) {
+        let n = self.dim();
+        assert!(p < n, "index {p} out of bounds for dimension {n}");
+        let mut l = std::mem::replace(&mut self.l, Matrix::zeros(0, 0)).into_vec();
+        // Fold x = l₃₂, carried in column p, into columns p+1.. one rotation
+        // at a time: pivot k takes r = √(l_kk² + x_k²), and every row below
+        // it mixes its column-k entry with its x.
+        for k in p + 1..n {
+            let (head, below) = l.split_at_mut((k + 1) * n);
+            let row_k = &mut head[k * n..];
+            let (d, xk) = (row_k[k], row_k[p]);
+            let r = (d * d + xk * xk).sqrt();
+            let (c, s, inv_c) = (r / d, xk / d, d / r);
+            row_k[k] = r;
+            for row in below.chunks_exact_mut(n) {
+                let lik = (row[k] + s * row[p]) * inv_c;
+                row[p] = c * row[p] - s * lik;
+                row[k] = lik;
+            }
+        }
+        // Close the gap row p and column p leave; every row moves down.
+        let m = n - 1;
+        for r in 0..m {
+            let src = (r + usize::from(r >= p)) * n;
+            l.copy_within(src..src + p, r * m);
+            l.copy_within(src + p + 1..src + n, r * m + p);
+        }
+        l.truncate(m * m);
+        self.l = Matrix::from_vec(m, m, l).expect("m² entries");
     }
 
     /// Solves `A X = B` column-by-column.
@@ -217,6 +272,90 @@ mod tests {
     fn solve_checks_rhs_length() {
         let c = spd(4, 1).cholesky().unwrap();
         assert!(c.solve(&[1.0; 3]).is_err());
+    }
+
+    /// `a` without row and column `p`.
+    fn without(a: &Matrix, p: usize) -> Matrix {
+        let keep: Vec<usize> = (0..a.rows()).filter(|&i| i != p).collect();
+        a.select_rows(&keep).select_cols(&keep)
+    }
+
+    /// `got` factors `a`, and matches a fresh factor of it when `a` is
+    /// well conditioned: both to 1e-12 of the largest entry.
+    fn assert_factors(got: &Cholesky, a: &Matrix, well_conditioned: bool) {
+        let rel = |diff: f64, of: &Matrix| {
+            let scale = of.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            assert!(diff <= 1e-12 * scale, "off by {diff} at scale {scale}");
+        };
+        let l = got.factor();
+        rel(
+            l.matmul(&l.transpose()).unwrap().max_abs_diff(a).unwrap(),
+            a,
+        );
+        if well_conditioned {
+            let want = a.cholesky().unwrap();
+            rel(l.max_abs_diff(want.factor()).unwrap(), want.factor());
+        }
+    }
+
+    #[test]
+    fn remove_matches_factoring_the_submatrix() {
+        for n in [1, 2, 7, 30] {
+            let a = spd(n, 100 + n as u64);
+            for p in 0..n {
+                let mut c = a.cholesky().unwrap();
+                c.remove(p);
+                assert_eq!(c.dim(), n - 1);
+                assert_factors(&c, &without(&a, p), true);
+            }
+        }
+    }
+
+    #[test]
+    fn remove_matches_on_a_ridged_rank_deficient_gram() {
+        // The box QP's free-set shape: `BBᵀ` with more rows than `B` has
+        // columns, singular but for a ridge of 1e-10 of its mean diagonal.
+        let (n, rank) = (30, 6);
+        let mut state = 0x5eedu64;
+        let b = Matrix::from_fn(n, rank, |_, _| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
+        });
+        let mut a = b.matmul(&b.transpose()).unwrap();
+        let trace: f64 = (0..n).map(|i| a[(i, i)]).sum();
+        a.add_diag(1e-10 * trace / n as f64);
+        for p in 0..n {
+            let mut c = a.cholesky().unwrap();
+            c.remove(p);
+            assert_factors(&c, &without(&a, p), false);
+        }
+    }
+
+    #[test]
+    fn chained_removals_reach_dimension_zero() {
+        let mut a = spd(9, 5);
+        let mut c = a.cholesky().unwrap();
+        for p in [4, 0, 6, 2, 2, 3, 0, 1, 0] {
+            c.remove(p);
+            a = without(&a, p);
+            assert_factors(&c, &a, true);
+        }
+        assert_eq!(c.dim(), 0);
+        c.solve_in_place(&mut []).unwrap();
+    }
+
+    #[test]
+    fn solve_in_place_is_solve() {
+        let mut c = spd(12, 7).cholesky().unwrap();
+        c.remove(3);
+        let b: Vec<f64> = (0..11).map(|i| (i as f64).cos()).collect();
+        let mut x = b.clone();
+        c.solve_in_place(&mut x).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&x), bits(&c.solve(&b).unwrap()));
+        assert!(c.solve_in_place(&mut [1.0; 12]).is_err());
     }
 
     #[test]

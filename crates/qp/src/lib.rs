@@ -6,10 +6,10 @@
 //!   per-mapper dual of the horizontally-partitioned trainers (the bias is
 //!   quadratically penalized by ADMM, so no equality constraint survives; see
 //!   DESIGN.md §2). Solved by [`solve_box`]: projected cyclic coordinate
-//!   descent with an incrementally maintained gradient; a solve that has not
-//!   converged after 64 sweeps is stalled on an ill-conditioned
-//!   face, and from then on a ridged Newton step on the free coordinates
-//!   runs between sweeps — a descent step that leaves the exit test, a full
+//!   descent with an incrementally maintained gradient, and between every
+//!   two sweeps a ridged Newton step on the free coordinates, whose
+//!   Cholesky factor drops a coordinate a bound stops rather than being
+//!   computed again — a descent step that leaves the exit test, a full
 //!   sweep with KKT violation `≤ tol`, as it was. See [`solve_box_from`].
 //! * **Box + single equality QP** — the same with one extra constraint
 //!   `Σᵢ aᵢλᵢ = t`, `aᵢ ∈ {−1, +1}` (a label vector). This is the reducer's
@@ -192,9 +192,13 @@ fn box_start(
         });
     }
     let x: Vec<f64> = x0.iter().map(|&v| v.clamp(lo, hi)).collect();
-    let mut g = q.matvec(&x).expect("validated shape");
-    for (gi, &qi) in g.iter_mut().zip(lin) {
-        *gi += qi;
+    // g = q + Σ_{xᵢ≠0} xᵢ·Qᵢ: Q is symmetric, so row i is column i, and a
+    // warm start's multipliers at zero cost nothing.
+    let mut g = lin.to_vec();
+    for (i, &xi) in x.iter().enumerate() {
+        if xi != 0.0 {
+            vecops::axpy(xi, q.row(i), &mut g);
+        }
     }
     Ok((x, g))
 }
@@ -230,18 +234,20 @@ fn cd_sweep(q: &Matrix, x: &mut [f64], g: &mut [f64], lo: f64, hi: f64, tol: f64
 }
 
 /// The Newton half of [`solve_box_from`]: the sweep it engages from, the
-/// free set of the last two sweeps and the buffers a step works in, reused
+/// free set of the last two sweeps and the buffer a step works in, reused
 /// from step to step.
 struct FreeSetNewton {
-    /// Sweeps a solve runs before steps join in: 1 is every gap,
-    /// `usize::MAX` plain coordinate descent.
+    /// Sweeps a solve runs before steps join in: 1 is every gap, as
+    /// shipped, and `usize::MAX` plain coordinate descent.
     after: usize,
     free: Vec<usize>,
     prev_free: Vec<usize>,
-    /// `Q_FF + εI`; reallocated only when `|F|` changes.
-    qff: Matrix,
-    rhs: Vec<f64>,
-    /// Cholesky factorisations tried.
+    /// `−g_F`, which the factor solves into the direction `d`.
+    dir: Vec<f64>,
+    /// Newton directions computed.
+    #[cfg(test)]
+    directions: usize,
+    /// Cholesky factorisations tried: one per call that tries a step.
     #[cfg(test)]
     factorisations: usize,
 }
@@ -252,8 +258,9 @@ impl FreeSetNewton {
             after,
             free: Vec::new(),
             prev_free: Vec::new(),
-            qff: Matrix::zeros(0, 0),
-            rhs: Vec::new(),
+            dir: Vec::new(),
+            #[cfg(test)]
+            directions: 0,
             #[cfg(test)]
             factorisations: 0,
         }
@@ -261,59 +268,66 @@ impl FreeSetNewton {
 
     /// Called after a sweep that missed the tolerance. When the free set
     /// `F = {i : lo+eps < xᵢ < hi−eps}` is non-empty and the same as after
-    /// the previous sweep, moves `x_F` along the Newton direction of the
-    /// face and keeps `g` current; a step that a bound cut short drops the
-    /// coordinates now on a bound from `F` and goes again, so the call ends
-    /// on a full step. A factorisation that fails, or a direction that
-    /// round-off cost its descent, ends it early with `x` and `g` as the
-    /// last step left them.
+    /// the previous sweep, factors `Q_FF + εI` once and moves `x_F` along
+    /// the Newton direction of the face, keeping `g` current; a step that a
+    /// bound cut short removes the coordinates now on a bound from `F` and
+    /// from the factor, and goes again, so the call ends on a full step. A
+    /// factorisation that fails, or a direction that round-off cost its
+    /// descent, ends it early with `x` and `g` as the last step left them.
     fn step(&mut self, q: &Matrix, x: &mut [f64], g: &mut [f64], lo: f64, hi: f64) {
         let eps = bound_eps(lo, hi);
         let is_free = |v: f64| v > lo + eps && v < hi - eps;
         std::mem::swap(&mut self.free, &mut self.prev_free);
         self.free.clear();
         self.free.extend((0..x.len()).filter(|&i| is_free(x[i])));
-        if self.free != self.prev_free {
+        if self.free.is_empty() || self.free != self.prev_free {
             return;
         }
+        let f = self.free.len();
+        let mut qff = Matrix::zeros(f, f);
+        let mut trace = 0.0;
+        for (a, &i) in self.free.iter().enumerate() {
+            let row = q.row(i);
+            for (out, &j) in qff.row_mut(a).iter_mut().zip(&self.free) {
+                *out = row[j];
+            }
+            trace += row[i];
+        }
+        // The ridge of the starting face stays through every removal.
+        qff.add_diag(1e-10 * trace / f as f64);
+        #[cfg(test)]
+        {
+            self.factorisations += 1;
+        }
+        let Ok(mut factor) = qff.cholesky() else {
+            return;
+        };
         // Every pass but the last shrinks F, so this ends.
         while !self.free.is_empty() {
-            let f = self.free.len();
-            if self.qff.rows() != f {
-                self.qff = Matrix::zeros(f, f);
-            }
-            let mut trace = 0.0;
-            for (a, &i) in self.free.iter().enumerate() {
-                let row = q.row(i);
-                for (out, &j) in self.qff.row_mut(a).iter_mut().zip(&self.free) {
-                    *out = row[j];
-                }
-                trace += row[i];
-            }
-            self.qff.add_diag(1e-10 * trace / f as f64);
-            self.rhs.clear();
-            self.rhs.extend(self.free.iter().map(|&i| -g[i]));
             #[cfg(test)]
             {
-                self.factorisations += 1;
+                self.directions += 1;
             }
-            let Ok(d) = self.qff.cholesky().and_then(|l| l.solve(&self.rhs)) else {
-                return;
-            };
+            self.dir.clear();
+            self.dir.extend(self.free.iter().map(|&i| -g[i]));
+            factor
+                .solve_in_place(&mut self.dir)
+                .expect("the factor is |F| × |F|");
+            let d = &self.dir;
             // −g_Fᵀd = dᵀ(Q_FF + εI)d > 0 in exact arithmetic.
-            let descent = vecops::dot(&self.rhs, &d);
+            let descent: f64 = self.free.iter().zip(d).map(|(&i, &di)| -g[i] * di).sum();
             if !(descent > 0.0 && descent.is_finite()) {
                 return;
             }
             // Largest step in (0, 1] that keeps x_F inside the box.
             let mut alpha = 1.0f64;
-            for (&i, &di) in self.free.iter().zip(&d) {
+            for (&i, &di) in self.free.iter().zip(d) {
                 let room = if di > 0.0 { hi - x[i] } else { lo - x[i] };
                 if di != 0.0 && room / di < alpha {
                     alpha = room / di;
                 }
             }
-            for (&i, &di) in self.free.iter().zip(&d) {
+            for (&i, &di) in self.free.iter().zip(d) {
                 let new = (x[i] + alpha * di).clamp(lo, hi);
                 let delta = new - x[i];
                 if delta != 0.0 {
@@ -321,26 +335,20 @@ impl FreeSetNewton {
                     vecops::axpy(delta, q.row(i), g); // g tracks x
                 }
             }
-            self.free.retain(|&i| is_free(x[i]));
+            // Last position first, so the positions still to visit hold.
+            let f = self.free.len();
+            for a in (0..f).rev() {
+                if !is_free(x[self.free[a]]) {
+                    self.free.remove(a);
+                    factor.remove(a);
+                }
+            }
             if alpha == 1.0 || self.free.len() == f {
                 return;
             }
         }
     }
 }
-
-/// Sweeps a solve gives plain coordinate descent before Newton steps join in.
-///
-/// A solve that converges sooner does exactly the arithmetic it did before
-/// the Newton step existed (most of the trainers' solves at a few dozen
-/// rows do), and a factorisation is paid for only where coordinate descent
-/// has demonstrably stalled. The step itself is sound
-/// from the first sweep on — the tests run it at 1, where the benchmark's
-/// `train_compute` op is 11–12× shorter (ROADMAP item 7 has the table) — so
-/// the value is how far the step is engaged so far, not a tuning of the
-/// method: 64 is the fourth landing (after 1 000, 256 and 128), taken in
-/// steps the benchmark can resolve; 1 is what is left.
-const NEWTON_AFTER_SWEEPS: usize = 64;
 
 /// Solves `min ½xᵀQx + qᵀx` over the box `[lo, hi]ⁿ`, starting from the
 /// projection of `x0` onto the box.
@@ -350,20 +358,25 @@ const NEWTON_AFTER_SWEEPS: usize = 64;
 ///
 /// # Method
 ///
-/// Projected cyclic coordinate descent with a maintained gradient; once a
-/// solve is `NEWTON_AFTER_SWEEPS` sweeps old, a safeguarded Newton step
-/// on the free set runs between sweeps. A coordinate that passes its KKT
-/// check costs O(1) in a sweep, so a sweep costs *movers × n*; what is
-/// expensive on an SVM dual is the *number* of sweeps the few free
-/// multipliers need on an ill-conditioned face while the rest sit at a
-/// bound. So after a sweep that misses `tol`, with
+/// Projected cyclic coordinate descent with a maintained gradient, and a
+/// safeguarded Newton step on the free set in every gap between sweeps. A
+/// coordinate that passes its KKT check costs O(1) in a sweep, so a sweep
+/// costs *movers × n*; what is expensive on an SVM dual is the *number* of
+/// sweeps the few free multipliers need on an ill-conditioned face while
+/// the rest sit at a bound. So after a sweep that misses `tol`, with
 /// `F = {i : lo+eps < xᵢ < hi−eps}` non-empty and equal to the previous
-/// sweep's, the solver solves `(Q_FF + εI) d = −g_F` by Cholesky and sets
-/// `x_F += α d`, `α = min(1, largest step that stays in the box)`. When a
-/// bound cut the step short (`α < 1`) it drops the coordinates that reached
-/// a bound from `F` and repeats on the smaller face, until a full step.
+/// sweep's, the solver factors `Q_FF + εI = LLᵀ`, solves
+/// `(Q_FF + εI) d = −g_F` and sets `x_F += α d`,
+/// `α = min(1, largest step that stays in the box)`. When a bound cut the
+/// step short (`α < 1`) it drops the coordinates that reached a bound from
+/// `F` and repeats on the smaller face, until a full step. The factor is
+/// not recomputed for the smaller face: dropping coordinate `p` from `F`
+/// drops row and column `p` from `L`, a rank-one update of the rows below
+/// it in O((|F|−p)²) ([`ppml_linalg::Cholesky::remove`]), where a fresh
+/// factorisation costs O(|F|³).
 ///
-/// The ridge `ε = 1e-10 · mean diag Q_FF` is needed, not cosmetic: the
+/// The ridge `ε = 1e-10 · mean diag Q_FF`, taken on the face the step
+/// started on and kept through the removals, is needed, not cosmetic: the
 /// linear trainers' `Q = AAᵀ` has rank `k+1` and `|F|` exceeds it on real
 /// inputs, so `Q_FF` alone is singular.
 ///
@@ -387,7 +400,7 @@ pub fn solve_box_from(
     x0: &[f64],
     cfg: &QpConfig,
 ) -> Result<QpSolution, QpError> {
-    let newton = &mut FreeSetNewton::new(NEWTON_AFTER_SWEEPS);
+    let newton = &mut FreeSetNewton::new(1);
     box_descent(q, lin, lo, hi, x0, cfg, newton)
 }
 
@@ -853,10 +866,7 @@ mod tests {
         assert!(fast.converged && plain.converged);
         assert!(fast.kkt_violation <= cfg.tol);
         assert!(fast.iterations <= plain.iterations);
-        if plain.iterations <= NEWTON_AFTER_SWEEPS {
-            // Too short a solve for the shipped solver to take a step.
-            assert_eq!(solve_box_from(q, lin, lo, hi, x0, &cfg).unwrap(), plain);
-        }
+        assert_eq!(solve_box_from(q, lin, lo, hi, x0, &cfg).unwrap(), fast);
         let (ff, fp) = (objective(q, lin, &fast.x), objective(q, lin, &plain.x));
         assert!(
             ff <= fp + 1e-9 * (1.0 + fp.abs()),
@@ -1046,8 +1056,8 @@ mod tests {
     fn first_round_hl_dual_sweep_counts() {
         // What the benchmark's `qp.iterations` probe solves: learner 0 at
         // the first ADMM round (z = γ = 0, s = β = 0 ⇒ q = −1). The counts
-        // repeat exactly; a later notch of `NEWTON_AFTER_SWEEPS` moves the
-        // constant and `shipped`'s count to a row already pinned here.
+        // repeat exactly. The rows are the walk of the sweep the steps
+        // engage from, down to 1, a step in every gap, as shipped.
         let (yx, _, q) = &hl_learners()[0];
         let n = q.rows();
         let (lin, zeros) = (vec![-1.0; n], vec![0.0; n]);
@@ -1070,8 +1080,8 @@ mod tests {
             assert_eq!(sol, solve(newton_after));
         }
         let shipped = solve_box(q, &lin, 0.0, HL_C, &HL_QP).unwrap();
-        assert_eq!(shipped, solve(NEWTON_AFTER_SWEEPS));
-        assert_eq!(shipped.iterations, 70);
+        assert_eq!(shipped, solve(1));
+        assert_eq!(shipped.iterations, 34);
     }
 
     /// What one run of `train_compute`'s first dataset asks of the solver:
@@ -1081,6 +1091,7 @@ mod tests {
     struct Replay {
         /// `sweeps[t][l]`: the solve of learner `l` in round `t + 1`.
         sweeps: Vec<Vec<usize>>,
+        directions: usize,
         factorisations: usize,
         /// Each learner's last `λ`.
         lambdas: Vec<Vec<f64>>,
@@ -1099,7 +1110,7 @@ mod tests {
         let mut duals = vec![(vec![0.0; k], 0.0); learners.len()];
         let mut locals = vec![(vec![0.0; k], 0.0); learners.len()];
         let mut sweeps = Vec::new();
-        let mut factorisations = 0;
+        let (mut directions, mut factorisations) = (0, 0);
         for round in 0..ROUNDS {
             let mut this_round = Vec::new();
             for (l, (yx, y, q)) in learners.iter().enumerate() {
@@ -1120,6 +1131,7 @@ mod tests {
                 let sol = box_descent(q, &lin, 0.0, HL_C, &lambdas[l], &HL_QP, newton).unwrap();
                 assert!(sol.converged, "round {} learner {l}", round + 1);
                 this_round.push(sol.iterations);
+                directions += newton.directions;
                 factorisations += newton.factorisations;
                 lambdas[l] = sol.x;
                 let ytl = yx.t_matvec(&lambdas[l]).unwrap();
@@ -1135,6 +1147,7 @@ mod tests {
         }
         Replay {
             sweeps,
+            directions,
             factorisations,
             lambdas,
         }
@@ -1143,29 +1156,30 @@ mod tests {
     #[test]
     fn warm_started_hl_round_passes_the_engagement_point() {
         // 114 of a `train_compute` op's 120 solves are warm-started, and they
-        // are where the notches of `NEWTON_AFTER_SWEEPS` engage. Per rung of
-        // the walk, over the whole replay: total sweeps, factorisations, and
-        // the second-round solve of learner 0, the first warm-started one.
-        // The counts repeat exactly.
+        // are where the rungs of the walk engaged. Per rung, over the whole
+        // replay: total sweeps, Newton directions, fresh factorisations (one
+        // per call that tries a step; its other directions follow a removal
+        // from that factor), and the second-round solve of learner 0, the
+        // first warm-started one. The counts repeat exactly.
         let learners = hl_learners();
         let rungs = [
-            (usize::MAX, 34_221, 0, 7_625),
-            (1000, 22_567, 13, 1_002),
-            (256, 9_619, 54, 260),
-            (128, 5_212, 84, 134),
-            (64, 2_670, 130, 70),
-            (1, 361, 348, 10),
+            (usize::MAX, 34_221, 0, 0, 7_625),
+            (1000, 22_567, 13, 10, 1_002),
+            (256, 9_619, 54, 33, 260),
+            (128, 5_212, 84, 49, 134),
+            (64, 2_670, 130, 54, 70),
+            (1, 361, 348, 77, 10),
         ];
         let runs: Vec<Replay> = rungs
             .iter()
             .map(|&(after, ..)| replay(&learners, after))
             .collect();
         let plain = &runs[0];
-        for (&(after, sweeps, factorisations, second), run) in rungs.iter().zip(&runs) {
+        for (&(after, sweeps, directions, factorisations, second), run) in rungs.iter().zip(&runs) {
             let total: usize = run.sweeps.iter().flatten().sum();
             assert_eq!(
-                (total, run.factorisations, run.sweeps[1][0]),
-                (sweeps, factorisations, second),
+                (total, run.directions, run.factorisations, run.sweeps[1][0]),
+                (sweeps, directions, factorisations, second),
                 "Newton steps from sweep {after}"
             );
             for ((yx, ..), (x, reference)) in
@@ -1174,15 +1188,11 @@ mod tests {
                 assert_same_model(yx, x, reference);
             }
         }
-        // As shipped, every one of the run's 40 solves passes the
-        // engagement point.
-        let shipped = rungs
-            .iter()
-            .position(|r| r.0 == NEWTON_AFTER_SWEEPS)
-            .unwrap();
-        let solves = runs[shipped].sweeps.iter().flatten();
-        assert_eq!(solves.clone().count(), 40);
-        assert_eq!(solves.filter(|&&n| n > NEWTON_AFTER_SWEEPS).count(), 40);
+        // As shipped, each of the run's 40 solves runs past its first sweep,
+        // so each may take a step.
+        let shipped = runs.last().unwrap().sweeps.iter().flatten();
+        assert_eq!(shipped.clone().count(), 40);
+        assert_eq!(shipped.filter(|&&n| n > 1).count(), 40);
     }
 
     #[test]
