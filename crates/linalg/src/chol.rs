@@ -41,35 +41,53 @@ impl Cholesky {
     /// [`LinalgError::NotPositiveDefinite`] when a pivot is not strictly
     /// positive.
     pub fn new(a: &Matrix) -> Result<Self> {
+        Self::factor_in_place(a.clone())
+    }
+
+    /// [`Cholesky::new`] in `a`'s own storage, which becomes the factor:
+    /// column `j` of `L` overwrites column `j` of the lower triangle once
+    /// every entry it needs is read, and the upper triangle is zeroed.
+    /// [`Cholesky::into_factor`] hands the storage back, so a caller that
+    /// factors matrix after matrix allocates once.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cholesky::new`]; the storage is dropped.
+    pub fn factor_in_place(a: Matrix) -> Result<Self> {
         let n = a.rows();
         if a.cols() != n {
             return Err(LinalgError::NotSquare { shape: a.shape() });
         }
-        let mut l = Matrix::zeros(n, n);
+        let mut l = a.into_vec();
         for j in 0..n {
+            let rj = j * n;
             // Diagonal entry.
-            let mut d = a[(j, j)];
+            let mut d = l[rj + j];
             for k in 0..j {
-                let v = l[(j, k)];
+                let v = l[rj + k];
                 d -= v * v;
             }
             if d <= 0.0 || !d.is_finite() {
                 return Err(LinalgError::NotPositiveDefinite { pivot: j });
             }
             let dj = d.sqrt();
-            l[(j, j)] = dj;
-            // Column below the diagonal.
+            l[rj + j] = dj;
+            // Column below the diagonal: row i holds L in its first j
+            // entries and still holds `a` from entry j on.
             for i in (j + 1)..n {
-                let mut s = a[(i, j)];
-                // dot of rows i and j of L, first j entries
-                let (ri, rj) = (i * n, j * n);
-                let li = &l.as_slice()[ri..ri + j];
-                let lj = &l.as_slice()[rj..rj + j];
-                s -= crate::vecops::dot(li, lj);
-                l[(i, j)] = s / dj;
+                let ri = i * n;
+                let s = l[ri + j] - crate::vecops::dot(&l[ri..ri + j], &l[rj..rj + j]);
+                l[ri + j] = s / dj;
             }
+            l[rj + j + 1..rj + n].fill(0.0);
         }
+        let l = Matrix::from_vec(n, n, l).expect("n² entries");
         Ok(Cholesky { l })
+    }
+
+    /// The lower-triangular factor `L`, by value.
+    pub fn into_factor(self) -> Matrix {
+        self.l
     }
 
     /// Size of the factored matrix.

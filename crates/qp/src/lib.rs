@@ -37,7 +37,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
-use ppml_linalg::{vecops, Matrix};
+use ppml_linalg::{vecops, Cholesky, Matrix};
 use std::fmt;
 
 /// Errors produced by the QP solvers.
@@ -234,8 +234,8 @@ fn cd_sweep(q: &Matrix, x: &mut [f64], g: &mut [f64], lo: f64, hi: f64, tol: f64
 }
 
 /// The Newton half of [`solve_box_from`]: the sweep it engages from, the
-/// free set of the last two sweeps and the buffer a step works in, reused
-/// from step to step.
+/// free set of the last two sweeps and the buffers a step works in,
+/// reused from step to step.
 struct FreeSetNewton {
     /// Sweeps a solve runs before steps join in: 1 is every gap, as
     /// shipped, and `usize::MAX` plain coordinate descent.
@@ -244,6 +244,8 @@ struct FreeSetNewton {
     prev_free: Vec<usize>,
     /// `−g_F`, which the factor solves into the direction `d`.
     dir: Vec<f64>,
+    /// Storage `Q_FF + εI` is gathered into and factored in place.
+    qff: Vec<f64>,
     /// Newton directions computed.
     #[cfg(test)]
     directions: usize,
@@ -259,6 +261,7 @@ impl FreeSetNewton {
             free: Vec::new(),
             prev_free: Vec::new(),
             dir: Vec::new(),
+            qff: Vec::new(),
             #[cfg(test)]
             directions: 0,
             #[cfg(test)]
@@ -284,24 +287,41 @@ impl FreeSetNewton {
             return;
         }
         let f = self.free.len();
-        let mut qff = Matrix::zeros(f, f);
+        let mut qff = std::mem::take(&mut self.qff);
+        qff.clear();
         let mut trace = 0.0;
-        for (a, &i) in self.free.iter().enumerate() {
+        for &i in &self.free {
             let row = q.row(i);
-            for (out, &j) in qff.row_mut(a).iter_mut().zip(&self.free) {
-                *out = row[j];
-            }
+            qff.extend(self.free.iter().map(|&j| row[j]));
             trace += row[i];
         }
+        let mut qff = Matrix::from_vec(f, f, qff).expect("f² entries");
         // The ridge of the starting face stays through every removal.
         qff.add_diag(1e-10 * trace / f as f64);
         #[cfg(test)]
         {
             self.factorisations += 1;
         }
-        let Ok(mut factor) = qff.cholesky() else {
+        let Ok(mut factor) = Cholesky::factor_in_place(qff) else {
             return;
         };
+        self.descend(&mut factor, q, x, g, lo, hi);
+        self.qff = factor.into_factor().into_vec();
+    }
+
+    /// The Newton steps of one [`FreeSetNewton::step`] on `factor`, the
+    /// factor of `Q_FF + εI`.
+    fn descend(
+        &mut self,
+        factor: &mut Cholesky,
+        q: &Matrix,
+        x: &mut [f64],
+        g: &mut [f64],
+        lo: f64,
+        hi: f64,
+    ) {
+        let eps = bound_eps(lo, hi);
+        let is_free = |v: f64| v > lo + eps && v < hi - eps;
         // Every pass but the last shrinks F, so this ends.
         while !self.free.is_empty() {
             #[cfg(test)]

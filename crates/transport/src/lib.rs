@@ -16,9 +16,9 @@
 //! * [`Transport`] — the backend trait, with two implementations:
 //!   [`LoopbackTransport`] (deterministic in-memory fabric with
 //!   [`NetFaultPlan`] drop/duplicate/delay injection) and
-//!   [`EventTransport`] (TCP over `std::net`, every socket on one
-//!   readiness-loop thread, per-message timeouts, exponential-backoff
-//!   dialing, reconnection);
+//!   [`EventTransport`] (TCP over `std::net`, every socket driven by a
+//!   readiness loop on the caller's own thread, per-message timeouts,
+//!   exponential-backoff dialing, reconnection);
 //! * [`Courier`] — reliability on top of any backend, stop-and-wait per
 //!   link and overlapped across links: acks, retransmission under
 //!   [`RetryPolicy`], and duplicate suppression.
