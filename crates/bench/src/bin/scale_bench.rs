@@ -10,8 +10,9 @@
 //! so the coordinator's CPU is measured alone), and drives R
 //! consensus-shaped rounds: broadcast a `Consensus` iterate to every
 //! learner, collect one `MaskedShare` from each. Reported per cell:
-//! p50/p99 round latency, coordinator CPU milliseconds per round
-//! (nanosecond-resolution `sum_exec_runtime` from
+//! the time the cluster took to form (first spawn to last registration,
+//! so it includes every accept), p50/p99 round latency, coordinator CPU
+//! milliseconds per round (nanosecond-resolution `sum_exec_runtime` from
 //! `/proc/self/task/*/schedstat`, summed over every thread), and the
 //! coordinator's thread count mid-run. Results go to stdout and to
 //! `BENCH_scale.json` in the working directory; every row carries
@@ -98,8 +99,7 @@ fn thread_cpu_snapshot() -> Vec<(u64, String, u64)> {
 /// CPU time this process has consumed, in microseconds.
 ///
 /// Prefers the scheduler's nanosecond-resolution `sum_exec_runtime`
-/// (`/proc/self/task/*/schedstat`, summed over every thread, the I/O
-/// thread included); falls back to `utime + stime` jiffies from
+/// (`/proc/self/task/*/schedstat`, summed over every thread); falls back to `utime + stime` jiffies from
 /// `/proc/self/stat` where schedstats are compiled out. Returns 0 off
 /// Linux — the bench still runs, the CPU column is just meaningless
 /// there.
@@ -188,6 +188,7 @@ fn child(party: PartyId, coordinator: SocketAddr) {
 
 struct Row {
     m: usize,
+    form_ms: f64,
     rounds_completed: usize,
     round_ms_p50: f64,
     round_ms_p99: f64,
@@ -217,6 +218,7 @@ fn run_phase(m: usize, exe: &std::path::Path) -> Row {
     )
     .expect("bind coordinator");
     let addr = transport.local_addr();
+    let forming = Instant::now();
     let mut children: Vec<Child> = (0..m)
         .map(|party| {
             Command::new(exe)
@@ -243,6 +245,7 @@ fn run_phase(m: usize, exe: &std::path::Path) -> Row {
         }
         std::thread::sleep(Duration::from_millis(10));
     }
+    let form_ms = forming.elapsed().as_secs_f64() * 1e3;
     let coord_threads = self_threads();
 
     let z: Vec<f64> = (0..SHARE_WORDS).map(|k| k as f64 * 0.5).collect();
@@ -336,6 +339,7 @@ fn run_phase(m: usize, exe: &std::path::Path) -> Row {
     let completed = latencies.len();
     let row = Row {
         m,
+        form_ms,
         rounds_completed: completed,
         round_ms_p50: percentile_ms(&latencies, 0.50),
         round_ms_p99: percentile_ms(&latencies, 0.99),
@@ -348,8 +352,9 @@ fn run_phase(m: usize, exe: &std::path::Path) -> Row {
         ok: ok && completed == total,
     };
     println!(
-        "scale/event/m={:<4} rounds {:>3}/{}  p50 {:>8.2}ms  p99 {:>8.2}ms  cpu {:>7.2}ms/round  threads {:>4}  {}",
+        "scale/event/m={:<4} formed {:>7.1}ms  rounds {:>3}/{}  p50 {:>8.2}ms  p99 {:>8.2}ms  cpu {:>7.2}ms/round  threads {:>4}  {}",
         row.m,
+        row.form_ms,
         row.rounds_completed,
         total,
         row.round_ms_p50,
@@ -385,10 +390,11 @@ fn main() -> std::io::Result<()> {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "    {{\"backend\": \"event\", \"m\": {}, \"rounds_completed\": {}, \
+            "    {{\"backend\": \"event\", \"m\": {}, \"form_ms\": {:.1}, \"rounds_completed\": {}, \
              \"round_ms_p50\": {:.3}, \"round_ms_p99\": {:.3}, \
              \"coord_cpu_ms_per_round\": {:.3}, \"coord_threads\": {}, \"ok\": {}}}{comma}",
             r.m,
+            r.form_ms,
             r.rounds_completed,
             r.round_ms_p50,
             r.round_ms_p99,
